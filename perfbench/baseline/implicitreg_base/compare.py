@@ -1,0 +1,436 @@
+"""Model comparison pipeline: the fixed seven-model table and the
+three-model Boyle verification.
+
+The comparison list is frozen: three rotations over {1, x, y, x*y}
+(reported after p-value reduction), the two standard one-axis models,
+and the two non-response forms.  Each row carries R^2, both residual
+standard errors, the separation angle, the height reading, and an
+average rank per metric.
+
+An intercept-only reduced model (e.g. the interaction rotation collapsing
+to a constant) reports its uncentered R^2: the centered version is zero
+by construction for a constant fit, while the uncentered one measures the
+constancy of the response, which is the quantity the comparison is after.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .dataio import Dataset, boyle_dataset
+from .errors import DegenerateTriangleError, InsufficientDataError
+from .fitcore import FitResult, constancy_index, fit_ols, reduce_model, self_weighting_mean
+from .formula import format_model, parse_model
+from .implicit import Prediction, predict
+from .metrics import (
+    MetricSet,
+    RankDirection,
+    joint_square_sums,
+    rank_models,
+    relative_height,
+    separation_angle,
+)
+
+COMPARISON_MODEL_TEXTS = (
+    "y ~ 1 + x + x*y",
+    "x ~ 1 + y + x*y",
+    "x*y ~ 1 + x + y",
+    "y ~ 1 + 1/x",
+    "y ~ 1 + x + x^2",
+    "1 ~ x + y + x*y",
+    "1 ~ x*y",
+)
+# the first three are rotations and get backward elimination
+_N_ROTATIONS = 3
+
+BOYLE_MODEL_TEXTS = (
+    "1 ~ x + y + x*y",
+    "y ~ 1 + x + x^2",
+    "y ~ 1 + 1/x",
+)
+
+_METRIC_DIRECTIONS = {
+    "r_squared": RankDirection.DESCENDING_BETTER,
+    "se_y": RankDirection.ASCENDING_BETTER,
+    "se_x": RankDirection.ASCENDING_BETTER,
+    "theta_t": RankDirection.NEAREST_90_BETTER,
+    "height": RankDirection.ASCENDING_BETTER,
+}
+
+
+def metric_set_to_dict(metrics: MetricSet) -> dict:
+    """The five comparison metrics as a plain dict (JSON-friendly keys)."""
+    return {
+        "r_squared": metrics.r_squared,
+        "se_y": metrics.se_y,
+        "se_x": metrics.se_x,
+        "theta_t": metrics.theta_t_degrees,
+        "height": metrics.height,
+    }
+
+
+@dataclass(frozen=True)
+class ModelRow:
+    model: str
+    reduced: str | None
+    r_squared: float
+    se_y: float | None
+    se_x: float | None
+    theta_t: float | None
+    height: float | None
+    undefined_y: int
+    undefined_x: int
+    complex_x: int
+    ranks: dict[str, float | None]
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    n: int
+    x_label: str
+    y_label: str
+    alpha: float
+    height_variant: str
+    seed: int | None
+    rows: tuple[ModelRow, ...]
+
+
+def _axis_se(obs: np.ndarray, est: np.ndarray, mask: np.ndarray, n_params: int) -> float | None:
+    n_def = int(mask.sum())
+    if n_def <= n_params:
+        return None
+    sse = float(((obs[mask] - est[mask]) ** 2).sum())
+    return math.sqrt(sse / (n_def - n_params))
+
+
+def model_metrics(fit: FitResult, data: Dataset, pred: Prediction,
+                  height_variant: str = "projection") -> MetricSet:
+    """Comparison metrics for one fitted model.
+
+    Fields are None where the quantity is undefined (degenerate triangle
+    or too few defined solves).
+    """
+    se_y = _axis_se(data.y, pred.y_hat, pred.y_defined, fit.spec.n_coefficients)
+    se_x = _axis_se(data.x, pred.x_hat, pred.x_defined, fit.spec.n_coefficients)
+    theta = height = None
+    try:
+        sums = joint_square_sums(data, pred)
+    except InsufficientDataError:
+        sums = None
+    if sums is not None:
+        try:
+            theta = separation_angle(sums)
+        except DegenerateTriangleError:
+            theta = None
+        try:
+            height = relative_height(sums, variant=height_variant)
+        except DegenerateTriangleError:
+            height = None
+    if fit.spec.predictors or not fit.spec.intercept:
+        r_squared = fit.r_squared
+    else:
+        r_squared = fit.r_squared_uncentered
+    return MetricSet(
+        r_squared=r_squared,
+        se_y=se_y,
+        se_x=se_x,
+        theta_t_degrees=theta,
+        height=height,
+        undefined_y=pred.undefined_count_y,
+        undefined_x=pred.undefined_count_x,
+        complex_x=pred.complex_count_x,
+    )
+
+
+def _rank_columns(metric_values: dict[str, list[float | None]]) -> list[dict[str, float | None]]:
+    """Per-model rank dicts; undefined metric values get a None rank."""
+    n_rows = len(next(iter(metric_values.values())))
+    ranks: list[dict[str, float | None]] = [dict() for _ in range(n_rows)]
+    for metric, direction in _METRIC_DIRECTIONS.items():
+        values = metric_values[metric]
+        defined = [i for i, v in enumerate(values) if v is not None]
+        col: dict[int, float] = {}
+        if defined:
+            ranked = rank_models([values[i] for i in defined], direction)
+            col = {i: float(r) for i, r in zip(defined, ranked)}
+        for i in range(n_rows):
+            ranks[i][metric] = col.get(i)
+    return ranks
+
+
+def build_comparison(data: Dataset, alpha: float = 0.05,
+                     height_variant: str = "projection",
+                     seed: int | None = None) -> ComparisonReport:
+    """Fit the frozen model list and assemble the ranked comparison."""
+    rows_wip = []
+    metric_values: dict[str, list[float | None]] = {m: [] for m in _METRIC_DIRECTIONS}
+    for idx, text in enumerate(COMPARISON_MODEL_TEXTS):
+        spec = parse_model(text)
+        fit = fit_ols(spec, data)
+        reduced_text = None
+        if idx < _N_ROTATIONS:
+            reduced = reduce_model(fit, data, alpha)
+            if reduced.spec != spec:
+                reduced_text = format_model(reduced.spec)
+            fit = reduced
+        pred = predict(fit, data)
+        metrics = model_metrics(fit, data, pred, height_variant)
+        values = metric_set_to_dict(metrics)
+        for name in _METRIC_DIRECTIONS:
+            metric_values[name].append(values[name])
+        rows_wip.append((text, reduced_text, metrics))
+
+    rank_dicts = _rank_columns(metric_values)
+    rows = tuple(
+        ModelRow(
+            model=text,
+            reduced=reduced_text,
+            r_squared=metrics.r_squared,
+            se_y=metrics.se_y,
+            se_x=metrics.se_x,
+            theta_t=metrics.theta_t_degrees,
+            height=metrics.height,
+            undefined_y=metrics.undefined_y,
+            undefined_x=metrics.undefined_x,
+            complex_x=metrics.complex_x,
+            ranks=rank_dicts[i],
+        )
+        for i, (text, reduced_text, metrics) in enumerate(rows_wip)
+    )
+    return ComparisonReport(
+        n=data.n,
+        x_label=data.x_label,
+        y_label=data.y_label,
+        alpha=alpha,
+        height_variant=height_variant,
+        seed=seed,
+        rows=rows,
+    )
+
+
+def _fmt(value: float | None, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
+def _fmt_rank(rank: float | None) -> str:
+    if rank is None:
+        return "-"
+    if rank == int(rank):
+        return str(int(rank))
+    return f"{rank:.1f}"
+
+
+def render_markdown(report: ComparisonReport) -> str:
+    out = io.StringIO()
+    out.write(
+        f"Comparison over {report.n} observations "
+        f"({report.x_label}, {report.y_label})\n\n"
+    )
+    out.write("| Model | Reduced | R^2 (rank) | SE_y (rank) | SE_x (rank) "
+              "| theta_T (rank) | h (rank) | undef y/x | complex x |\n")
+    out.write("|---|---|---|---|---|---|---|---|---|\n")
+    for row in report.rows:
+        out.write(
+            f"| {row.model} | {row.reduced or '-'} "
+            f"| {_fmt(row.r_squared, '.4f')} ({_fmt_rank(row.ranks['r_squared'])}) "
+            f"| {_fmt(row.se_y, '.4g')} ({_fmt_rank(row.ranks['se_y'])}) "
+            f"| {_fmt(row.se_x, '.4g')} ({_fmt_rank(row.ranks['se_x'])}) "
+            f"| {_fmt(row.theta_t, '.2f')} ({_fmt_rank(row.ranks['theta_t'])}) "
+            f"| {_fmt(row.height, '.5g')} ({_fmt_rank(row.ranks['height'])}) "
+            f"| {row.undefined_y}/{row.undefined_x} | {row.complex_x} |\n"
+        )
+    out.write(
+        f"\nheight variant: {report.height_variant}; "
+        f"elimination threshold: {report.alpha:g}"
+    )
+    if report.seed is not None:
+        out.write(f"; generator seed: {report.seed}")
+    out.write("\n")
+    return out.getvalue()
+
+
+def render_csv(report: ComparisonReport) -> str:
+    cols = ["model", "reduced", "r_squared", "se_y", "se_x", "theta_t", "height",
+            "rank_r_squared", "rank_se_y", "rank_se_x", "rank_theta_t",
+            "rank_height", "undefined_y", "undefined_x", "complex_x"]
+    lines = [",".join(cols)]
+    for row in report.rows:
+        fields = [
+            row.model,
+            row.reduced or "",
+            _fmt(row.r_squared, ".10g"),
+            _fmt(row.se_y, ".10g"),
+            _fmt(row.se_x, ".10g"),
+            _fmt(row.theta_t, ".10g"),
+            _fmt(row.height, ".10g"),
+            _fmt_rank(row.ranks["r_squared"]),
+            _fmt_rank(row.ranks["se_y"]),
+            _fmt_rank(row.ranks["se_x"]),
+            _fmt_rank(row.ranks["theta_t"]),
+            _fmt_rank(row.ranks["height"]),
+            str(row.undefined_y),
+            str(row.undefined_x),
+            str(row.complex_x),
+        ]
+        lines.append(",".join(fields))
+    footer = (f"# height_variant={report.height_variant} alpha={report.alpha:g}"
+              + (f" seed={report.seed}" if report.seed is not None else ""))
+    lines.append(footer)
+    return "\n".join(lines) + "\n"
+
+
+def report_to_dict(report: ComparisonReport) -> dict:
+    """Schema-stable dict: the same keys for every dataset."""
+    return {
+        "dataset": {
+            "n": report.n,
+            "x_label": report.x_label,
+            "y_label": report.y_label,
+        },
+        "settings": {
+            "alpha": report.alpha,
+            "height_variant": report.height_variant,
+            "seed": report.seed,
+        },
+        "models": [
+            {
+                "model": row.model,
+                "reduced": row.reduced,
+                "metrics": {
+                    "r_squared": row.r_squared,
+                    "se_y": row.se_y,
+                    "se_x": row.se_x,
+                    "theta_t": row.theta_t,
+                    "height": row.height,
+                },
+                "ranks": {name: row.ranks[name] for name in _METRIC_DIRECTIONS},
+                "diagnostics": {
+                    "undefined_y": row.undefined_y,
+                    "undefined_x": row.undefined_x,
+                    "complex_x": row.complex_x,
+                },
+            }
+            for row in report.rows
+        ],
+    }
+
+
+def render_json(report: ComparisonReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class BoyleModelRow:
+    model: str
+    theta_t: float | None
+    height: float | None
+    undefined_y: int
+    undefined_x: int
+    complex_x: int
+
+
+@dataclass(frozen=True)
+class BoyleSummary:
+    n: int
+    constancy_volume: float
+    constancy_pressure: float
+    constancy_product: float
+    product_estimate: float  # self-weighting mean of volume*pressure
+    height_variant: str
+    rows: tuple[BoyleModelRow, ...]
+
+
+def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
+    """Constancy indices and model geometry for the bundled Boyle data."""
+    data = boyle_dataset()
+    product = data.x * data.y
+    rows = []
+    for text in BOYLE_MODEL_TEXTS:
+        fit = fit_ols(parse_model(text), data)
+        pred = predict(fit, data)
+        metrics = model_metrics(fit, data, pred, height_variant)
+        rows.append(BoyleModelRow(
+            model=text,
+            theta_t=metrics["theta_t"],
+            height=metrics["height"],
+            undefined_y=pred.undefined_count_y,
+            undefined_x=pred.undefined_count_x,
+            complex_x=pred.complex_count_x,
+        ))
+    return BoyleSummary(
+        n=data.n,
+        constancy_volume=constancy_index(data.x),
+        constancy_pressure=constancy_index(data.y),
+        constancy_product=constancy_index(product),
+        product_estimate=self_weighting_mean(product),
+        height_variant=height_variant,
+        rows=tuple(rows),
+    )
+
+
+def boyle_summary_to_dict(summary: BoyleSummary) -> dict:
+    return {
+        "n": summary.n,
+        "constancy": {
+            "volume": summary.constancy_volume,
+            "pressure": summary.constancy_pressure,
+            "product": summary.constancy_product,
+        },
+        "product_estimate": summary.product_estimate,
+        "height_variant": summary.height_variant,
+        "models": [
+            {
+                "model": row.model,
+                "theta_t": row.theta_t,
+                "height": row.height,
+                "undefined_y": row.undefined_y,
+                "undefined_x": row.undefined_x,
+                "complex_x": row.complex_x,
+            }
+            for row in summary.rows
+        ],
+    }
+
+
+_BOYLE_FILE_TAGS = {
+    "1 ~ x + y + x*y": "nonresponse",
+    "y ~ 1 + x + x^2": "quadratic",
+    "y ~ 1 + 1/x": "inverse",
+}
+
+
+def boyle_plot_data() -> dict[str, str]:
+    """Plot-ready CSV payloads keyed by filename.
+
+    Per model: (x, y, y_hat) overlay triplets.  Per variable (volume,
+    pressure, product): histogram bins.
+    """
+    data = boyle_dataset()
+    files: dict[str, str] = {}
+    for text in BOYLE_MODEL_TEXTS:
+        fit = fit_ols(parse_model(text), data)
+        pred = predict(fit, data)
+        lines = [f"{data.x_label},{data.y_label},estimated_{data.y_label}"]
+        for x, y, yh in zip(data.x, data.y, pred.y_hat):
+            yh_txt = "" if not np.isfinite(yh) else f"{yh:.6f}"
+            lines.append(f"{x:.6f},{y:.6f},{yh_txt}")
+        files[f"overlay_{_BOYLE_FILE_TAGS[text]}.csv"] = "\n".join(lines) + "\n"
+
+    for name, values in (
+        ("volume", data.x),
+        ("pressure", data.y),
+        ("product", data.x * data.y),
+    ):
+        counts, edges = np.histogram(values, bins="sturges")
+        lines = ["bin_left,bin_right,count"]
+        lines.extend(
+            f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(c)}"
+            for i, c in enumerate(counts)
+        )
+        files[f"hist_{name}.csv"] = "\n".join(lines) + "\n"
+    return files

@@ -1,0 +1,169 @@
+"""Dataset container, strict CSV reader/writer, and the bundled Boyle data.
+
+The reader accepts two-column CSV with a mandatory header.  Fields are
+decimal literals or mixed fractions in the historical style ``W N/D``
+(e.g. ``29 2/16``); fractions are converted with rational arithmetic so
+no precision is lost before the final division.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+from dataclasses import dataclass
+from fractions import Fraction
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DataFormatError, InsufficientDataError, IntegrityError
+
+# sha256 of data/boyle.csv; the bundled transcription of Boyle's 1662
+# pressure-volume table (25 observations, pressures in sixteenths of an
+# inch of mercury) following Fazio's 1992 republication.
+_BOYLE_SHA256 = "f5965311ce7928d00ea85a130d2db1b36efebb907fbf230646574b03273e7d93"
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Ordered paired observations with axis labels.
+
+    Row order is preserved exactly from the source; downstream reports
+    and golden files depend on it.
+    """
+
+    x_label: str
+    y_label: str
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        if x.shape != y.shape or x.ndim != 1:
+            raise ValueError("x and y must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("dataset values must be finite")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def n(self) -> int:
+        return self.x.size
+
+    def rows(self):
+        """Iterate (x_i, y_i) pairs in source order."""
+        return zip(self.x.tolist(), self.y.tolist())
+
+
+def _parse_field(field: str, line: int) -> float:
+    """Parse a decimal literal or mixed fraction ``W N/D`` exactly."""
+    token = field.strip()
+    if not token:
+        raise DataFormatError("empty field", line=line)
+    parts = token.split()
+    try:
+        if len(parts) == 1:
+            if "/" in parts[0]:
+                value = float(Fraction(parts[0]))
+            else:
+                value = float(parts[0])
+        elif len(parts) == 2:
+            whole = Fraction(parts[0])
+            frac = Fraction(parts[1])
+            if "/" not in parts[1]:
+                raise ValueError("second part of a mixed number must be N/D")
+            # a negative whole part pulls the fraction in the same direction
+            value = float(whole - frac if whole < 0 else whole + frac)
+        else:
+            raise ValueError("too many components")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DataFormatError(f"cannot parse value {token!r}: {exc}", line=line) from None
+    if not np.isfinite(value):
+        raise DataFormatError(f"non-finite value {token!r}", line=line)
+    return value
+
+
+def _as_text_lines(source) -> list[str]:
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+    elif isinstance(source, bytes):
+        data = source
+    elif hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+    else:
+        raise TypeError(f"unsupported source type {type(source).__name__}")
+    return io.StringIO(data.decode("utf-8")).read().splitlines()
+
+
+def read_csv(source) -> Dataset:
+    """Read a two-column dataset from a path, byte stream, or file object.
+
+    The first line must be a two-field header.  Blank lines are skipped.
+    Malformed records raise :class:`DataFormatError` with their line
+    number; fewer than 3 data rows raise :class:`InsufficientDataError`.
+    """
+    lines = _as_text_lines(source)
+    if not lines:
+        raise DataFormatError("empty input", line=1)
+    header = lines[0].split(",")
+    if len(header) != 2:
+        raise DataFormatError("header must have exactly two fields", line=1)
+    x_label, y_label = (h.strip() for h in header)
+    if not x_label or not y_label:
+        raise DataFormatError("header labels must be non-empty", line=1)
+
+    xs: list[float] = []
+    ys: list[float] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise DataFormatError(
+                f"expected two fields, found {len(fields)}", line=lineno
+            )
+        xs.append(_parse_field(fields[0], lineno))
+        ys.append(_parse_field(fields[1], lineno))
+
+    if len(xs) < 3:
+        raise InsufficientDataError(
+            f"need at least 3 observations, found {len(xs)}"
+        )
+    return Dataset(x_label, y_label, np.array(xs), np.array(ys))
+
+
+def write_csv(data: Dataset, decimals: int = 6) -> bytes:
+    """Serialize a dataset with fixed decimal places, LF line endings."""
+    if not 0 <= decimals <= 17:
+        raise ValueError("decimals must be between 0 and 17")
+    out = [f"{data.x_label},{data.y_label}"]
+    out.extend(f"{x:.{decimals}f},{y:.{decimals}f}" for x, y in data.rows())
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def boyle_dataset() -> Dataset:
+    """Boyle's 1662 pressure-volume measurements.
+
+    Volume is the number of equal spaces of air in the sealed leg of
+    Boyle's J-tube; pressure is the total head of mercury in inches
+    (applied column plus the atmospheric 29 2/16).  The transcription
+    follows Fazio (1992) and is checksum-verified on every load.
+    """
+    resource = resources.files("implicitreg").joinpath("data/boyle.csv")
+    try:
+        raw = resource.read_bytes()
+    except FileNotFoundError as exc:
+        raise IntegrityError(f"bundled Boyle resource missing: {exc}") from None
+    digest = hashlib.sha256(raw).hexdigest()
+    if digest != _BOYLE_SHA256:
+        raise IntegrityError(
+            "bundled Boyle resource failed its checksum "
+            f"(expected {_BOYLE_SHA256[:12]}..., got {digest[:12]}...)"
+        )
+    return read_csv(raw)

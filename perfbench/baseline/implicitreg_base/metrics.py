@@ -1,0 +1,202 @@
+"""Fit-quality geometry and comparison metrics.
+
+The data vector, the mean vector, and the estimate vector span a
+triangle with side lengths sqrt(SSM), sqrt(SSE), sqrt(SST).  Because the
+estimates here solve an implicit equation for *both* axes, the square
+sums stack the x and y coordinates; the error side is then generally not
+perpendicular to the base, and its separation angle theta_T (90 degrees
+for classical one-axis least squares) measures how far a model departs
+from the orthogonal decomposition.
+
+Two height readings of the same triangle are available:
+
+* ``projection`` (default): the component of the error side along the
+  data-mean base, |SSE + SST - SSM| / (2 sqrt(n SST)).  This is the
+  variant calibrated against the bundled Boyle analysis.
+* ``altitude``: the perpendicular height from the estimate vertex onto
+  the base, sqrt(SSM SSE) sin(theta_T) / sqrt(SST).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from .dataio import Dataset
+from .errors import DegenerateTriangleError, InsufficientDataError
+from .implicit import Prediction
+
+_COS_CLAMP_TOL = 1e-9
+_RANK_TIE_TOL = 1e-9
+
+HEIGHT_VARIANTS = ("projection", "altitude")
+
+
+@dataclass(frozen=True)
+class SquareSums:
+    """Model/error/total square sums over the included observations."""
+
+    ssm: float
+    sse: float
+    sst: float
+    n: int
+
+
+@dataclass(frozen=True)
+class MetricSet:
+    """One comparison row: fit statistics plus solve diagnostics.
+
+    ``theta_t_degrees`` and ``height`` are None when the triangle is
+    degenerate (perfect or null fit); standard errors are None when too
+    few solves are defined.
+    """
+
+    r_squared: float
+    se_y: float | None
+    se_x: float | None
+    theta_t_degrees: float | None
+    height: float | None
+    undefined_y: int
+    undefined_x: int
+    complex_x: int
+
+
+def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> SquareSums:
+    """Square sums of a prediction against its dataset.
+
+    With ``axes="joint"`` (the default) the x and y coordinates are
+    stacked: observations where either solve is undefined are dropped
+    pairwise, and means are taken over the included observations.
+    ``axes="y"`` restricts everything to the y coordinate, which for a
+    with-intercept least-squares fit reproduces the classical orthogonal
+    decomposition (theta_T = 90).
+    """
+    if axes == "joint":
+        mask = pred.y_defined & pred.x_defined
+        pairs = [(data.y, pred.y_hat), (data.x, pred.x_hat)]
+    elif axes == "y":
+        mask = pred.y_defined
+        pairs = [(data.y, pred.y_hat)]
+    else:
+        raise ValueError(f"axes must be 'joint' or 'y', not {axes!r}")
+
+    n_used = int(mask.sum())
+    if n_used < 3:
+        raise InsufficientDataError(
+            f"need at least 3 observations with defined solves, have {n_used}"
+        )
+    ssm = sse = sst = 0.0
+    for obs, est in pairs:
+        o = obs[mask]
+        e = est[mask]
+        mean = o.mean()
+        sse += float(((o - e) ** 2).sum())
+        ssm += float(((e - mean) ** 2).sum())
+        sst += float(((o - mean) ** 2).sum())
+    return SquareSums(ssm=ssm, sse=sse, sst=sst, n=n_used)
+
+
+def _cosine(s: SquareSums) -> float:
+    cos = (s.ssm + s.sse - s.sst) / (2.0 * math.sqrt(s.ssm * s.sse))
+    if abs(cos) > 1.0 + _COS_CLAMP_TOL:
+        raise ValueError(
+            f"square sums violate the triangle inequality (cos = {cos:.6g})"
+        )
+    return min(max(cos, -1.0), 1.0)
+
+
+def separation_angle(s: SquareSums) -> float:
+    """Angle at the estimate vertex, in degrees.
+
+    Raises :class:`DegenerateTriangleError` when SSM or SSE vanishes
+    (a perfect or null fit has no angle).
+    """
+    if s.ssm <= 0.0 or s.sse <= 0.0:
+        raise DegenerateTriangleError(
+            f"no separation angle for ssm={s.ssm:.6g}, sse={s.sse:.6g}"
+        )
+    return math.degrees(math.acos(_cosine(s)))
+
+
+def relative_height(s: SquareSums, variant: str = "projection") -> float:
+    """Height reading of the data-mean-estimate triangle; see module docs.
+
+    A perfect fit (SSE = 0) has height 0 under both variants.
+    """
+    if s.sst <= 0.0:
+        raise DegenerateTriangleError("no height for sst = 0")
+    if variant == "projection":
+        return abs(s.sse + s.sst - s.ssm) / (2.0 * math.sqrt(s.n * s.sst))
+    if variant == "altitude":
+        if s.ssm == 0.0 or s.sse == 0.0:
+            return 0.0
+        sin = math.sqrt(max(0.0, 1.0 - _cosine(s) ** 2))
+        return math.sqrt(s.ssm * s.sse) * sin / math.sqrt(s.sst)
+    raise ValueError(f"unknown height variant {variant!r}")
+
+
+def standard_errors(data: Dataset, pred: Prediction, n_params: int) -> tuple[float, float]:
+    """Residual standard errors of the y- and x-solves.
+
+    Each axis uses its own defined entries and n_def - n_params degrees
+    of freedom.
+    """
+    out = []
+    for obs, est, mask in (
+        (data.y, pred.y_hat, pred.y_defined),
+        (data.x, pred.x_hat, pred.x_defined),
+    ):
+        n_def = int(mask.sum())
+        if n_def <= n_params:
+            raise InsufficientDataError(
+                f"need more than {n_params} defined solves, have {n_def}"
+            )
+        sse = float(((obs[mask] - est[mask]) ** 2).sum())
+        out.append(math.sqrt(sse / (n_def - n_params)))
+    return out[0], out[1]
+
+
+class RankDirection(Enum):
+    ASCENDING_BETTER = "ascending"
+    DESCENDING_BETTER = "descending"
+    NEAREST_90_BETTER = "nearest-90"
+
+
+def rank_models(values, direction: RankDirection) -> np.ndarray:
+    """Average ranks (1 = best) with ties shared.
+
+    Values within 1e-9 of each other (chained) receive the mean of their
+    positional ranks, so the ranks always sum to n(n+1)/2.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must all be defined")
+
+    if direction is RankDirection.ASCENDING_BETTER:
+        merit = values.copy()
+    elif direction is RankDirection.DESCENDING_BETTER:
+        merit = -values
+    elif direction is RankDirection.NEAREST_90_BETTER:
+        merit = np.abs(values - 90.0)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+
+    order = np.argsort(merit, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and (
+            merit[order[j + 1]] - merit[order[j]] <= _RANK_TIE_TOL
+        ):
+            j += 1
+        mean_rank = (i + j + 2) / 2.0  # average of 1-based positions i+1 .. j+1
+        for k in range(i, j + 1):
+            ranks[order[k]] = mean_rank
+        i = j + 1
+    return ranks
