@@ -1,0 +1,82 @@
+"""Golden outputs: every report the CLI prints, pinned byte for byte.
+
+The files under ``tests/golden/`` hold the output of ``compare`` (json,
+csv, markdown) and ``fit --reduce`` (text, json) on the seed-7, sigma-5,
+n=50 sample written by ``simulate --out``, and of ``boyle`` (text, json
+and the six ``--plot-data-dir`` files).  A refactor must leave them
+unchanged.  When an output is meant to change, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from implicitreg.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SAMPLE_ARGS = ("--n", "50", "--sigma", "5", "--seed", "7")
+FIT_ARGS = ("fit", "--model", "1 ~ x + y + x*y", "--reduce")
+
+
+def _stdout_of(*argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, f"{argv} exited {code}"
+    return out.getvalue().encode()
+
+
+def render_outputs(workdir: Path) -> dict[str, bytes]:
+    """Every pinned output, keyed by its file name under ``golden/``."""
+    sample = workdir / "sample.csv"
+    plots = workdir / "plots"
+    _stdout_of("simulate", *SAMPLE_ARGS, "--out", str(sample))
+    outputs = {"sample.csv": sample.read_bytes()}
+    for fmt, ext in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
+        outputs[f"compare.{ext}"] = _stdout_of(
+            "compare", "--data", str(sample), "--format", fmt)
+    outputs["fit_reduce.txt"] = _stdout_of(*FIT_ARGS, "--data", str(sample))
+    outputs["fit_reduce.json"] = _stdout_of(
+        *FIT_ARGS, "--data", str(sample), "--format", "json")
+    outputs["boyle.txt"] = _stdout_of("boyle")
+    outputs["boyle.json"] = _stdout_of(
+        "boyle", "--format", "json", "--plot-data-dir", str(plots))
+    for path in sorted(plots.iterdir()):
+        outputs[f"boyle_plots/{path.name}"] = path.read_bytes()
+    return outputs
+
+
+GOLDEN_NAMES = sorted(
+    str(p.relative_to(GOLDEN_DIR)) for p in GOLDEN_DIR.rglob("*") if p.is_file()
+)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return render_outputs(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_set_is_complete(outputs):
+    assert sorted(outputs) == GOLDEN_NAMES
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_output_matches_golden(outputs, name):
+    assert outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in render_outputs(Path(tmp)).items():
+            target = GOLDEN_DIR / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(content)
+            print(f"wrote {target.relative_to(GOLDEN_DIR.parent)}", file=sys.stderr)
