@@ -44,7 +44,6 @@ from .fitcore import (
 from .formula import ModelSpec, Term, enumerate_family, eval_term, format_model, parse_model
 from .implicit import Prediction, predict, predict_x, predict_y
 from .metrics import (
-    MetricSet,
     RankDirection,
     SquareSums,
     joint_square_sums,
@@ -72,7 +71,6 @@ __all__ = [
     "ImplicitRegressionError",
     "InsufficientDataError",
     "IntegrityError",
-    "MetricSet",
     "ModelRow",
     "ModelSpec",
     "ParseError",

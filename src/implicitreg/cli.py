@@ -1,22 +1,24 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``fit``, ``compare``, ``boyle``, ``constancy``.
-Exit codes: 0 on success, 1 on runtime/data failures, 2 on usage errors.
+Exit codes: 0 on success (also when the reader of stdout stops early), 1 on
+runtime/data failures, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .compare import (
+    _fmt,
     boyle_plot_data,
     boyle_summary,
     boyle_summary_to_dict,
     build_comparison,
-    metric_set_to_dict,
     model_metrics,
     render_csv,
     render_json,
@@ -122,10 +124,6 @@ def _print_fit_table(fit) -> None:
               f"{coef.t_stat:>12.4g}{coef.p_value:>10.4f}")
 
 
-def _fmt_opt(value, spec: str) -> str:
-    return "n/a" if value is None else format(value, spec)
-
-
 def _cmd_fit(args) -> int:
     data = read_csv(args.data)
     fit = fit_ols(args.model, data)
@@ -133,7 +131,7 @@ def _cmd_fit(args) -> int:
     if args.reduce:
         fit, trace = reduce_model_trace(fit, data)
     pred = predict(fit, data)
-    metrics = metric_set_to_dict(model_metrics(fit, data, pred))
+    row = model_metrics(fit, data, pred)
 
     if args.format == "json":
         payload = {
@@ -153,12 +151,8 @@ def _cmd_fit(args) -> int:
                 }
                 for coef in fit.coefficients
             ],
-            "metrics": metrics,
-            "diagnostics": {
-                "undefined_y": pred.undefined_count_y,
-                "undefined_x": pred.undefined_count_x,
-                "complex_x": pred.complex_count_x,
-            },
+            "metrics": row.metrics,
+            "diagnostics": row.diagnostics,
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -169,13 +163,12 @@ def _cmd_fit(args) -> int:
         print()
     _print_fit_table(fit)
     print()
-    print(f"R^2 = {metrics['r_squared']:.6f}")
-    print(f"SE_y = {_fmt_opt(metrics['se_y'], '.6g')}, "
-          f"SE_x = {_fmt_opt(metrics['se_x'], '.6g')}")
-    print(f"theta_T = {_fmt_opt(metrics['theta_t'], '.2f')} degrees, "
-          f"h = {_fmt_opt(metrics['height'], '.5g')}")
-    print(f"undefined solves: y={pred.undefined_count_y}, "
-          f"x={pred.undefined_count_x}; complex x solves: {pred.complex_count_x}")
+    print(f"R^2 = {row.r_squared:.6f}")
+    print(f"SE_y = {_fmt(row.se_y, '.6g')}, SE_x = {_fmt(row.se_x, '.6g')}")
+    print(f"theta_T = {_fmt(row.theta_t, '.2f')} degrees, "
+          f"h = {_fmt(row.height, '.5g')}")
+    print(f"undefined solves: y={row.undefined_y}, "
+          f"x={row.undefined_x}; complex x solves: {row.complex_x}")
     return 0
 
 
@@ -209,8 +202,8 @@ def _cmd_boyle(args) -> int:
     print()
     print(f"{'model':<20}{'theta_T':>10}{'h':>12}{'complex x':>12}{'undef y/x':>12}")
     for row in summary.rows:
-        print(f"{row.model:<20}{_fmt_opt(row.theta_t, '.2f'):>10}"
-              f"{_fmt_opt(row.height, '.5f'):>12}{row.complex_x:>12}"
+        print(f"{row.model:<20}{_fmt(row.theta_t, '.2f'):>10}"
+              f"{_fmt(row.height, '.5f'):>12}{row.complex_x:>12}"
               f"{f'{row.undefined_y}/{row.undefined_x}':>12}")
     print()
     print(f"height variant: {summary.height_variant}")
@@ -239,11 +232,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ImplicitRegressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``), which is not a failure;
+        # stdout goes to devnull so the interpreter's exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ImplicitRegressionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,11 +27,11 @@ from .fitcore import FitResult, constancy_index, fit_ols, reduce_model, self_wei
 from .formula import format_model, parse_model
 from .implicit import Prediction, predict
 from .metrics import (
-    MetricSet,
     RankDirection,
     joint_square_sums,
     rank_models,
     relative_height,
+    residual_se,
     separation_angle,
 )
 
@@ -61,21 +60,19 @@ _METRIC_DIRECTIONS = {
     "theta_t": RankDirection.NEAREST_90_BETTER,
     "height": RankDirection.ASCENDING_BETTER,
 }
-
-
-def metric_set_to_dict(metrics: MetricSet) -> dict:
-    """The five comparison metrics as a plain dict (JSON-friendly keys)."""
-    return {
-        "r_squared": metrics.r_squared,
-        "se_y": metrics.se_y,
-        "se_x": metrics.se_x,
-        "theta_t": metrics.theta_t_degrees,
-        "height": metrics.height,
-    }
+_DIAGNOSTIC_NAMES = ("undefined_y", "undefined_x", "complex_x")
 
 
 @dataclass(frozen=True)
 class ModelRow:
+    """One fitted model's report line, from ``model_metrics`` to every renderer.
+
+    ``theta_t`` and ``height`` are None when the triangle is degenerate
+    (perfect or null fit); standard errors are None when too few solves
+    are defined.  ``reduced`` and ``ranks`` are filled in by
+    ``build_comparison``.
+    """
+
     model: str
     reduced: str | None
     r_squared: float
@@ -86,7 +83,16 @@ class ModelRow:
     undefined_y: int
     undefined_x: int
     complex_x: int
-    ranks: dict[str, float | None]
+    ranks: dict[str, float | None] = field(default_factory=dict)
+
+    @property
+    def metrics(self) -> dict[str, float | None]:
+        """The five ranked metrics, keyed as in the JSON reports."""
+        return {name: getattr(self, name) for name in _METRIC_DIRECTIONS}
+
+    @property
+    def diagnostics(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in _DIAGNOSTIC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -100,46 +106,38 @@ class ComparisonReport:
     rows: tuple[ModelRow, ...]
 
 
-def _axis_se(obs: np.ndarray, est: np.ndarray, mask: np.ndarray, n_params: int) -> float | None:
-    n_def = int(mask.sum())
-    if n_def <= n_params:
+def _or_none(fn, *args, **kwargs):
+    """``fn(...)``, or None where the quantity is undefined for this fit."""
+    try:
+        return fn(*args, **kwargs)
+    except (InsufficientDataError, DegenerateTriangleError):
         return None
-    sse = float(((obs[mask] - est[mask]) ** 2).sum())
-    return math.sqrt(sse / (n_def - n_params))
 
 
 def model_metrics(fit: FitResult, data: Dataset, pred: Prediction,
-                  height_variant: str = "projection") -> MetricSet:
-    """Comparison metrics for one fitted model.
+                  height_variant: str = "projection") -> ModelRow:
+    """The report row of one fitted model, named by its own spec and unranked.
 
     Fields are None where the quantity is undefined (degenerate triangle
     or too few defined solves).
     """
-    se_y = _axis_se(data.y, pred.y_hat, pred.y_defined, fit.spec.n_coefficients)
-    se_x = _axis_se(data.x, pred.x_hat, pred.x_defined, fit.spec.n_coefficients)
+    n_params = fit.spec.n_coefficients
     theta = height = None
-    try:
-        sums = joint_square_sums(data, pred)
-    except InsufficientDataError:
-        sums = None
+    sums = _or_none(joint_square_sums, data, pred)
     if sums is not None:
-        try:
-            theta = separation_angle(sums)
-        except DegenerateTriangleError:
-            theta = None
-        try:
-            height = relative_height(sums, variant=height_variant)
-        except DegenerateTriangleError:
-            height = None
+        theta = _or_none(separation_angle, sums)
+        height = _or_none(relative_height, sums, variant=height_variant)
     if fit.spec.predictors or not fit.spec.intercept:
         r_squared = fit.r_squared
     else:
         r_squared = fit.r_squared_uncentered
-    return MetricSet(
+    return ModelRow(
+        model=format_model(fit.spec),
+        reduced=None,
         r_squared=r_squared,
-        se_y=se_y,
-        se_x=se_x,
-        theta_t_degrees=theta,
+        se_y=_or_none(residual_se, data.y, pred.y_hat, pred.y_defined, n_params),
+        se_x=_or_none(residual_se, data.x, pred.x_hat, pred.x_defined, n_params),
+        theta_t=theta,
         height=height,
         undefined_y=pred.undefined_count_y,
         undefined_x=pred.undefined_count_x,
@@ -167,8 +165,7 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
                      height_variant: str = "projection",
                      seed: int | None = None) -> ComparisonReport:
     """Fit the frozen model list and assemble the ranked comparison."""
-    rows_wip = []
-    metric_values: dict[str, list[float | None]] = {m: [] for m in _METRIC_DIRECTIONS}
+    rows = []
     for idx, text in enumerate(COMPARISON_MODEL_TEXTS):
         spec = parse_model(text)
         fit = fit_ols(spec, data)
@@ -179,28 +176,11 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
                 reduced_text = format_model(reduced.spec)
             fit = reduced
         pred = predict(fit, data)
-        metrics = model_metrics(fit, data, pred, height_variant)
-        values = metric_set_to_dict(metrics)
-        for name in _METRIC_DIRECTIONS:
-            metric_values[name].append(values[name])
-        rows_wip.append((text, reduced_text, metrics))
+        row = model_metrics(fit, data, pred, height_variant)
+        rows.append(replace(row, model=text, reduced=reduced_text))
 
-    rank_dicts = _rank_columns(metric_values)
-    rows = tuple(
-        ModelRow(
-            model=text,
-            reduced=reduced_text,
-            r_squared=metrics.r_squared,
-            se_y=metrics.se_y,
-            se_x=metrics.se_x,
-            theta_t=metrics.theta_t_degrees,
-            height=metrics.height,
-            undefined_y=metrics.undefined_y,
-            undefined_x=metrics.undefined_x,
-            complex_x=metrics.complex_x,
-            ranks=rank_dicts[i],
-        )
-        for i, (text, reduced_text, metrics) in enumerate(rows_wip)
+    rank_dicts = _rank_columns(
+        {name: [getattr(row, name) for row in rows] for name in _METRIC_DIRECTIONS}
     )
     return ComparisonReport(
         n=data.n,
@@ -209,7 +189,7 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
         alpha=alpha,
         height_variant=height_variant,
         seed=seed,
-        rows=rows,
+        rows=tuple(replace(row, ranks=ranks) for row, ranks in zip(rows, rank_dicts)),
     )
 
 
@@ -301,19 +281,9 @@ def report_to_dict(report: ComparisonReport) -> dict:
             {
                 "model": row.model,
                 "reduced": row.reduced,
-                "metrics": {
-                    "r_squared": row.r_squared,
-                    "se_y": row.se_y,
-                    "se_x": row.se_x,
-                    "theta_t": row.theta_t,
-                    "height": row.height,
-                },
-                "ranks": {name: row.ranks[name] for name in _METRIC_DIRECTIONS},
-                "diagnostics": {
-                    "undefined_y": row.undefined_y,
-                    "undefined_x": row.undefined_x,
-                    "complex_x": row.complex_x,
-                },
+                "metrics": row.metrics,
+                "ranks": row.ranks,
+                "diagnostics": row.diagnostics,
             }
             for row in report.rows
         ],
@@ -325,16 +295,6 @@ def render_json(report: ComparisonReport) -> str:
 
 
 @dataclass(frozen=True)
-class BoyleModelRow:
-    model: str
-    theta_t: float | None
-    height: float | None
-    undefined_y: int
-    undefined_x: int
-    complex_x: int
-
-
-@dataclass(frozen=True)
 class BoyleSummary:
     n: int
     constancy_volume: float
@@ -342,7 +302,7 @@ class BoyleSummary:
     constancy_product: float
     product_estimate: float  # self-weighting mean of volume*pressure
     height_variant: str
-    rows: tuple[BoyleModelRow, ...]
+    rows: tuple[ModelRow, ...]
 
 
 def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
@@ -353,15 +313,7 @@ def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
     for text in BOYLE_MODEL_TEXTS:
         fit = fit_ols(parse_model(text), data)
         pred = predict(fit, data)
-        metrics = model_metrics(fit, data, pred, height_variant)
-        rows.append(BoyleModelRow(
-            model=text,
-            theta_t=metrics.theta_t_degrees,
-            height=metrics.height,
-            undefined_y=pred.undefined_count_y,
-            undefined_x=pred.undefined_count_x,
-            complex_x=pred.complex_count_x,
-        ))
+        rows.append(replace(model_metrics(fit, data, pred, height_variant), model=text))
     return BoyleSummary(
         n=data.n,
         constancy_volume=constancy_index(data.x),
@@ -384,14 +336,8 @@ def boyle_summary_to_dict(summary: BoyleSummary) -> dict:
         "product_estimate": summary.product_estimate,
         "height_variant": summary.height_variant,
         "models": [
-            {
-                "model": row.model,
-                "theta_t": row.theta_t,
-                "height": row.height,
-                "undefined_y": row.undefined_y,
-                "undefined_x": row.undefined_x,
-                "complex_x": row.complex_x,
-            }
+            {"model": row.model, "theta_t": row.theta_t, "height": row.height,
+             **row.diagnostics}
             for row in summary.rows
         ],
     }

@@ -42,6 +42,17 @@ _TOKEN_TO_TERM = {
 
 _RESPONSE_TERMS = (Term.ONE, Term.X, Term.Y, Term.XY)
 
+# Each term as the monomial x**px * y**py: the one place that says how a
+# term enters the design matrix and both solves of the fitted equation.
+TERM_POWERS = {
+    Term.ONE: (0, 0),
+    Term.X: (1, 0),
+    Term.Y: (0, 1),
+    Term.XY: (1, 1),
+    Term.X_SQUARED: (2, 0),
+    Term.INV_X: (-1, 0),
+}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -163,26 +174,22 @@ def enumerate_family() -> list[ModelSpec]:
     ]
 
 
+def times_power(c, v, p: int):
+    """``c * v**p`` for p in {-1, 0, 1, 2}, as ``c``, ``c * v``, ``c * v * v``
+    or ``c / v`` (that operation order keeps every solve bit-stable)."""
+    for _ in range(abs(p)):
+        c = c * v if p > 0 else c / v
+    return c
+
+
 def eval_term(term: Term, x, y):
     """Evaluate a basis term at coordinates (x, y); scalars or arrays."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if term is Term.ONE:
-        out = np.ones(np.broadcast_shapes(x.shape, y.shape))
-    elif term is Term.X:
-        out = x + np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    elif term is Term.Y:
-        out = y + np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    elif term is Term.XY:
-        out = x * y
-    elif term is Term.X_SQUARED:
-        out = (x * x) + np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    elif term is Term.INV_X:
-        if np.any(x == 0.0):
-            raise DomainError("1/x is undefined at x = 0")
-        out = (1.0 / x) + np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ValueError(f"unhandled term {term!r}")
+    px, py = TERM_POWERS[term]
+    if px < 0 and np.any(x == 0.0):
+        raise DomainError("1/x is undefined at x = 0")
+    out = times_power(times_power(np.ones(np.broadcast_shapes(x.shape, y.shape)), x, px), y, py)
     if out.ndim == 0:
         return float(out)
     return out

@@ -13,6 +13,7 @@ flagged undefined (NaN) and counted.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import DegenerateDataError, UnsupportedModelError
 from .fitcore import FitResult
-from .formula import Term
+from .formula import TERM_POWERS, Term, times_power
 
 _SINGULAR_RTOL = 1e-12
 
@@ -64,15 +65,15 @@ class Prediction:
         return int(self.x_complex.sum())
 
 
-def _signed_terms(fit: FitResult) -> list[tuple[float, Term | None]]:
+def _signed_terms(fit: FitResult) -> list[tuple[float, Term]]:
     """The fitted equation as sum(c_j * term_j) = 0.
 
-    The response enters with coefficient +1, the intercept and predictors
-    with their negated estimates.
+    The response enters with coefficient +1, the intercept (as
+    ``Term.ONE``) and predictors with their negated estimates.
     """
-    out: list[tuple[float, Term | None]] = [(1.0, fit.spec.response)]
+    out = [(1.0, fit.spec.response)]
     for coef in fit.coefficients:
-        out.append((-coef.estimate, coef.term))
+        out.append((-coef.estimate, Term.ONE if coef.term is None else coef.term))
     return out
 
 
@@ -81,30 +82,30 @@ def _coefficient_scale(fit: FitResult) -> float:
     return scale if scale > 0.0 else 1.0
 
 
+def _polynomial(fit: FitResult, data: Dataset, axis: int) -> dict[int, np.ndarray]:
+    """The fitted equation as a polynomial in x (``axis=0``) or y (``axis=1``).
+
+    Maps each power of the solved axis to its per-observation coefficient,
+    which carries the other axis at its observed value.
+    """
+    other = data.x if axis else data.y
+    coefs = defaultdict(lambda: np.zeros(data.n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, term in _signed_terms(fit):
+            powers = TERM_POWERS[term]
+            coefs[powers[axis]] += times_power(c, other, powers[1 - axis])
+    return coefs
+
+
 def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
     """Solve the fitted equation for y at each observed x.
 
     Entries where the y-coefficient is (near) zero are NaN.
     """
-    x = data.x
-    n = data.n
-    a = np.zeros(n)  # coefficient of y
-    b = np.zeros(n)  # y-free part
+    coefs = _polynomial(fit, data, axis=1)
+    a, b = coefs[1], coefs[0]
+    tol = _SINGULAR_RTOL * _coefficient_scale(fit)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c, term in _signed_terms(fit):
-            if term is None or term is Term.ONE:
-                b += c
-            elif term is Term.X:
-                b += c * x
-            elif term is Term.Y:
-                a += c
-            elif term is Term.XY:
-                a += c * x
-            elif term is Term.X_SQUARED:
-                b += c * x * x
-            elif term is Term.INV_X:
-                b += c / x
-        tol = _SINGULAR_RTOL * _coefficient_scale(fit)
         y_hat = np.where(np.abs(a) > tol, -b / a, np.nan)
     y_hat[~np.isfinite(y_hat)] = np.nan
     return y_hat
@@ -112,62 +113,34 @@ def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
 
 def _solve_x(fit: FitResult, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Solve for x at each observed y; returns (x_hat, complex_mask)."""
-    y = data.y
-    x_obs = data.x
-    n = data.n
-    quad = np.zeros(n)   # x^2
-    lin = np.zeros(n)    # x
-    const = np.zeros(n)  # 1
-    inv = np.zeros(n)    # 1/x
-    for c, term in _signed_terms(fit):
-        if term is None or term is Term.ONE:
-            const += c
-        elif term is Term.X:
-            lin += c
-        elif term is Term.Y:
-            const += c * y
-        elif term is Term.XY:
-            lin += c * y
-        elif term is Term.X_SQUARED:
-            quad += c
-        elif term is Term.INV_X:
-            inv += c
-
-    if np.any(inv != 0.0):
-        if np.any(quad != 0.0):
+    coefs = _polynomial(fit, data, axis=0)
+    a, b, c = coefs[2], coefs[1], coefs[0]
+    if np.any(coefs[-1] != 0.0):
+        if np.any(a != 0.0):
             raise UnsupportedModelError(
                 f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve"
             )
         # multiply the equation through by x
-        quad, lin, const = lin, const, inv
+        a, b, c = b, c, coefs[-1]
 
     tol = _SINGULAR_RTOL * _coefficient_scale(fit)
-    x_hat = np.full(n, np.nan)
-    complex_mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        a, b, c = quad[i], lin[i], const[i]
-        if abs(a) <= tol:
-            if abs(b) > tol:
-                x_hat[i] = -c / b
-            continue
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            x_hat[i] = -b / (2.0 * a)
-            complex_mask[i] = True
-            continue
-        sq = np.sqrt(disc)
-        q = -(b + sq) / 2.0 if b >= 0.0 else -(b - sq) / 2.0
-        if q == 0.0:
-            r1 = r2 = 0.0
-        else:
-            r1, r2 = q / a, c / q
-        d1, d2 = abs(r1 - x_obs[i]), abs(r2 - x_obs[i])
-        if d1 < d2:
-            x_hat[i] = r1
-        elif d2 < d1:
-            x_hat[i] = r2
-        else:
-            x_hat[i] = min(r1, r2)
+    affine = np.abs(a) <= tol
+    complex_mask = np.zeros(data.n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_hat = np.where(np.abs(b) > tol, -c / b, np.nan)
+        if not affine.all():
+            disc = b * b - 4.0 * a * c
+            complex_mask = ~affine & (disc < 0.0)
+            sq = np.sqrt(disc)
+            q = np.where(b >= 0.0, -(b + sq) / 2.0, -(b - sq) / 2.0)
+            r1 = np.where(q == 0.0, 0.0, q / a)
+            r2 = np.where(q == 0.0, 0.0, c / q)
+            d1, d2 = np.abs(r1 - data.x), np.abs(r2 - data.x)
+            # the root nearest the observed x; an exact tie takes the smaller
+            smaller = np.where(r2 < r1, r2, r1)
+            nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
+            x_hat = np.where(affine, x_hat,
+                             np.where(complex_mask, -b / (2.0 * a), nearest))
     x_hat[~np.isfinite(x_hat)] = np.nan
     return x_hat, complex_mask
 

@@ -45,25 +45,6 @@ class SquareSums:
     n: int
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    """One comparison row: fit statistics plus solve diagnostics.
-
-    ``theta_t_degrees`` and ``height`` are None when the triangle is
-    degenerate (perfect or null fit); standard errors are None when too
-    few solves are defined.
-    """
-
-    r_squared: float
-    se_y: float | None
-    se_x: float | None
-    theta_t_degrees: float | None
-    height: float | None
-    undefined_y: int
-    undefined_x: int
-    complex_x: int
-
-
 def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> SquareSums:
     """Square sums of a prediction against its dataset.
 
@@ -138,25 +119,22 @@ def relative_height(s: SquareSums, variant: str = "projection") -> float:
     raise ValueError(f"unknown height variant {variant!r}")
 
 
-def standard_errors(data: Dataset, pred: Prediction, n_params: int) -> tuple[float, float]:
-    """Residual standard errors of the y- and x-solves.
+def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params: int) -> float:
+    """Residual standard error of one axis over its defined solves, with
+    n_def - n_params degrees of freedom."""
+    n_def = int(defined.sum())
+    if n_def <= n_params:
+        raise InsufficientDataError(
+            f"need more than {n_params} defined solves, have {n_def}"
+        )
+    sse = float(((obs[defined] - est[defined]) ** 2).sum())
+    return math.sqrt(sse / (n_def - n_params))
 
-    Each axis uses its own defined entries and n_def - n_params degrees
-    of freedom.
-    """
-    out = []
-    for obs, est, mask in (
-        (data.y, pred.y_hat, pred.y_defined),
-        (data.x, pred.x_hat, pred.x_defined),
-    ):
-        n_def = int(mask.sum())
-        if n_def <= n_params:
-            raise InsufficientDataError(
-                f"need more than {n_params} defined solves, have {n_def}"
-            )
-        sse = float(((obs[mask] - est[mask]) ** 2).sum())
-        out.append(math.sqrt(sse / (n_def - n_params)))
-    return out[0], out[1]
+
+def standard_errors(data: Dataset, pred: Prediction, n_params: int) -> tuple[float, float]:
+    """Residual standard errors of the y- and x-solves."""
+    return (residual_se(data.y, pred.y_hat, pred.y_defined, n_params),
+            residual_se(data.x, pred.x_hat, pred.x_defined, n_params))
 
 
 class RankDirection(Enum):

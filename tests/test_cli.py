@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import implicitreg
 from implicitreg import SimulationConfig, generate, write_csv
 from implicitreg.cli import main
 
@@ -176,6 +181,28 @@ class TestBoyleCommand:
         overlay = (plot_dir / "overlay_nonresponse.csv").read_text().splitlines()
         assert overlay[0] == "volume,pressure,estimated_pressure"
         assert len(overlay) == 26
+
+
+class TestClosedOutputPipe:
+    """A reader that stops early (``implicitreg boyle | true``) ends the
+    command quietly, with buffered and with unbuffered stdout."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["boyle", "compare"])
+    def test_no_error_when_reader_closes(self, tmp_path, command, unbuffered):
+        argv = ["boyle"] if command == "boyle" else [
+            "compare", "--data", str(sim_csv(tmp_path)), "--format", "json"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "implicitreg.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
 
 
 class TestConstancyCommand:

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from implicitreg import Dataset, Term, UnsupportedModelError, boyle_dataset, fit_ols
+from implicitreg import (
+    BOYLE_MODEL_TEXTS,
+    COMPARISON_MODEL_TEXTS,
+    Dataset,
+    DegenerateDataError,
+    Term,
+    UnsupportedModelError,
+    boyle_dataset,
+    fit_ols,
+)
+from implicitreg.fitcore import Coefficient, FitResult
 from implicitreg.formula import parse_model
 from implicitreg.implicit import predict, predict_x, predict_y
 
@@ -180,3 +191,105 @@ class TestPredictionContainer:
         pred = predict(fit_on("1 ~ x*y", data), data)
         with pytest.raises(ValueError):
             pred.y_hat[0] = 1.0
+
+
+# Each term as x**px * y**py, written out here so the oracle below does not
+# share code with the solver it checks.
+_POWERS = {None: (0, 0), Term.ONE: (0, 0), Term.X: (1, 0), Term.Y: (0, 1),
+           Term.XY: (1, 1), Term.X_SQUARED: (2, 0), Term.INV_X: (-1, 0)}
+_SHAPES = tuple(dict.fromkeys(COMPARISON_MODEL_TEXTS + BOYLE_MODEL_TEXTS))
+_RTOL = 1e-9
+
+_estimates = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+_coords = st.floats(-10.0, 10.0).filter(lambda v: abs(v) >= 0.1)
+
+
+def fit_with(text, estimates):
+    """A FitResult for ``text`` whose coefficients are ``estimates``."""
+    spec = parse_model(text)
+    terms = ([None] if spec.intercept else []) + list(spec.predictors)
+    coefs = tuple(Coefficient(t, float(e), 1.0, 1.0, 0.5)
+                  for t, e in zip(terms, estimates))
+    return FitResult(spec=spec, n=10, coefficients=coefs, sse=1.0, ssm=1.0,
+                     sst_centered=1.0, sst_uncentered=1.0, r_squared=0.5,
+                     residual_dof=1)
+
+
+def equation_terms(fit, x, y):
+    """The signed terms c_j * x**px * y**py of the fitted equation."""
+    pairs = [(1.0, fit.spec.response)] + [(-c.estimate, c.term) for c in fit.coefficients]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [c * x ** float(_POWERS[t][0]) * y ** float(_POWERS[t][1])
+                for c, t in pairs]
+
+
+def assert_satisfies(fit, x, y):
+    terms = equation_terms(fit, x, y)
+    residual = np.abs(sum(terms))
+    scale = sum(np.abs(t) for t in terms)
+    assert np.all(residual <= _RTOL * scale + 1e-300), (x, y, residual, scale)
+
+
+def x_quadratic(fit, y):
+    """Per observation (a, b, c) of the x-equation a x^2 + b x + c = 0."""
+    coef = {p: np.zeros_like(y) for p in (-1, 0, 1, 2)}
+    for c, t in [(1.0, fit.spec.response)] + [(-c.estimate, c.term) for c in fit.coefficients]:
+        px, py = _POWERS[t]
+        coef[px] = coef[px] + c * y ** float(py)
+    if np.any(coef[-1] != 0.0):  # 1/x: multiply through by x
+        return coef[1], coef[0], coef[-1]
+    return coef[2], coef[1], coef[0]
+
+
+class TestSolveProperties:
+    """The algebra every solve obeys, over random coefficients per model shape."""
+
+    @pytest.mark.parametrize("text", _SHAPES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_solves_satisfy_the_fitted_equation(self, text, data):
+        spec = parse_model(text)
+        estimates = data.draw(st.lists(_estimates, min_size=spec.n_coefficients,
+                                       max_size=spec.n_coefficients))
+        points = data.draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=12))
+        fit = fit_with(text, estimates)
+        probe = Dataset("x", "y", [p[0] for p in points], [p[1] for p in points])
+        try:
+            pred = predict(fit, probe)
+        except DegenerateDataError:
+            return
+
+        y_ok = pred.y_defined
+        assert_satisfies(fit, probe.x[y_ok], pred.y_hat[y_ok])
+
+        real = pred.x_defined & ~pred.x_complex
+        assert_satisfies(fit, pred.x_hat[real], probe.y[real])
+
+        a, b, c = x_quadratic(fit, probe.y)
+        flagged = pred.x_complex
+        disc = b * b - 4.0 * a * c
+        assert np.all(disc[flagged] < 0.0)
+        scale = max([abs(e) for e in estimates] + [1.0])
+        clearly_complex = ((np.abs(a) > 1e-9 * scale)
+                           & (disc < -1e-9 * (b * b + np.abs(4.0 * a * c))))
+        assert np.all(flagged[clearly_complex])
+        np.testing.assert_allclose(pred.x_hat[flagged],
+                                   -b[flagged] / (2.0 * a[flagged]), rtol=1e-12)
+
+        two_roots = real & (a != 0.0)
+        if np.any(two_roots):
+            chosen = pred.x_hat[two_roots]
+            other = -b[two_roots] / a[two_roots] - chosen  # Vieta: r1 + r2 = -b/a
+            x_obs = probe.x[two_roots]
+            slack = _RTOL * (np.abs(chosen) + np.abs(other) + np.abs(x_obs) + 1.0)
+            assert np.all(np.abs(chosen - x_obs) <= np.abs(other - x_obs) + slack)
+
+    @given(st.integers(-20, 20), st.integers(-20, 20))
+    def test_exact_tie_takes_the_smaller_root(self, r, s):
+        # y ~ 1 + x + x^2 at y = 0 reads x^2 - (r + s) x + r s = 0, with the
+        # observed x exactly halfway between the roots r and s
+        fit = fit_with("y ~ 1 + x + x^2", [-r * s, r + s, -1.0])
+        probe = Dataset("x", "y", [(r + s) / 2.0], [0.0])
+        pred = predict(fit, probe)
+        assert pred.x_hat.tolist() == [float(min(r, s))]
+        assert not pred.x_complex.any()
