@@ -165,7 +165,7 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
                      height_variant: str = "projection",
                      seed: int | None = None) -> ComparisonReport:
     """Fit the frozen model list and assemble the ranked comparison."""
-    rows = []
+    rows, reduced_texts = [], []
     for idx, text in enumerate(COMPARISON_MODEL_TEXTS):
         spec = parse_model(text)
         fit = fit_ols(spec, data)
@@ -176,8 +176,8 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
                 reduced_text = format_model(reduced.spec)
             fit = reduced
         pred = predict(fit, data)
-        row = model_metrics(fit, data, pred, height_variant)
-        rows.append(replace(row, model=text, reduced=reduced_text))
+        rows.append(model_metrics(fit, data, pred, height_variant))
+        reduced_texts.append(reduced_text)
 
     rank_dicts = _rank_columns(
         {name: [getattr(row, name) for row in rows] for name in _METRIC_DIRECTIONS}
@@ -189,7 +189,11 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
         alpha=alpha,
         height_variant=height_variant,
         seed=seed,
-        rows=tuple(replace(row, ranks=ranks) for row, ranks in zip(rows, rank_dicts)),
+        rows=tuple(
+            replace(row, model=text, reduced=reduced_text, ranks=ranks)
+            for row, text, reduced_text, ranks
+            in zip(rows, COMPARISON_MODEL_TEXTS, reduced_texts, rank_dicts)
+        ),
     )
 
 

@@ -189,7 +189,8 @@ def eval_term(term: Term, x, y):
     px, py = TERM_POWERS[term]
     if px < 0 and np.any(x == 0.0):
         raise DomainError("1/x is undefined at x = 0")
-    out = times_power(times_power(np.ones(np.broadcast_shapes(x.shape, y.shape)), x, px), y, py)
+    shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+    out = times_power(times_power(np.ones(shape), x, px), y, py)
     if out.ndim == 0:
         return float(out)
     return out

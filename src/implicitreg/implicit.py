@@ -90,10 +90,9 @@ def _polynomial(fit: FitResult, data: Dataset, axis: int) -> dict[int, np.ndarra
     """
     other = data.x if axis else data.y
     coefs = defaultdict(lambda: np.zeros(data.n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c, term in _signed_terms(fit):
-            powers = TERM_POWERS[term]
-            coefs[powers[axis]] += times_power(c, other, powers[1 - axis])
+    for c, term in _signed_terms(fit):
+        powers = TERM_POWERS[term]
+        coefs[powers[axis]] += times_power(c, other, powers[1 - axis])
     return coefs
 
 
@@ -102,10 +101,10 @@ def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
 
     Entries where the y-coefficient is (near) zero are NaN.
     """
-    coefs = _polynomial(fit, data, axis=1)
-    a, b = coefs[1], coefs[0]
     tol = _SINGULAR_RTOL * _coefficient_scale(fit)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1/x at x = 0
+        coefs = _polynomial(fit, data, axis=1)
+        a, b = coefs[1], coefs[0]
         y_hat = np.where(np.abs(a) > tol, -b / a, np.nan)
     y_hat[~np.isfinite(y_hat)] = np.nan
     return y_hat

@@ -241,19 +241,64 @@ def x_quadratic(fit, y):
     return coef[2], coef[1], coef[0]
 
 
+def x_solve_by_rows(fit, data):
+    """The x-solve one observation at a time: the reference for the
+    vectorised solve, which must match it bit for bit."""
+    a, b, c = x_quadratic(fit, data.y)
+    tol = 1e-12 * (max((abs(co.estimate) for co in fit.coefficients), default=0.0) or 1.0)
+    x_hat = np.full(data.n, np.nan)
+    flagged = np.zeros(data.n, dtype=bool)
+    for i, (ai, bi, ci, xi) in enumerate(zip(a, b, c, data.x)):
+        if abs(ai) <= tol:
+            if abs(bi) > tol:
+                x_hat[i] = -ci / bi
+            continue
+        disc = bi * bi - 4.0 * ai * ci
+        if disc < 0.0:
+            x_hat[i], flagged[i] = -bi / (2.0 * ai), True
+            continue
+        sq = np.sqrt(disc)
+        q = -(bi + sq) / 2.0 if bi >= 0.0 else -(bi - sq) / 2.0
+        r1, r2 = (0.0, 0.0) if q == 0.0 else (q / ai, ci / q)
+        d1, d2 = abs(r1 - xi), abs(r2 - xi)
+        x_hat[i] = r1 if d1 < d2 else r2 if d2 < d1 else min(r1, r2)
+    x_hat[~np.isfinite(x_hat)] = np.nan
+    return x_hat, flagged
+
+
+@st.composite
+def fitted_probes(draw, text):
+    """A fit of shape ``text`` with random coefficients, and points to solve at."""
+    n_coef = parse_model(text).n_coefficients
+    estimates = draw(st.lists(_estimates, min_size=n_coef, max_size=n_coef))
+    points = draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=12))
+    probe = Dataset("x", "y", [p[0] for p in points], [p[1] for p in points])
+    return fit_with(text, estimates), probe, estimates
+
+
 class TestSolveProperties:
     """The algebra every solve obeys, over random coefficients per model shape."""
 
     @pytest.mark.parametrize("text", _SHAPES)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
+    def test_x_solve_matches_the_row_loop(self, text, data):
+        fit, probe, _ = data.draw(fitted_probes(text))
+        with np.errstate(all="ignore"):
+            want_x, want_flags = x_solve_by_rows(fit, probe)
+        try:
+            pred = predict(fit, probe)
+        except DegenerateDataError:
+            assert np.isnan(want_x).all()
+            return
+        np.testing.assert_array_equal(pred.x_hat, want_x)
+        np.testing.assert_array_equal(pred.x_complex, want_flags)
+
+    @pytest.mark.parametrize("text", _SHAPES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
     def test_solves_satisfy_the_fitted_equation(self, text, data):
-        spec = parse_model(text)
-        estimates = data.draw(st.lists(_estimates, min_size=spec.n_coefficients,
-                                       max_size=spec.n_coefficients))
-        points = data.draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=12))
-        fit = fit_with(text, estimates)
-        probe = Dataset("x", "y", [p[0] for p in points], [p[1] for p in points])
+        fit, probe, estimates = data.draw(fitted_probes(text))
         try:
             pred = predict(fit, probe)
         except DegenerateDataError:
