@@ -215,12 +215,16 @@ def fit_with(text, estimates):
                      residual_dof=1)
 
 
+def signed_pairs(fit):
+    """The fitted equation as (c_j, term_j) with sum(c_j * term_j) = 0."""
+    return [(1.0, fit.spec.response)] + [(-c.estimate, c.term) for c in fit.coefficients]
+
+
 def equation_terms(fit, x, y):
     """The signed terms c_j * x**px * y**py of the fitted equation."""
-    pairs = [(1.0, fit.spec.response)] + [(-c.estimate, c.term) for c in fit.coefficients]
     with np.errstate(divide="ignore", invalid="ignore"):
         return [c * x ** float(_POWERS[t][0]) * y ** float(_POWERS[t][1])
-                for c, t in pairs]
+                for c, t in signed_pairs(fit)]
 
 
 def assert_satisfies(fit, x, y):
@@ -233,7 +237,7 @@ def assert_satisfies(fit, x, y):
 def x_quadratic(fit, y):
     """Per observation (a, b, c) of the x-equation a x^2 + b x + c = 0."""
     coef = {p: np.zeros_like(y) for p in (-1, 0, 1, 2)}
-    for c, t in [(1.0, fit.spec.response)] + [(-c.estimate, c.term) for c in fit.coefficients]:
+    for c, t in signed_pairs(fit):
         px, py = _POWERS[t]
         coef[px] = coef[px] + c * y ** float(py)
     if np.any(coef[-1] != 0.0):  # 1/x: multiply through by x
