@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.linalg import solve_triangular
+from scipy.special import stdtr
 
 from .dataio import Dataset
 from .errors import DegenerateDataError, InsufficientDataError, SingularDesignError
@@ -95,6 +94,15 @@ def response_vector(spec: ModelSpec, data: Dataset) -> np.ndarray:
     return np.asarray(eval_term(spec.response, data.x, data.y))
 
 
+def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the upper-triangular system ``R @ coefs = rhs`` row by row."""
+    p = len(rhs)
+    coefs = np.empty(p)
+    for i in range(p - 1, -1, -1):
+        coefs[i] = (rhs[i] - R[i, i + 1:] @ coefs[i + 1:]) / R[i, i]
+    return coefs
+
+
 def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     """Fit ``spec`` to ``data`` by least squares.
 
@@ -136,7 +144,7 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
             + ", ".join(bad)
         )
 
-    coefs = solve_triangular(R, Q.T @ resp)
+    coefs = _back_substitute(R, Q.T @ resp)
     fitted = X @ coefs
     residuals = resp - fitted
     sse = float(residuals @ residuals)
@@ -145,11 +153,12 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     # Floor the residual scale at machine epsilon so exact fits produce
     # finite (huge) t statistics instead of 0/0.
     sigma2 = max(sse, np.finfo(float).eps) / dof
-    r_inv = solve_triangular(R, np.eye(p))
+    r_inv = np.linalg.inv(R)
     cov = sigma2 * (r_inv @ r_inv.T)
     std_errors = np.sqrt(np.diag(cov))
     t_stats = coefs / std_errors
-    p_values = 2.0 * stats.t.sf(np.abs(t_stats), dof)
+    # the t survival function at |t| is the CDF at -|t|
+    p_values = 2.0 * stdtr(dof, -np.abs(t_stats))
 
     resp_mean = float(resp.mean())
     sst_centered = float(((resp - resp_mean) ** 2).sum())

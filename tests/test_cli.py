@@ -205,6 +205,19 @@ class TestClosedOutputPipe:
         assert stderr == b""
 
 
+def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
+    """A cold start loads scipy.special only: importing scipy.stats and
+    scipy.linalg as well would double the CLI's start-up time."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
+    script = ("import sys, implicitreg.cli; "
+              "print(sorted(m for m in sys.modules "
+              "if m.startswith(('scipy.stats', 'scipy.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 class TestConstancyCommand:
     def test_noiseless_product(self, tmp_path, capsys):
         data = noiseless_csv(tmp_path)

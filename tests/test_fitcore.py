@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from implicitreg import (
     Dataset,
@@ -17,7 +18,8 @@ from implicitreg import (
     reduce_model,
     self_weighting_mean,
 )
-from implicitreg.fitcore import design_matrix, reduce_model_trace
+from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
+from implicitreg.fitcore import design_matrix, reduce_model_trace, response_vector
 from implicitreg.formula import parse_model
 from implicitreg.simulate import SimulationConfig, generate
 
@@ -257,3 +259,52 @@ class TestReduceModel:
         reduced = reduce_model(fit, data)
         assert not reduced.spec.intercept
         assert len(reduced.spec.predictors) >= 1
+
+
+# every model shape the reports fit, plus the intercept-only p = 1 model
+_ORACLE_SHAPES = tuple(dict.fromkeys(COMPARISON_MODEL_TEXTS + BOYLE_MODEL_TEXTS + ("y ~ 1",)))
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(6, 30))
+    coords = st.lists(st.floats(0.5, 50.0), min_size=n, max_size=n, unique=True)
+    return Dataset("x", "y", draw(coords), draw(coords))
+
+
+def _solve_triangular_reference(spec, data):
+    """Coefficients and standard errors through scipy's triangular solver."""
+    X, _ = design_matrix(spec, data)
+    resp = response_vector(spec, data)
+    n, p = X.shape
+    Q, R = np.linalg.qr(X)
+    coefs = solve_triangular(R, Q.T @ resp)
+    residuals = resp - X @ coefs
+    sigma2 = max(float(residuals @ residuals), np.finfo(float).eps) / (n - p)
+    r_inv = solve_triangular(R, np.eye(p))
+    return coefs, np.sqrt(sigma2 * (r_inv ** 2).sum(axis=1))
+
+
+class TestFitOlsOracle:
+    """fit_ols needs only numpy and scipy.special; scipy.stats and
+    scipy.linalg are the reference it must agree with."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.sampled_from(_ORACLE_SHAPES), data=_samples())
+    def test_matches_scipy_reference(self, text, data):
+        spec = parse_model(text)
+        try:
+            fit = fit_ols(spec, data)
+        except SingularDesignError:
+            assume(False)
+        estimates = np.array([c.estimate for c in fit.coefficients])
+        std_errors = np.array([c.std_error for c in fit.coefficients])
+        t_stats = np.array([c.t_stat for c in fit.coefficients])
+        p_values = np.array([c.p_value for c in fit.coefficients])
+
+        ref_coefs, ref_se = _solve_triangular_reference(spec, data)
+        np.testing.assert_allclose(estimates, ref_coefs, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref_coefs).max())
+        np.testing.assert_allclose(std_errors, ref_se, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(
+            p_values, 2.0 * stats.t.sf(np.abs(t_stats), fit.residual_dof))
