@@ -185,7 +185,7 @@ def _cmd_boyle(args) -> int:
     summary = boyle_summary()
     if args.plot_data_dir is not None:
         args.plot_data_dir.mkdir(parents=True, exist_ok=True)
-        for filename, content in boyle_plot_data().items():
+        for filename, content in boyle_plot_data(summary).items():
             (args.plot_data_dir / filename).write_text(content)
 
     if args.format == "json":

@@ -52,6 +52,9 @@ BOYLE_MODEL_TEXTS = (
     "y ~ 1 + x + x^2",
     "y ~ 1 + 1/x",
 )
+# both lists are fixed, so they are parsed once; reports print the texts
+_COMPARISON_SPECS = tuple(parse_model(text) for text in COMPARISON_MODEL_TEXTS)
+_BOYLE_SPECS = tuple(parse_model(text) for text in BOYLE_MODEL_TEXTS)
 
 _METRIC_DIRECTIONS = {
     "r_squared": RankDirection.DESCENDING_BETTER,
@@ -166,8 +169,7 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
                      seed: int | None = None) -> ComparisonReport:
     """Fit the frozen model list and assemble the ranked comparison."""
     rows, reduced_texts = [], []
-    for idx, text in enumerate(COMPARISON_MODEL_TEXTS):
-        spec = parse_model(text)
+    for idx, spec in enumerate(_COMPARISON_SPECS):
         fit = fit_ols(spec, data)
         reduced_text = None
         if idx < _N_ROTATIONS:
@@ -307,17 +309,21 @@ class BoyleSummary:
     product_estimate: float  # self-weighting mean of volume*pressure
     height_variant: str
     rows: tuple[ModelRow, ...]
+    # per row, the solves behind it; boyle_plot_data draws the overlays
+    # from these instead of fitting again
+    predictions: tuple[Prediction, ...] = field(repr=False, compare=False)
 
 
 def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
     """Constancy indices and model geometry for the bundled Boyle data."""
     data = boyle_dataset()
     product = data.x * data.y
-    rows = []
-    for text in BOYLE_MODEL_TEXTS:
-        fit = fit_ols(parse_model(text), data)
+    rows, predictions = [], []
+    for text, spec in zip(BOYLE_MODEL_TEXTS, _BOYLE_SPECS):
+        fit = fit_ols(spec, data)
         pred = predict(fit, data)
         rows.append(replace(model_metrics(fit, data, pred, height_variant), model=text))
+        predictions.append(pred)
     return BoyleSummary(
         n=data.n,
         constancy_volume=constancy_index(data.x),
@@ -326,6 +332,7 @@ def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
         product_estimate=self_weighting_mean(product),
         height_variant=height_variant,
         rows=tuple(rows),
+        predictions=tuple(predictions),
     )
 
 
@@ -354,22 +361,23 @@ _BOYLE_FILE_TAGS = {
 }
 
 
-def boyle_plot_data() -> dict[str, str]:
+def boyle_plot_data(summary: BoyleSummary | None = None) -> dict[str, str]:
     """Plot-ready CSV payloads keyed by filename.
 
-    Per model: (x, y, y_hat) overlay triplets.  Per variable (volume,
-    pressure, product): histogram bins.
+    Per model: (x, y, y_hat) overlay triplets, taken from the predictions
+    of ``summary`` (a fresh ``boyle_summary()`` when None).  Per variable
+    (volume, pressure, product): histogram bins.
     """
+    if summary is None:
+        summary = boyle_summary()
     data = boyle_dataset()
     files: dict[str, str] = {}
-    for text in BOYLE_MODEL_TEXTS:
-        fit = fit_ols(parse_model(text), data)
-        pred = predict(fit, data)
+    for row, pred in zip(summary.rows, summary.predictions):
         lines = [f"{data.x_label},{data.y_label},estimated_{data.y_label}"]
         for x, y, yh in zip(data.x, data.y, pred.y_hat):
             yh_txt = "" if not np.isfinite(yh) else f"{yh:.6f}"
             lines.append(f"{x:.6f},{y:.6f},{yh_txt}")
-        files[f"overlay_{_BOYLE_FILE_TAGS[text]}.csv"] = "\n".join(lines) + "\n"
+        files[f"overlay_{_BOYLE_FILE_TAGS[row.model]}.csv"] = "\n".join(lines) + "\n"
 
     for name, values in (
         ("volume", data.x),

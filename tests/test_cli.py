@@ -9,6 +9,7 @@ import pytest
 
 import implicitreg
 from implicitreg import SimulationConfig, generate, write_csv
+from implicitreg import compare
 from implicitreg.cli import main
 
 
@@ -181,6 +182,19 @@ class TestBoyleCommand:
         overlay = (plot_dir / "overlay_nonresponse.csv").read_text().splitlines()
         assert overlay[0] == "volume,pressure,estimated_pressure"
         assert len(overlay) == 26
+
+    def test_plot_data_dir_fits_each_model_once(self, tmp_path, capsys, monkeypatch):
+        fitted = []
+        fit_ols = compare.fit_ols
+
+        def counting_fit_ols(spec, data):
+            fitted.append(spec)
+            return fit_ols(spec, data)
+
+        monkeypatch.setattr(compare, "fit_ols", counting_fit_ols)
+        code, _, _ = run_cli(capsys, "boyle", "--plot-data-dir", str(tmp_path / "plots"))
+        assert code == 0
+        assert len(fitted) == 3
 
 
 class TestClosedOutputPipe:
