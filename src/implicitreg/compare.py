@@ -309,8 +309,7 @@ class BoyleSummary:
     product_estimate: float  # self-weighting mean of volume*pressure
     height_variant: str
     rows: tuple[ModelRow, ...]
-    # per row, the solves behind it; boyle_plot_data draws the overlays
-    # from these instead of fitting again
+    # the solves behind each row; boyle_plot_data draws its overlays from them
     predictions: tuple[Prediction, ...] = field(repr=False, compare=False)
 
 

@@ -95,7 +95,11 @@ def response_vector(spec: ModelSpec, data: Dataset) -> np.ndarray:
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the upper-triangular system ``R @ coefs = rhs`` row by row."""
+    """Solve the upper-triangular system ``R @ coefs = rhs`` row by row.
+
+    This keeps the last bits the golden outputs pin; ``np.linalg.solve``
+    goes through an LU factorization and rounds differently.
+    """
     p = len(rhs)
     coefs = np.empty(p)
     for i in range(p - 1, -1, -1):
