@@ -175,6 +175,9 @@ def _cmd_fit(args) -> int:
 def _cmd_compare(args) -> int:
     data = read_csv(args.data)
     report = build_comparison(data)
+    for row in report.rows:
+        if row.error is not None:
+            print(f"warning: {row.model}: {row.error}", file=sys.stderr)
     renderer = {"markdown": render_markdown, "csv": render_csv,
                 "json": render_json}[args.format]
     sys.stdout.write(renderer(report))

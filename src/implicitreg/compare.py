@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataio import Dataset, boyle_dataset
-from .errors import DegenerateTriangleError, InsufficientDataError
+from .errors import DegenerateTriangleError, ImplicitRegressionError, InsufficientDataError
 from .fitcore import FitResult, constancy_index, fit_ols, reduce_model, self_weighting_mean
 from .formula import format_model, parse_model
 from .implicit import Prediction, predict
@@ -73,20 +73,23 @@ class ModelRow:
     ``theta_t`` and ``height`` are None when the triangle is degenerate
     (perfect or null fit); standard errors are None when too few solves
     are defined.  ``reduced`` and ``ranks`` are filled in by
-    ``build_comparison``.
+    ``build_comparison``.  A model ``build_comparison`` could not fit or
+    solve keeps its ``error`` message, and its metrics and diagnostics are
+    None.
     """
 
     model: str
     reduced: str | None
-    r_squared: float
+    r_squared: float | None
     se_y: float | None
     se_x: float | None
     theta_t: float | None
     height: float | None
-    undefined_y: int
-    undefined_x: int
-    complex_x: int
+    undefined_y: int | None
+    undefined_x: int | None
+    complex_x: int | None
     ranks: dict[str, float | None] = field(default_factory=dict)
+    error: str | None = None
 
     @property
     def metrics(self) -> dict[str, float | None]:
@@ -94,7 +97,7 @@ class ModelRow:
         return {name: getattr(self, name) for name in _METRIC_DIRECTIONS}
 
     @property
-    def diagnostics(self) -> dict[str, int]:
+    def diagnostics(self) -> dict[str, int | None]:
         return {name: getattr(self, name) for name in _DIAGNOSTIC_NAMES}
 
 
@@ -167,19 +170,34 @@ def _rank_columns(metric_values: dict[str, list[float | None]]) -> list[dict[str
 def build_comparison(data: Dataset, alpha: float = 0.05,
                      height_variant: str = "projection",
                      seed: int | None = None) -> ComparisonReport:
-    """Fit the frozen model list and assemble the ranked comparison."""
-    rows, reduced_texts = [], []
-    for idx, spec in enumerate(_COMPARISON_SPECS):
-        fit = fit_ols(spec, data)
+    """Fit the frozen model list and assemble the ranked comparison.
+
+    A model that cannot be fit or solved (e.g. ``1/x`` at x = 0) becomes a
+    row with None metrics and its ``error`` message, ranked around; only
+    when every model fails is the first model's error raised.
+    """
+    rows, reduced_texts, errors = [], [], []
+    for idx, (text, spec) in enumerate(zip(COMPARISON_MODEL_TEXTS, _COMPARISON_SPECS)):
         reduced_text = None
-        if idx < _N_ROTATIONS:
-            reduced = reduce_model(fit, data, alpha)
-            if reduced.spec != spec:
-                reduced_text = format_model(reduced.spec)
-            fit = reduced
-        pred = predict(fit, data)
-        rows.append(model_metrics(fit, data, pred, height_variant))
+        try:
+            fit = fit_ols(spec, data)
+            if idx < _N_ROTATIONS:
+                reduced = reduce_model(fit, data, alpha)
+                if reduced.spec != spec:
+                    reduced_text = format_model(reduced.spec)
+                fit = reduced
+            pred = predict(fit, data)
+            rows.append(model_metrics(fit, data, pred, height_variant))
+        except ImplicitRegressionError as exc:
+            rows.append(ModelRow(
+                model=text, reduced=None, r_squared=None, se_y=None, se_x=None,
+                theta_t=None, height=None, undefined_y=None, undefined_x=None,
+                complex_x=None, error=str(exc),
+            ))
+            errors.append(exc)
         reduced_texts.append(reduced_text)
+    if len(errors) == len(rows):
+        raise errors[0]
 
     rank_dicts = _rank_columns(
         {name: [getattr(row, name) for row in rows] for name in _METRIC_DIRECTIONS}
@@ -228,7 +246,8 @@ def render_markdown(report: ComparisonReport) -> str:
             f"| {_fmt(row.se_x, '.4g')} ({_fmt_rank(row.ranks['se_x'])}) "
             f"| {_fmt(row.theta_t, '.2f')} ({_fmt_rank(row.ranks['theta_t'])}) "
             f"| {_fmt(row.height, '.5g')} ({_fmt_rank(row.ranks['height'])}) "
-            f"| {row.undefined_y}/{row.undefined_x} | {row.complex_x} |\n"
+            f"| {'n/a' if row.error else f'{row.undefined_y}/{row.undefined_x}'} "
+            f"| {_fmt(row.complex_x, 'd')} |\n"
         )
     out.write(
         f"\nheight variant: {report.height_variant}; "
@@ -259,9 +278,9 @@ def render_csv(report: ComparisonReport) -> str:
             _fmt_rank(row.ranks["se_x"]),
             _fmt_rank(row.ranks["theta_t"]),
             _fmt_rank(row.ranks["height"]),
-            str(row.undefined_y),
-            str(row.undefined_x),
-            str(row.complex_x),
+            _fmt(row.undefined_y, "d"),
+            _fmt(row.undefined_x, "d"),
+            _fmt(row.complex_x, "d"),
         ]
         lines.append(",".join(fields))
     footer = (f"# height_variant={report.height_variant} alpha={report.alpha:g}"

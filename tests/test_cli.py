@@ -150,6 +150,20 @@ class TestCompareCommand:
         assert code == 0
         assert stdout.splitlines()[0].startswith("model,reduced,")
 
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_failed_model_warns_and_exits_zero(self, tmp_path, capsys, fmt):
+        path = tmp_path / "zero_x.csv"
+        path.write_text("x,y\n0,5.1\n1,3.9\n2,3.2\n3,2.1\n4,0.8\n5,0.1\n")
+        code, stdout, stderr = run_cli(
+            capsys, "compare", "--data", str(path), "--format", fmt
+        )
+        assert code == 0
+        assert stderr == "warning: y ~ 1 + 1/x: 1/x is undefined at x = 0\n"
+        if fmt == "json":
+            r_squared = [m["metrics"]["r_squared"] for m in json.loads(stdout)["models"]]
+            assert sum(v is not None for v in r_squared) == 6
+            assert r_squared[3] is None
+
 
 class TestBoyleCommand:
     def test_constancy_and_geometry(self, capsys):

@@ -4,7 +4,9 @@ import pytest
 
 from implicitreg import (
     COMPARISON_MODEL_TEXTS,
+    Dataset,
     SimulationConfig,
+    SingularDesignError,
     boyle_summary,
     build_comparison,
     constancy_index,
@@ -61,6 +63,49 @@ class TestBuildComparison:
         a = build_comparison(data)
         b = build_comparison(data)
         assert a == b
+
+
+class TestFailureIsolation:
+    """A model that cannot be fit degrades its own row, not the table."""
+
+    INVERSE = "y ~ 1 + 1/x"
+
+    @pytest.fixture(scope="class")
+    def zero_x_report(self):
+        data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                       [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
+        return build_comparison(data)
+
+    def test_only_the_inverse_model_fails(self, zero_x_report):
+        for row in zero_x_report.rows:
+            if row.model == self.INVERSE:
+                assert row.error == "1/x is undefined at x = 0"
+                assert set(row.metrics.values()) == {None}
+                assert set(row.ranks.values()) == {None}
+                assert set(row.diagnostics.values()) == {None}
+            else:
+                assert row.error is None
+                assert row.r_squared is not None
+
+    def test_ranks_cover_the_six_defined_rows(self, zero_x_report):
+        for metric in ("r_squared", "se_y", "se_x", "theta_t", "height"):
+            ranks = [r.ranks[metric] for r in zero_x_report.rows if r.ranks[metric] is not None]
+            assert len(ranks) == 6 and sum(ranks) == pytest.approx(21.0)
+
+    def test_renderers_keep_their_schema(self, zero_x_report):
+        payload = report_to_dict(zero_x_report)
+        assert [set(m) for m in payload["models"]] == [
+            {"model", "reduced", "metrics", "ranks", "diagnostics"}
+        ] * 7
+        inverse = next(line for line in render_csv(zero_x_report).splitlines()
+                       if line.startswith(self.INVERSE))
+        assert inverse == "y ~ 1 + 1/x,,n/a,n/a,n/a,n/a,n/a,-,-,-,-,-,n/a,n/a,n/a"
+        assert "| y ~ 1 + 1/x | - | n/a (-) |" in render_markdown(zero_x_report)
+
+    def test_every_model_failing_raises_the_first_error(self):
+        data = Dataset("x", "y", [0.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(SingularDesignError, match="x, x\\*y"):
+            build_comparison(data)
 
 
 class TestRendering:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from implicitreg import (
     DataFormatError,
@@ -82,6 +83,125 @@ class TestReadCsv:
         path.write_bytes(payload)
         from_path = read_csv(path)
         np.testing.assert_array_equal(from_bytes.x, from_path.x)
+
+
+def _reference_read(text):
+    """The field-by-field reader: ``_parse_field`` on every field, in order."""
+    xs, ys = [], []
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise DataFormatError(f"expected two fields, found {len(fields)}", line=lineno)
+        xs.append(dataio._parse_field(fields[0], lineno))
+        ys.append(dataio._parse_field(fields[1], lineno))
+    if len(xs) < 3:
+        raise InsufficientDataError(f"need at least 3 observations, found {len(xs)}")
+    return np.array(xs), np.array(ys)
+
+
+_value = st.floats(-1e300, 1e300)
+_decimal = st.one_of(
+    _value.map(repr),
+    _value.map(lambda v: "%.17g" % v),
+    _value.map(lambda v: "%.6e" % v),
+    _value.map(lambda v: "%+.10g" % v),
+    st.integers(-10**12, 10**12).map(lambda i: f"{i:_}.25"),
+)
+_pad = st.text(alphabet=" \t", max_size=2)
+_plain_field = st.builds(lambda a, v, b: a + v + b, _pad, _decimal, _pad)
+_plain_line = st.one_of(
+    st.builds(lambda x, y: f"{x},{y}", _plain_field, _plain_field),
+    st.sampled_from(["", " ", "\t "]),
+)
+_fraction_line = st.builds(
+    lambda w, n, d, y: f"{w} {n}/{d},{y}",
+    st.integers(-60, 60), st.integers(0, 63), st.integers(1, 64), _plain_field,
+)
+_bad_field = st.sampled_from(["", "abc", "1 2", "inf", "nan", "1e999", "1/0", "1 1/0"])
+
+
+@st.composite
+def _csv_lines(draw):
+    """Data lines spanning two to three parse chunks: tiled plain rows with
+    a few mixed-fraction rows dropped in at random positions."""
+    chunk = dataio._CHUNK_LINES
+    template = draw(st.lists(_plain_line, min_size=1, max_size=20).filter(
+        lambda rows: any("," in row for row in rows)))
+    n_lines = draw(st.integers(chunk + 1, 5 * chunk // 2))
+    lines = (template * (n_lines // len(template) + 1))[:n_lines]
+    for _ in range(draw(st.integers(0, 3))):
+        lines[draw(st.integers(0, n_lines - 1))] = draw(_fraction_line)
+    return lines
+
+
+def _outcome(read, text):
+    """``(x bytes, y bytes)`` of a successful read, else the error's
+    ``(type, message, line)``."""
+    try:
+        x, y = read(text)
+    except (DataFormatError, InsufficientDataError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    return x.tobytes(), y.tobytes()
+
+
+def _read_csv_arrays(text):
+    d = read_csv(text.encode())
+    return d.x, d.y
+
+
+class TestBulkParse:
+    """``read_csv`` parses plain-decimal chunks in bulk and must agree with
+    the field-by-field reader on every value and every error."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(lines=_csv_lines())
+    def test_values_match_field_by_field_reader(self, lines):
+        text = "\n".join(["a,b", *lines]) + "\n"
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lines=_csv_lines(), data=st.data())
+    def test_errors_match_field_by_field_reader(self, lines, data):
+        at = data.draw(st.integers(dataio._CHUNK_LINES, len(lines) - 1), label="index")
+        bad = data.draw(_bad_field, label="bad field")
+        # "1,2,3" next to "4" keeps the chunk's comma total at one per line
+        lines[at] = data.draw(st.sampled_from([f"{bad},1", f"1,{bad}", "1,2,3", "1,2,3\n4"]),
+                              label="bad line")
+        text = "\n".join(["a,b", *lines]) + "\n"
+        want = _outcome(_reference_read, text)
+        assert want[0] is DataFormatError
+        assert _outcome(_read_csv_arrays, text) == want
+
+    @pytest.fixture
+    def parse_field_calls(self, monkeypatch):
+        calls = []
+        original = dataio._parse_field
+
+        def counting(field, line):
+            calls.append(line)
+            return original(field, line)
+
+        monkeypatch.setattr(dataio, "_parse_field", counting)
+        return calls
+
+    def test_plain_file_skips_field_parser(self, parse_field_calls):
+        rows = [f"{i * 0.1!r},{1.0 / (i + 1)!r}" for i in range(20_000)]
+        d = read_csv(("x,y\n" + "\n".join(rows) + "\n").encode())
+        assert d.n == 20_000
+        assert parse_field_calls == []
+
+    def test_fraction_row_parsed_exactly(self, parse_field_calls):
+        rows = [f"{i},{2 * i}" for i in range(20_000)]
+        rows[12_345] = "29 2/16,1 1/3"
+        d = read_csv(("x,y\n" + "\n".join(rows) + "\n").encode())
+        assert d.x[12_345] == 29.125
+        assert d.y[12_345] == float(Fraction(4, 3))
+        assert d.x[12_346] == 12_346.0
+        # only the fraction row's chunk went field by field
+        assert 0 < len(parse_field_calls) <= 2 * dataio._CHUNK_LINES
 
 
 class TestWriteCsv:
