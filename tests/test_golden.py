@@ -1,8 +1,11 @@
 """Golden outputs: every report the CLI prints, pinned byte for byte.
 
 The files under ``tests/golden/`` hold the output of ``compare`` (json,
-csv, markdown) and ``fit --reduce`` (text, json) on the seed-7, sigma-5,
-n=50 sample written by ``simulate --out``, and of ``boyle`` (text, json
+csv, markdown), ``fit --reduce`` (text, json), ``fit`` of the quadratic
+model (text, json) and ``constancy`` on the seed-7, sigma-5, n=50 sample
+written by ``simulate --out``, with ``simulate``'s own stdout; of
+``compare`` (all three formats) on that sample with its first x set to 0,
+where the 1/x model becomes an ``n/a`` row; and of ``boyle`` (text, json
 and the six ``--plot-data-dir`` files).  A refactor must leave them
 unchanged.  When an output is meant to change, regenerate them with
 
@@ -24,6 +27,7 @@ from implicitreg.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SAMPLE_ARGS = ("--n", "50", "--sigma", "5", "--seed", "7")
 FIT_ARGS = ("fit", "--model", "1 ~ x + y + x*y", "--reduce")
+QUADRATIC_ARGS = ("fit", "--model", "y ~ 1 + x + x^2")
 
 
 def _stdout_of(*argv) -> bytes:
@@ -38,14 +42,23 @@ def render_outputs(workdir: Path) -> dict[str, bytes]:
     """Every pinned output, keyed by its file name under ``golden/``."""
     sample = workdir / "sample.csv"
     plots = workdir / "plots"
-    _stdout_of("simulate", *SAMPLE_ARGS, "--out", str(sample))
-    outputs = {"sample.csv": sample.read_bytes()}
+    x_zero = workdir / "sample_x0.csv"
+    outputs = {"simulate.txt": _stdout_of("simulate", *SAMPLE_ARGS, "--out", str(sample)),
+               "sample.csv": sample.read_bytes()}
+    header, first, *rest = sample.read_text().splitlines(keepends=True)
+    x_zero.write_text("".join([header, "0," + first.split(",", 1)[1], *rest]))
     for fmt, ext in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
         outputs[f"compare.{ext}"] = _stdout_of(
             "compare", "--data", str(sample), "--format", fmt)
+        outputs[f"compare_x0.{ext}"] = _stdout_of(
+            "compare", "--data", str(x_zero), "--format", fmt)
     outputs["fit_reduce.txt"] = _stdout_of(*FIT_ARGS, "--data", str(sample))
     outputs["fit_reduce.json"] = _stdout_of(
         *FIT_ARGS, "--data", str(sample), "--format", "json")
+    outputs["fit_quadratic.txt"] = _stdout_of(*QUADRATIC_ARGS, "--data", str(sample))
+    outputs["fit_quadratic.json"] = _stdout_of(
+        *QUADRATIC_ARGS, "--data", str(sample), "--format", "json")
+    outputs["constancy.txt"] = _stdout_of("constancy", "--data", str(sample))
     outputs["boyle.txt"] = _stdout_of("boyle")
     outputs["boyle.json"] = _stdout_of(
         "boyle", "--format", "json", "--plot-data-dir", str(plots))
