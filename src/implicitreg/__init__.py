@@ -37,12 +37,11 @@ from .fitcore import (
     FitResult,
     constancy_index,
     fit_ols,
-    reduce_model,
     reduce_model_trace,
     self_weighting_mean,
 )
-from .formula import ModelSpec, Term, enumerate_family, eval_term, format_model, parse_model
-from .implicit import Prediction, predict, predict_x, predict_y
+from .formula import ModelSpec, Term, eval_term, format_model, parse_model
+from .implicit import Prediction, predict, predict_y
 from .metrics import (
     RankDirection,
     SquareSums,
@@ -50,7 +49,6 @@ from .metrics import (
     rank_models,
     relative_height,
     separation_angle,
-    standard_errors,
 )
 from .simulate import SimulationConfig, generate
 
@@ -86,7 +84,6 @@ __all__ = [
     "boyle_summary",
     "build_comparison",
     "constancy_index",
-    "enumerate_family",
     "eval_term",
     "fit_ols",
     "format_model",
@@ -95,11 +92,9 @@ __all__ = [
     "model_metrics",
     "parse_model",
     "predict",
-    "predict_x",
     "predict_y",
     "rank_models",
     "read_csv",
-    "reduce_model",
     "reduce_model_trace",
     "relative_height",
     "render_csv",
@@ -107,6 +102,5 @@ __all__ = [
     "render_markdown",
     "self_weighting_mean",
     "separation_angle",
-    "standard_errors",
     "write_csv",
 ]

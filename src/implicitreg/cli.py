@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .compare import (
+    HEIGHT_VARIANT,
     _fmt,
     boyle_plot_data,
     boyle_summary,
@@ -26,7 +27,7 @@ from .compare import (
 )
 from .dataio import read_csv, write_csv
 from .errors import ImplicitRegressionError, ParseError
-from .fitcore import constancy_index, fit_ols, reduce_model_trace, self_weighting_mean
+from .fitcore import ALPHA, constancy_index, fit_ols, reduce_model_trace, self_weighting_mean
 from .formula import format_model, parse_model
 from .implicit import predict
 from .simulate import SimulationConfig, generate
@@ -41,8 +42,8 @@ def _model_arg(text: str):
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be finite and non-negative")
     return value
 
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help='model text, e.g. "1 ~ x + y + x*y"')
     p_fit.add_argument("--data", type=Path, required=True)
     p_fit.add_argument("--reduce", action="store_true",
-                       help="drop insignificant predictors (p > 0.05)")
+                       help=f"drop insignificant predictors (p > {ALPHA:g})")
     p_fit.add_argument("--format", choices=("text", "json"), default="text")
 
     p_cmp = sub.add_parser("compare", help="ranked seven-model comparison")
@@ -209,7 +210,7 @@ def _cmd_boyle(args) -> int:
               f"{_fmt(row.height, '.5f'):>12}{row.complex_x:>12}"
               f"{f'{row.undefined_y}/{row.undefined_x}':>12}")
     print()
-    print(f"height variant: {summary.height_variant}")
+    print(f"height variant: {HEIGHT_VARIANT}")
     return 0
 
 

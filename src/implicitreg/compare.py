@@ -23,7 +23,8 @@ import numpy as np
 
 from .dataio import Dataset, boyle_dataset
 from .errors import DegenerateTriangleError, ImplicitRegressionError, InsufficientDataError
-from .fitcore import FitResult, constancy_index, fit_ols, reduce_model, self_weighting_mean
+from .fitcore import (ALPHA, FitResult, constancy_index, fit_ols, reduce_model_trace,
+                      self_weighting_mean)
 from .formula import format_model, parse_model
 from .implicit import Prediction, predict
 from .metrics import (
@@ -64,6 +65,9 @@ _METRIC_DIRECTIONS = {
     "height": RankDirection.ASCENDING_BETTER,
 }
 _DIAGNOSTIC_NAMES = ("undefined_y", "undefined_x", "complex_x")
+# the height reading every report uses; metrics.relative_height also offers
+# the "altitude" reading
+HEIGHT_VARIANT = "projection"
 
 
 @dataclass(frozen=True)
@@ -79,15 +83,15 @@ class ModelRow:
     """
 
     model: str
-    reduced: str | None
-    r_squared: float | None
-    se_y: float | None
-    se_x: float | None
-    theta_t: float | None
-    height: float | None
-    undefined_y: int | None
-    undefined_x: int | None
-    complex_x: int | None
+    reduced: str | None = None
+    r_squared: float | None = None
+    se_y: float | None = None
+    se_x: float | None = None
+    theta_t: float | None = None
+    height: float | None = None
+    undefined_y: int | None = None
+    undefined_x: int | None = None
+    complex_x: int | None = None
     ranks: dict[str, float | None] = field(default_factory=dict)
     error: str | None = None
 
@@ -106,8 +110,6 @@ class ComparisonReport:
     n: int
     x_label: str
     y_label: str
-    alpha: float
-    height_variant: str
     seed: int | None
     rows: tuple[ModelRow, ...]
 
@@ -120,8 +122,7 @@ def _or_none(fn, *args, **kwargs):
         return None
 
 
-def model_metrics(fit: FitResult, data: Dataset, pred: Prediction,
-                  height_variant: str = "projection") -> ModelRow:
+def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     """The report row of one fitted model, named by its own spec and unranked.
 
     Fields are None where the quantity is undefined (degenerate triangle
@@ -132,14 +133,13 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction,
     sums = _or_none(joint_square_sums, data, pred)
     if sums is not None:
         theta = _or_none(separation_angle, sums)
-        height = _or_none(relative_height, sums, variant=height_variant)
+        height = _or_none(relative_height, sums, variant=HEIGHT_VARIANT)
     if fit.spec.predictors or not fit.spec.intercept:
         r_squared = fit.r_squared
     else:
         r_squared = fit.r_squared_uncentered
     return ModelRow(
         model=format_model(fit.spec),
-        reduced=None,
         r_squared=r_squared,
         se_y=_or_none(residual_se, data.y, pred.y_hat, pred.y_defined, n_params),
         se_x=_or_none(residual_se, data.x, pred.x_hat, pred.x_defined, n_params),
@@ -167,9 +167,7 @@ def _rank_columns(metric_values: dict[str, list[float | None]]) -> list[dict[str
     return ranks
 
 
-def build_comparison(data: Dataset, alpha: float = 0.05,
-                     height_variant: str = "projection",
-                     seed: int | None = None) -> ComparisonReport:
+def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport:
     """Fit the frozen model list and assemble the ranked comparison.
 
     A model that cannot be fit or solved (e.g. ``1/x`` at x = 0) becomes a
@@ -182,18 +180,14 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
         try:
             fit = fit_ols(spec, data)
             if idx < _N_ROTATIONS:
-                reduced = reduce_model(fit, data, alpha)
+                reduced = reduce_model_trace(fit, data)[0]
                 if reduced.spec != spec:
                     reduced_text = format_model(reduced.spec)
                 fit = reduced
             pred = predict(fit, data)
-            rows.append(model_metrics(fit, data, pred, height_variant))
+            rows.append(model_metrics(fit, data, pred))
         except ImplicitRegressionError as exc:
-            rows.append(ModelRow(
-                model=text, reduced=None, r_squared=None, se_y=None, se_x=None,
-                theta_t=None, height=None, undefined_y=None, undefined_x=None,
-                complex_x=None, error=str(exc),
-            ))
+            rows.append(ModelRow(model=text, error=str(exc)))
             errors.append(exc)
         reduced_texts.append(reduced_text)
     if len(errors) == len(rows):
@@ -206,8 +200,6 @@ def build_comparison(data: Dataset, alpha: float = 0.05,
         n=data.n,
         x_label=data.x_label,
         y_label=data.y_label,
-        alpha=alpha,
-        height_variant=height_variant,
         seed=seed,
         rows=tuple(
             replace(row, model=text, reduced=reduced_text, ranks=ranks)
@@ -250,8 +242,8 @@ def render_markdown(report: ComparisonReport) -> str:
             f"| {_fmt(row.complex_x, 'd')} |\n"
         )
     out.write(
-        f"\nheight variant: {report.height_variant}; "
-        f"elimination threshold: {report.alpha:g}"
+        f"\nheight variant: {HEIGHT_VARIANT}; "
+        f"elimination threshold: {ALPHA:g}"
     )
     if report.seed is not None:
         out.write(f"; generator seed: {report.seed}")
@@ -260,30 +252,18 @@ def render_markdown(report: ComparisonReport) -> str:
 
 
 def render_csv(report: ComparisonReport) -> str:
-    cols = ["model", "reduced", "r_squared", "se_y", "se_x", "theta_t", "height",
-            "rank_r_squared", "rank_se_y", "rank_se_x", "rank_theta_t",
-            "rank_height", "undefined_y", "undefined_x", "complex_x"]
+    cols = ["model", "reduced", *_METRIC_DIRECTIONS,
+            *(f"rank_{name}" for name in _METRIC_DIRECTIONS), *_DIAGNOSTIC_NAMES]
     lines = [",".join(cols)]
     for row in report.rows:
-        fields = [
+        lines.append(",".join([
             row.model,
             row.reduced or "",
-            _fmt(row.r_squared, ".10g"),
-            _fmt(row.se_y, ".10g"),
-            _fmt(row.se_x, ".10g"),
-            _fmt(row.theta_t, ".10g"),
-            _fmt(row.height, ".10g"),
-            _fmt_rank(row.ranks["r_squared"]),
-            _fmt_rank(row.ranks["se_y"]),
-            _fmt_rank(row.ranks["se_x"]),
-            _fmt_rank(row.ranks["theta_t"]),
-            _fmt_rank(row.ranks["height"]),
-            _fmt(row.undefined_y, "d"),
-            _fmt(row.undefined_x, "d"),
-            _fmt(row.complex_x, "d"),
-        ]
-        lines.append(",".join(fields))
-    footer = (f"# height_variant={report.height_variant} alpha={report.alpha:g}"
+            *(_fmt(value, ".10g") for value in row.metrics.values()),
+            *(_fmt_rank(row.ranks[name]) for name in _METRIC_DIRECTIONS),
+            *(_fmt(count, "d") for count in row.diagnostics.values()),
+        ]))
+    footer = (f"# height_variant={HEIGHT_VARIANT} alpha={ALPHA:g}"
               + (f" seed={report.seed}" if report.seed is not None else ""))
     lines.append(footer)
     return "\n".join(lines) + "\n"
@@ -298,8 +278,8 @@ def report_to_dict(report: ComparisonReport) -> dict:
             "y_label": report.y_label,
         },
         "settings": {
-            "alpha": report.alpha,
-            "height_variant": report.height_variant,
+            "alpha": ALPHA,
+            "height_variant": HEIGHT_VARIANT,
             "seed": report.seed,
         },
         "models": [
@@ -326,13 +306,12 @@ class BoyleSummary:
     constancy_pressure: float
     constancy_product: float
     product_estimate: float  # self-weighting mean of volume*pressure
-    height_variant: str
     rows: tuple[ModelRow, ...]
     # the solves behind each row; boyle_plot_data draws its overlays from them
     predictions: tuple[Prediction, ...] = field(repr=False, compare=False)
 
 
-def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
+def boyle_summary() -> BoyleSummary:
     """Constancy indices and model geometry for the bundled Boyle data."""
     data = boyle_dataset()
     product = data.x * data.y
@@ -340,7 +319,7 @@ def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
     for text, spec in zip(BOYLE_MODEL_TEXTS, _BOYLE_SPECS):
         fit = fit_ols(spec, data)
         pred = predict(fit, data)
-        rows.append(replace(model_metrics(fit, data, pred, height_variant), model=text))
+        rows.append(replace(model_metrics(fit, data, pred), model=text))
         predictions.append(pred)
     return BoyleSummary(
         n=data.n,
@@ -348,7 +327,6 @@ def boyle_summary(height_variant: str = "projection") -> BoyleSummary:
         constancy_pressure=constancy_index(data.y),
         constancy_product=constancy_index(product),
         product_estimate=self_weighting_mean(product),
-        height_variant=height_variant,
         rows=tuple(rows),
         predictions=tuple(predictions),
     )
@@ -363,7 +341,7 @@ def boyle_summary_to_dict(summary: BoyleSummary) -> dict:
             "product": summary.constancy_product,
         },
         "product_estimate": summary.product_estimate,
-        "height_variant": summary.height_variant,
+        "height_variant": HEIGHT_VARIANT,
         "models": [
             {"model": row.model, "theta_t": row.theta_t, "height": row.height,
              **row.diagnostics}
@@ -379,15 +357,13 @@ _BOYLE_FILE_TAGS = {
 }
 
 
-def boyle_plot_data(summary: BoyleSummary | None = None) -> dict[str, str]:
+def boyle_plot_data(summary: BoyleSummary) -> dict[str, str]:
     """Plot-ready CSV payloads keyed by filename.
 
     Per model: (x, y, y_hat) overlay triplets, taken from the predictions
-    of ``summary`` (a fresh ``boyle_summary()`` when None).  Per variable
-    (volume, pressure, product): histogram bins.
+    of ``summary``.  Per variable (volume, pressure, product): histogram
+    bins.
     """
-    if summary is None:
-        summary = boyle_summary()
     data = boyle_dataset()
     files: dict[str, str] = {}
     for row, pred in zip(summary.rows, summary.predictions):

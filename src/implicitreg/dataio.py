@@ -103,7 +103,14 @@ def _as_text_lines(source) -> list[str]:
             data = data.encode("utf-8")
     else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
-    return data.decode("utf-8").splitlines()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; count their lines
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise DataFormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line=line) from None
+    # a leading byte-order mark (spreadsheet exports) is not part of the header
+    return text.removeprefix("\ufeff").splitlines()
 
 
 def _parse_chunk(lines: list[str], first_lineno: int) -> np.ndarray:

@@ -21,6 +21,8 @@ from .errors import DegenerateDataError, InsufficientDataError, SingularDesignEr
 from .formula import ModelSpec, Term, eval_term
 
 _RANK_RTOL = 1e-10
+# backward elimination drops a predictor whose p-value exceeds this
+ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,7 @@ class FitResult:
 
     @property
     def r_squared_uncentered(self) -> float:
-        if self.sst_uncentered <= 0.0:
-            return 1.0 if self.sse == 0.0 else 0.0
-        return 1.0 - self.sse / self.sst_uncentered
+        return _r_squared(self.sse, self.sst_uncentered)
 
     def coefficient(self, term: Term | None) -> Coefficient:
         """Look up a coefficient by term (``None`` for the intercept)."""
@@ -72,9 +72,12 @@ class FitResult:
                 return coef
         raise KeyError(f"model has no coefficient for {term}")
 
-    @property
-    def estimates(self) -> dict[Term | None, float]:
-        return {c.term: c.estimate for c in self.coefficients}
+
+def _r_squared(sse: float, sst: float) -> float:
+    """1 - SSE/SST; with SST = 0, 1 for an exact fit and 0 otherwise."""
+    if sst <= 0.0:
+        return 1.0 if sse == 0.0 else 0.0
+    return 1.0 - sse / sst
 
 
 def design_matrix(spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, list[Term | None]]:
@@ -85,13 +88,13 @@ def design_matrix(spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, list[Term
         columns.append(np.ones(data.n))
         order.append(None)
     for term in spec.predictors:
-        columns.append(np.asarray(eval_term(term, data.x, data.y)))
+        columns.append(eval_term(term, data.x, data.y))
         order.append(term)
     return np.column_stack(columns), order
 
 
 def response_vector(spec: ModelSpec, data: Dataset) -> np.ndarray:
-    return np.asarray(eval_term(spec.response, data.x, data.y))
+    return eval_term(spec.response, data.x, data.y)
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -168,16 +171,6 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     sst_centered = float(((resp - resp_mean) ** 2).sum())
     sst_uncentered = float((resp ** 2).sum())
     ssm = float(((fitted - resp_mean) ** 2).sum())
-    if spec.intercept:
-        if sst_centered > 0.0:
-            r_squared = 1.0 - sse / sst_centered
-        else:
-            r_squared = 1.0 if sse == 0.0 else 0.0
-    else:
-        if sst_uncentered > 0.0:
-            r_squared = 1.0 - sse / sst_uncentered
-        else:
-            r_squared = 1.0 if sse == 0.0 else 0.0
 
     coefficients = tuple(
         Coefficient(order[j], float(coefs[j]), float(std_errors[j]),
@@ -192,7 +185,7 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
         ssm=ssm,
         sst_centered=sst_centered,
         sst_uncentered=sst_uncentered,
-        r_squared=float(r_squared),
+        r_squared=_r_squared(sse, sst_centered if spec.intercept else sst_uncentered),
         residual_dof=dof,
     )
 
@@ -231,12 +224,12 @@ def constancy_index(v) -> float:
 
 
 def reduce_model_trace(
-    fit: FitResult, data: Dataset, alpha: float = 0.05
+    fit: FitResult, data: Dataset
 ) -> tuple[FitResult, list[tuple[Term, float]]]:
     """Backward elimination with the dropped terms recorded.
 
     Repeatedly removes the predictor with the largest p-value above
-    ``alpha`` and refits.  The intercept is never removed, so a model
+    ``ALPHA`` and refits.  The intercept is never removed, so a model
     with an intercept may reduce all the way to the constant model; a
     no-intercept model keeps at least one predictor.
     """
@@ -250,15 +243,9 @@ def reduce_model_trace(
         if not candidates:
             break
         worst = max(candidates, key=lambda c: c.p_value)
-        if worst.p_value <= alpha:
+        if worst.p_value <= ALPHA:
             break
         new_predictors = tuple(t for t in spec.predictors if t is not worst.term)
         steps.append((worst.term, worst.p_value))
         current = fit_ols(ModelSpec(spec.response, new_predictors, spec.intercept), data)
     return current, steps
-
-
-def reduce_model(fit: FitResult, data: Dataset, alpha: float = 0.05) -> FitResult:
-    """Backward-eliminate insignificant predictors; see reduce_model_trace."""
-    final, _ = reduce_model_trace(fit, data, alpha)
-    return final

@@ -163,17 +163,6 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(response, tuple(predictors), intercept)
 
 
-def enumerate_family() -> list[ModelSpec]:
-    """The four-model family over {1, x, y, x*y}: three rotations and the
-    non-response form, in that order."""
-    return [
-        parse_model("y ~ 1 + x + x*y"),
-        parse_model("x ~ 1 + y + x*y"),
-        parse_model("x*y ~ 1 + x + y"),
-        parse_model("1 ~ x + y + x*y"),
-    ]
-
-
 def times_power(c, v, p: int):
     """``c * v**p`` for p in {-1, 0, 1, 2}, as ``c``, ``c * v``, ``c * v * v``
     or ``c / v`` (that operation order keeps every solve bit-stable)."""
@@ -182,15 +171,9 @@ def times_power(c, v, p: int):
     return c
 
 
-def eval_term(term: Term, x, y):
-    """Evaluate a basis term at coordinates (x, y); scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def eval_term(term: Term, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluate a basis term at coordinates (x, y), float arrays of one shape."""
     px, py = TERM_POWERS[term]
     if px < 0 and np.any(x == 0.0):
         raise DomainError("1/x is undefined at x = 0")
-    shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
-    out = times_power(times_power(np.ones(shape), x, px), y, py)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return times_power(times_power(np.ones(x.shape), x, px), y, py)

@@ -144,12 +144,6 @@ def _solve_x(fit: FitResult, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return x_hat, complex_mask
 
 
-def predict_x(fit: FitResult, data: Dataset) -> np.ndarray:
-    """Solve the fitted equation for x at each observed y."""
-    x_hat, _ = _solve_x(fit, data)
-    return x_hat
-
-
 def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for both axes; raises if every solve is singular."""
     y_hat = predict_y(fit, data)

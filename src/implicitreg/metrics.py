@@ -32,8 +32,6 @@ from .implicit import Prediction
 _COS_CLAMP_TOL = 1e-9
 _RANK_TIE_TOL = 1e-9
 
-HEIGHT_VARIANTS = ("projection", "altitude")
-
 
 @dataclass(frozen=True)
 class SquareSums:
@@ -129,12 +127,6 @@ def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params:
         )
     sse = float(((obs[defined] - est[defined]) ** 2).sum())
     return math.sqrt(sse / (n_def - n_params))
-
-
-def standard_errors(data: Dataset, pred: Prediction, n_params: int) -> tuple[float, float]:
-    """Residual standard errors of the y- and x-solves."""
-    return (residual_se(data.y, pred.y_hat, pred.y_defined, n_params),
-            residual_se(data.x, pred.x_hat, pred.x_defined, n_params))
 
 
 class RankDirection(Enum):

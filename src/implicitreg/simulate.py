@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
+from .errors import DegenerateDataError
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,14 @@ def generate(config: SimulationConfig) -> Dataset:
     """Generate one sample; deterministic for a fixed config.
 
     Negative coordinates can occur at large sigma and are kept: the noise
-    model is unbounded Gaussian with no truncation.
+    model is unbounded Gaussian with no truncation.  A sigma so large that
+    the noise overflows raises :class:`DegenerateDataError`.
     """
     rng = np.random.default_rng(config.seed)
     t = rng.uniform(1.0, 10.0, config.n)
     x_noise = rng.normal(0.0, config.sigma, config.n)
     y_noise = rng.normal(0.0, config.sigma, config.n)
-    return Dataset(
-        x_label="x",
-        y_label="y",
-        x=200.0 / t + x_noise,
-        y=20.0 * t + y_noise,
-    )
+    x, y = 200.0 / t + x_noise, 20.0 * t + y_noise
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateDataError(f"sigma = {config.sigma:g} overflows the sample")
+    return Dataset(x_label="x", y_label="y", x=x, y=y)

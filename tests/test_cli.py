@@ -57,6 +57,21 @@ class TestSimulateCommand:
             main(["simulate", "--sigma", "-1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "NaN", "1e309"])
+    def test_non_finite_sigma_is_usage_error(self, capsys, sigma):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--sigma", sigma])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "--sigma: must be finite and non-negative" in stderr
+        assert "Traceback" not in stderr
+
+    def test_overflowing_sigma_is_runtime_error(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "simulate", "--sigma", "1e308")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: sigma = 1e+308 overflows the sample\n"
+
     def test_same_seed_same_file(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "simulate", "--seed", "3", "--out", str(a))
@@ -163,6 +178,26 @@ class TestCompareCommand:
             r_squared = [m["metrics"]["r_squared"] for m in json.loads(stdout)["models"]]
             assert sum(v is not None for v in r_squared) == 6
             assert r_squared[3] is None
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("command", [
+        ("compare",), ("constancy",), ("fit", "--model", "y ~ 1 + x"),
+    ])
+    def test_invalid_utf8_is_runtime_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x,y\n1,2\n3,\xe94\n5,6\n7,8\n")
+        code, stdout, stderr = run_cli(capsys, *command, "--data", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 3: invalid UTF-8 byte 0xe9\n"
+
+    def test_byte_order_mark_stays_out_of_the_label(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + write_csv(generate(SimulationConfig(n=20, seed=3))))
+        code, stdout, _ = run_cli(capsys, "compare", "--data", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(stdout)["dataset"]["x_label"] == "x"
 
 
 class TestBoyleCommand:

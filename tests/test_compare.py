@@ -175,7 +175,7 @@ class TestBoyleSummary:
         assert s.rows[0].complex_x == 0 and s.rows[2].complex_x == 0
 
     def test_plot_data_payloads(self):
-        files = boyle_plot_data()
+        files = boyle_plot_data(boyle_summary())
         assert set(files) == {
             "overlay_nonresponse.csv",
             "overlay_quadratic.csv",

@@ -84,6 +84,24 @@ class TestReadCsv:
         from_path = read_csv(path)
         np.testing.assert_array_equal(from_bytes.x, from_path.x)
 
+    @pytest.mark.parametrize("payload, line", [
+        (b"x,y\n1,2\n3,\xe94\n5,6\n", 3),
+        (b"\xe9x,y\n1,2\n3,4\n5,6\n", 1),
+        (b"x,y\r\n1,2\r\n3,4\r\n5,\xe96\r\n", 4),
+        (b"x,y\r1,2\r3,\xe94\r5,6\r", 3),
+        (b"\xef\xbb\xbfx,y\n1,2\n\n3,4\n5,6\xe9\n", 5),
+    ], ids=["lf", "header", "crlf", "cr", "bom-and-blank-line"])
+    def test_invalid_utf8_names_its_line(self, payload, line):
+        with pytest.raises(DataFormatError) as excinfo:
+            read_csv(payload)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: invalid UTF-8 byte 0xe9"
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        d = read_csv(b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,6\n")
+        assert (d.x_label, d.y_label) == ("x", "y")
+        np.testing.assert_array_equal(d.x, [1, 3, 5])
+
 
 def _reference_read(text):
     """The field-by-field reader: ``_parse_field`` on every field, in order."""

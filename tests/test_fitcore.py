@@ -15,7 +15,6 @@ from implicitreg import (
     Term,
     constancy_index,
     fit_ols,
-    reduce_model,
     self_weighting_mean,
 )
 from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
@@ -222,7 +221,7 @@ class TestReduceModel:
         data = generate(SimulationConfig(n=50, sigma=5.0, seed=12345))
         fit = fit_ols(parse_model("y ~ 1 + x + x*y"), data)
         assert fit.coefficient(Term.XY).p_value > 0.05
-        reduced = reduce_model(fit, data)
+        reduced = reduce_model_trace(fit, data)[0]
         assert reduced.spec == parse_model("y ~ 1 + x")
 
     def test_constant_rotation_reduces_to_intercept_only(self):
@@ -239,12 +238,12 @@ class TestReduceModel:
         y = 5.0 + 2.0 * x + rng.normal(0, 0.1, 60)
         data = Dataset("x", "y", x, y)
         fit = fit_ols(parse_model("y ~ 1 + x"), data)
-        assert reduce_model(fit, data).spec == fit.spec
+        assert reduce_model_trace(fit, data)[0].spec == fit.spec
 
     def test_exact_fit_unchanged(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
         fit = fit_ols(parse_model("y ~ 1 + x"), data)
-        reduced = reduce_model(fit, data)
+        reduced = reduce_model_trace(fit, data)[0]
         assert reduced.spec == fit.spec
         assert fit.coefficient(Term.X).p_value < 1e-6
 
@@ -256,7 +255,7 @@ class TestReduceModel:
         y = rng.normal(0, 1, 40)
         data = Dataset("x", "y", x, y)
         fit = fit_ols(parse_model("1 ~ x + y + x*y"), data)
-        reduced = reduce_model(fit, data)
+        reduced = reduce_model_trace(fit, data)[0]
         assert not reduced.spec.intercept
         assert len(reduced.spec.predictors) >= 1
 

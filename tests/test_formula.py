@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from implicitreg import DomainError, ModelSpec, ParseError, Term
-from implicitreg.formula import enumerate_family, eval_term, format_model, parse_model
+from implicitreg.formula import eval_term, format_model, parse_model
 
 
 class TestParseModel:
@@ -98,10 +98,18 @@ class TestModelSpecInvariants:
         assert parse_model("1 ~ x*y").n_coefficients == 1
 
 
+# the four-model family over {1, x, y, x*y}: three rotations and the
+# non-response form, in that order
+_FAMILY_TEXTS = ("y ~ 1 + x + x*y", "x ~ 1 + y + x*y", "x*y ~ 1 + x + y", "1 ~ x + y + x*y")
+
+
+def family():
+    return [parse_model(text) for text in _FAMILY_TEXTS]
+
+
 class TestEnumerateFamily:
     def test_exact_family(self):
-        family = enumerate_family()
-        assert [format_model(s) for s in family] == [
+        assert [format_model(s) for s in family()] == [
             "y ~ 1 + x + x*y",
             "x ~ 1 + y + x*y",
             "x*y ~ 1 + x + y",
@@ -109,32 +117,37 @@ class TestEnumerateFamily:
         ]
 
     def test_first_response_is_y(self):
-        assert enumerate_family()[0].response is Term.Y
+        assert family()[0].response is Term.Y
 
     def test_last_has_no_intercept(self):
-        assert enumerate_family()[-1].intercept is False
+        assert family()[-1].intercept is False
 
     def test_no_response_among_predictors(self):
-        for spec in enumerate_family():
+        for spec in family():
             assert spec.response not in spec.predictors
 
     def test_stable_across_calls(self):
-        assert enumerate_family() == enumerate_family()
+        assert family() == family()
+
+
+def point(v):
+    """One coordinate as the 1-element float array ``eval_term`` takes."""
+    return np.array([float(v)])
 
 
 class TestEvalTerm:
     def test_product(self):
-        assert eval_term(Term.XY, 3, 5) == 15
+        assert eval_term(Term.XY, point(3), point(5)).tolist() == [15]
 
     def test_constant(self):
-        assert eval_term(Term.ONE, 7, -2) == 1
+        assert eval_term(Term.ONE, point(7), point(-2)).tolist() == [1]
 
     def test_inv_x_at_zero(self):
         with pytest.raises(DomainError):
-            eval_term(Term.INV_X, 0, 1)
+            eval_term(Term.INV_X, point(0), point(1))
 
     def test_x_squared(self):
-        assert eval_term(Term.X_SQUARED, -3, 0) == 9
+        assert eval_term(Term.X_SQUARED, point(-3), point(0)).tolist() == [9]
 
     def test_vectorized(self):
         x = np.array([1.0, 2.0, 4.0])
@@ -148,7 +161,9 @@ class TestEvalTerm:
         st.floats(-1e6, 1e6, allow_nan=False),
     )
     def test_xy_is_product_of_x_and_y(self, x, y):
-        assert eval_term(Term.XY, x, y) == eval_term(Term.X, x, y) * eval_term(Term.Y, x, y)
+        x, y = point(x), point(y)
+        np.testing.assert_array_equal(
+            eval_term(Term.XY, x, y), eval_term(Term.X, x, y) * eval_term(Term.Y, x, y))
 
 
 _RESPONSES = st.sampled_from([Term.ONE, Term.X, Term.Y, Term.XY])

@@ -14,7 +14,7 @@ from implicitreg import (
 )
 from implicitreg.fitcore import Coefficient, FitResult
 from implicitreg.formula import parse_model
-from implicitreg.implicit import predict, predict_x, predict_y
+from implicitreg.implicit import predict, predict_y
 
 
 def exact_inverse_dataset():
@@ -81,7 +81,7 @@ def pure_square_fit():
 class TestPredictXQuadratic:
     def test_nearest_root(self):
         probe = Dataset("x", "y", [1.5], [4.0])
-        np.testing.assert_allclose(predict_x(pure_square_fit(), probe), [2.0], atol=1e-12)
+        np.testing.assert_allclose(predict(pure_square_fit(), probe).x_hat, [2.0], atol=1e-12)
 
     def test_negative_discriminant_takes_real_part(self):
         probe = Dataset("x", "y", [1.5], [-1.0])
@@ -92,14 +92,14 @@ class TestPredictXQuadratic:
 
     def test_equidistant_tie_takes_smaller_root(self):
         probe = Dataset("x", "y", [0.0], [4.0])
-        np.testing.assert_allclose(predict_x(pure_square_fit(), probe), [-2.0], atol=1e-12)
+        np.testing.assert_allclose(predict(pure_square_fit(), probe).x_hat, [-2.0], atol=1e-12)
 
     def test_fitted_square_selects_nearest_root(self):
         # same behavior through an actual fit (coefficients carry float noise)
         x = np.array([-3.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
         fit = fit_on("y ~ 1 + x + x^2", Dataset("x", "y", x, x * x))
         probe = Dataset("x", "y", [1.5, -1.5], [4.0, 4.0])
-        np.testing.assert_allclose(predict_x(fit, probe), [2.0, -2.0], atol=1e-7)
+        np.testing.assert_allclose(predict(fit, probe).x_hat, [2.0, -2.0], atol=1e-7)
 
     def test_boyle_quadratic_complex_set(self):
         data = boyle_dataset()
@@ -114,18 +114,18 @@ class TestPredictXOtherForms:
         x = np.array([1.0, 2.0, 4.0, 5.0, 10.0])
         data = Dataset("x", "y", x, 2.0 + 100.0 / x)
         fit = fit_on("y ~ 1 + 1/x", data)
-        np.testing.assert_allclose(predict_x(fit, data), x, rtol=1e-8)
+        np.testing.assert_allclose(predict(fit, data).x_hat, x, rtol=1e-8)
 
     def test_linear_solve(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0], [3.0, 5.0, 7.0])  # y = 1 + 2x
         fit = fit_on("y ~ 1 + x", data)
         probe = Dataset("x", "y", [0.0, 0.0], [9.0, 4.0])
-        np.testing.assert_allclose(predict_x(fit, probe), [4.0, 1.5], atol=1e-9)
+        np.testing.assert_allclose(predict(fit, probe).x_hat, [4.0, 1.5], atol=1e-9)
 
     def test_intercept_only_has_no_x_solve(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0])
         fit = fit_on("y ~ 1", data)
-        x_hat = predict_x(fit, data)
+        x_hat = predict(fit, data).x_hat
         assert np.isnan(x_hat).all()
 
     def test_mixed_square_and_reciprocal_unsupported(self):
@@ -134,7 +134,7 @@ class TestPredictXOtherForms:
         y = rng.uniform(1, 10, 12)
         fit = fit_on("y ~ 1 + 1/x + x^2", Dataset("x", "y", x, y))
         with pytest.raises(UnsupportedModelError):
-            predict_x(fit, Dataset("x", "y", x, y))
+            predict(fit, Dataset("x", "y", x, y))
         # the y-solve is still direct evaluation
         assert np.isfinite(predict_y(fit, Dataset("x", "y", x, y))).all()
 

@@ -15,10 +15,10 @@ from implicitreg import (
     rank_models,
     relative_height,
     separation_angle,
-    standard_errors,
 )
 from implicitreg.formula import parse_model
 from implicitreg.implicit import Prediction, predict
+from implicitreg.metrics import residual_se
 
 
 def prediction_from_arrays(y_hat, x_hat):
@@ -168,20 +168,21 @@ class TestStandardErrors:
     def test_exact_fit(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
         pred = prediction_from_arrays(data.y.copy(), data.x.copy())
-        se_y, se_x = standard_errors(data, pred, 2)
+        se_y = residual_se(data.y, pred.y_hat, pred.y_defined, 2)
+        se_x = residual_se(data.x, pred.x_hat, pred.x_defined, 2)
         assert se_y == 0.0 and se_x == 0.0
 
     def test_dof_correction(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
         pred = prediction_from_arrays(data.y + 1.0, data.x.copy())
-        se_y, _ = standard_errors(data, pred, 2)
+        se_y = residual_se(data.y, pred.y_hat, pred.y_defined, 2)
         assert se_y == pytest.approx(math.sqrt(4.0 / 2.0))
 
     def test_insufficient_defined(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0], [5.0, 6.0, 8.0])
         pred = prediction_from_arrays([5.0, np.nan, np.nan], data.x.copy())
         with pytest.raises(InsufficientDataError):
-            standard_errors(data, pred, 1)
+            residual_se(data.y, pred.y_hat, pred.y_defined, 1)
 
 
 class TestRankModels:
