@@ -5,7 +5,7 @@ one of ``1``, ``x``, ``y``, ``x*y`` and each right-hand term is one of
 ``1``, ``x``, ``y``, ``x*y`` (alias ``xy``), ``x^2``, ``1/x``.  A literal
 ``1`` on the right requests an intercept; a literal ``1`` on the left is
 the non-response form, which never carries an intercept (a constant
-regressed on a constant estimates nothing).
+regressed on a constant has nothing to estimate).
 """
 
 from __future__ import annotations

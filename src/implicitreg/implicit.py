@@ -69,7 +69,7 @@ def _signed_terms(fit: FitResult) -> list[tuple[float, Term]]:
     """The fitted equation as sum(c_j * term_j) = 0.
 
     The response enters with coefficient +1, the intercept (as
-    ``Term.ONE``) and predictors with their negated estimates.
+    ``Term.ONE``) and predictors with their estimated coefficients negated.
     """
     out = [(1.0, fit.spec.response)]
     for coef in fit.coefficients:

@@ -2,7 +2,7 @@
 
 The data vector, the mean vector, and the estimate vector span a
 triangle with side lengths sqrt(SSM), sqrt(SSE), sqrt(SST).  Because the
-estimates here solve an implicit equation for *both* axes, the square
+estimate vector here solves an implicit equation for *both* axes, the square
 sums stack the x and y coordinates; the error side is then generally not
 perpendicular to the base, and its separation angle theta_T (90 degrees
 for classical one-axis least squares) measures how far a model departs
