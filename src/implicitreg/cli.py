@@ -139,7 +139,7 @@ def _cmd_fit(args) -> int:
             "model": format_model(args.model),
             "reduced": format_model(fit.spec) if args.reduce else None,
             "reduction": [
-                {"dropped": term.value, "p_value": p} for term, p in trace
+                {"dropped": coef.label, "p_value": coef.p_value} for coef in trace
             ],
             "n": fit.n,
             "coefficients": [
@@ -158,8 +158,8 @@ def _cmd_fit(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
 
-    for term, p in trace:
-        print(f"dropped {term.value} (p = {p:.4f})")
+    for coef in trace:
+        print(f"dropped {coef.label} (p = {coef.p_value:.4f})")
     if trace:
         print()
     _print_fit_table(fit)

@@ -7,14 +7,19 @@ conditioning manageable.  The same decomposition drives a deterministic
 rank check: a column whose residual norm after projection onto the
 preceding columns falls below 1e-10 of its own norm is declared
 collinear.
+
+Nothing here imports scipy at module load.  A p-value is computed from
+``scipy.special.stdtr`` when it is read, which only ``fit`` does when it
+prints one; backward elimination decides p > ALPHA with the Student t tail
+below and asks ``stdtr`` only where that tail cannot decide exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .dataio import Dataset
 from .errors import DegenerateDataError, InsufficientDataError, SingularDesignError
@@ -23,21 +28,34 @@ from .formula import ModelSpec, Term, eval_term
 _RANK_RTOL = 1e-10
 # backward elimination drops a predictor whose p-value exceeds this
 ALPHA = 0.05
+# t_tail is within 1e-10 relative of stdtr for dof up to 3e5 and within
+# 1e-7 up to 1e9; where its p lies this close (relative) to ALPHA or to
+# another candidate's p, stdtr decides instead
+_TAIL_BAND = 1e-6
 
 
 @dataclass(frozen=True)
 class Coefficient:
-    """One estimated coefficient with its t-test."""
+    """One estimated coefficient with its t-test on ``dof`` residual degrees
+    of freedom."""
 
     term: Term | None  # None marks the intercept
     estimate: float
     std_error: float
     t_stat: float
-    p_value: float
+    dof: int
 
     @property
     def label(self) -> str:
         return "intercept" if self.term is None else self.term.value
+
+    @property
+    def p_value(self) -> float:
+        """Two-sided p-value; the first one read loads ``scipy.special``."""
+        from scipy.special import stdtr
+
+        # the t survival function at |t| is the CDF at -|t|
+        return float(2.0 * stdtr(self.dof, -abs(self.t_stat)))
 
 
 @dataclass(frozen=True)
@@ -114,10 +132,11 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     """Fit ``spec`` to ``data`` by least squares.
 
     Standard errors come from the classical covariance estimate
-    sigma^2 (X'X)^-1 with sigma^2 = SSE / (n - p); p-values are two-sided
-    from the t distribution with n - p degrees of freedom.  For the
-    non-response form the response is the constant 1 and no intercept is
-    estimated, so least squares minimizes the percent error directly.
+    sigma^2 (X'X)^-1 with sigma^2 = SSE / (n - p); each coefficient keeps
+    its t statistic and the n - p degrees of freedom its two-sided p-value
+    is read from.  For the non-response form the response is the constant
+    1 and no intercept is estimated, so least squares minimizes the
+    percent error directly.
 
     Raises
     ------
@@ -164,8 +183,6 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     cov = sigma2 * (r_inv @ r_inv.T)
     std_errors = np.sqrt(np.diag(cov))
     t_stats = coefs / std_errors
-    # the t survival function at |t| is the CDF at -|t|
-    p_values = 2.0 * stdtr(dof, -np.abs(t_stats))
 
     resp_mean = float(resp.mean())
     sst_centered = float(((resp - resp_mean) ** 2).sum())
@@ -174,7 +191,7 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
 
     coefficients = tuple(
         Coefficient(order[j], float(coefs[j]), float(std_errors[j]),
-                    float(t_stats[j]), float(p_values[j]))
+                    float(t_stats[j]), dof)
         for j in range(p)
     )
     return FitResult(
@@ -223,18 +240,111 @@ def constancy_index(v) -> float:
     return min(max(index, 0.0), 1.0)
 
 
+_LOG_GAMMA_HALF = math.lgamma(0.5)
+_TINY = 1e-300
+_MAX_TERMS = 1000
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float | None:
+    """The continued fraction of I_x(a, b), evaluated by modified Lentz;
+    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) times it.  None if it has not
+    converged after ``_MAX_TERMS`` terms."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, _MAX_TERMS):
+        a2m = a + 2 * m
+        # the even term, then the odd one
+        num = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + num / c
+        c = c if abs(c) > _TINY else _TINY
+        h *= d * c
+        num = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + num / c
+        c = c if abs(c) > _TINY else _TINY
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    return None
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2) = lgamma(a) + lgamma(1/2) - lgamma(a + 1/2)."""
+    if a < 1000.0:
+        return math.lgamma(a) + _LOG_GAMMA_HALF - math.lgamma(a + 0.5)
+    # the lgamma difference cancels for large a; its asymptotic series does not
+    inv = 1.0 / a
+    return (_LOG_GAMMA_HALF - 0.5 * math.log(a)
+            + inv / 8.0 - inv ** 3 / 192.0 - inv ** 5 / 640.0)
+
+
+def t_tail(dof: float, t: float) -> float | None:
+    """Two-sided Student t tail P(|T| > |t|) on ``dof`` degrees of freedom,
+    without scipy.
+
+    It is the regularised incomplete beta I_x(dof/2, 1/2) at
+    x = dof / (dof + t^2).  None where it cannot be evaluated (non-finite
+    t, or a fraction that does not converge).
+    """
+    t2 = t * t
+    if not math.isfinite(t2):
+        return None
+    ratio = t2 / dof
+    if ratio == 0.0:  # |t| too small for P(|T| > |t|) to differ from 1
+        return 1.0
+    a = 0.5 * dof
+    log_x = -math.log1p(ratio)  # x = dof / (dof + t^2), 1 - x = x * ratio
+    front = math.exp((a + 0.5) * log_x + 0.5 * math.log(ratio) - _log_beta_half(a))
+    one_minus_x = t2 / (dof + t2)
+    # the fraction in x converges for x < (a + 1) / (a + 5/2); past that,
+    # use I_x(a, b) = 1 - I_{1-x}(b, a)
+    if one_minus_x > 1.5 / (a + 2.5):
+        fraction = _beta_fraction(a, 0.5, dof / (dof + t2))
+        return None if fraction is None else front * fraction / a
+    fraction = _beta_fraction(0.5, a, one_minus_x)
+    return None if fraction is None else 1.0 - 2.0 * front * fraction
+
+
+def next_to_drop(candidates: list[Coefficient]) -> Coefficient | None:
+    """The predictor backward elimination drops next, or None to stop.
+
+    The rule is the largest p-value, the first in coefficient order on a
+    tie, if it exceeds ``ALPHA``.  The candidates share one dof, so the
+    largest p belongs to the smallest |t|, and ``t_tail`` decides the
+    threshold.  Only when its p lies within ``_TAIL_BAND`` of ``ALPHA``, or
+    of the runner-up's p, do the exact ``stdtr`` p-values decide.
+    """
+    if all(math.isfinite(c.t_stat) for c in candidates):
+        first, *rest = sorted(candidates, key=lambda c: abs(c.t_stat))
+        p = t_tail(first.dof, first.t_stat)
+        if p is not None and abs(p - ALPHA) > _TAIL_BAND * ALPHA:
+            if p <= ALPHA:
+                return None
+            p_next = t_tail(rest[0].dof, rest[0].t_stat) if rest else 0.0
+            if p_next is not None and p - p_next > _TAIL_BAND * p:
+                return first
+    worst = max(candidates, key=lambda c: c.p_value)
+    return worst if worst.p_value > ALPHA else None
+
+
 def reduce_model_trace(
     fit: FitResult, data: Dataset
-) -> tuple[FitResult, list[tuple[Term, float]]]:
-    """Backward elimination with the dropped terms recorded.
+) -> tuple[FitResult, list[Coefficient]]:
+    """Backward elimination with the dropped coefficients recorded.
 
     Repeatedly removes the predictor with the largest p-value above
     ``ALPHA`` and refits.  The intercept is never removed, so a model
     with an intercept may reduce all the way to the constant model; a
-    no-intercept model keeps at least one predictor.
+    no-intercept model keeps at least one predictor.  Each step records the
+    coefficient dropped, as it stood in the fit it was dropped from.
     """
     current = fit
-    steps: list[tuple[Term, float]] = []
+    steps: list[Coefficient] = []
     while True:
         spec = current.spec
         if not spec.intercept and len(spec.predictors) <= 1:
@@ -242,10 +352,10 @@ def reduce_model_trace(
         candidates = [c for c in current.coefficients if c.term is not None]
         if not candidates:
             break
-        worst = max(candidates, key=lambda c: c.p_value)
-        if worst.p_value <= ALPHA:
+        worst = next_to_drop(candidates)
+        if worst is None:
             break
         new_predictors = tuple(t for t in spec.predictors if t is not worst.term)
-        steps.append((worst.term, worst.p_value))
+        steps.append(worst)
         current = fit_ols(ModelSpec(spec.response, new_predictors, spec.intercept), data)
     return current, steps

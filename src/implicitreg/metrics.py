@@ -30,17 +30,33 @@ from .errors import DegenerateTriangleError, InsufficientDataError
 from .implicit import Prediction
 
 _COS_CLAMP_TOL = 1e-9
+# ranks tie within this fraction of the column's largest magnitude
 _RANK_TIE_TOL = 1e-9
+# an SSE at most this fraction of the observations' own sum of squares is
+# rounding: an RMS residual within 1e-13 of the data's RMS magnitude
+_PERFECT_FIT_RTOL = 1e-26
 
 
 @dataclass(frozen=True)
 class SquareSums:
-    """Model/error/total square sums over the included observations."""
+    """Model/error/total square sums over the included observations.
+
+    ``sst_uncentered`` is the observations' own sum of squares about zero,
+    the scale below which an SSE counts as rounding (see ``is_perfect``);
+    left at 0, only an exact SSE = 0 does.
+    """
 
     ssm: float
     sse: float
     sst: float
     n: int
+    sst_uncentered: float = 0.0
+
+    @property
+    def is_perfect(self) -> bool:
+        """The fit is exact up to rounding: SSE is within rounding of zero
+        relative to the observations' own sum of squares."""
+        return self.sse <= _PERFECT_FIT_RTOL * self.sst_uncentered
 
 
 def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> SquareSums:
@@ -67,7 +83,7 @@ def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> S
         raise InsufficientDataError(
             f"need at least 3 observations with defined solves, have {n_used}"
         )
-    ssm = sse = sst = 0.0
+    ssm = sse = sst = sst_uncentered = 0.0
     for obs, est in pairs:
         o = obs[mask]
         e = est[mask]
@@ -75,7 +91,8 @@ def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> S
         sse += float(((o - e) ** 2).sum())
         ssm += float(((e - mean) ** 2).sum())
         sst += float(((o - mean) ** 2).sum())
-    return SquareSums(ssm=ssm, sse=sse, sst=sst, n=n_used)
+        sst_uncentered += float(o @ o)
+    return SquareSums(ssm=ssm, sse=sse, sst=sst, n=n_used, sst_uncentered=sst_uncentered)
 
 
 def _cosine(s: SquareSums) -> float:
@@ -90,10 +107,10 @@ def _cosine(s: SquareSums) -> float:
 def separation_angle(s: SquareSums) -> float:
     """Angle at the estimate vertex, in degrees.
 
-    Raises :class:`DegenerateTriangleError` when SSM or SSE vanishes
-    (a perfect or null fit has no angle).
+    Raises :class:`DegenerateTriangleError` when SSM vanishes or the fit
+    is perfect up to rounding (a perfect or null fit has no angle).
     """
-    if s.ssm <= 0.0 or s.sse <= 0.0:
+    if s.ssm <= 0.0 or s.is_perfect:
         raise DegenerateTriangleError(
             f"no separation angle for ssm={s.ssm:.6g}, sse={s.sse:.6g}"
         )
@@ -103,18 +120,20 @@ def separation_angle(s: SquareSums) -> float:
 def relative_height(s: SquareSums, variant: str = "projection") -> float:
     """Height reading of the data-mean-estimate triangle; see module docs.
 
-    A perfect fit (SSE = 0) has height 0 under both variants.
+    A perfect fit (SSE = 0 up to rounding) has height 0 under both variants.
     """
     if s.sst <= 0.0:
         raise DegenerateTriangleError("no height for sst = 0")
+    if variant not in ("projection", "altitude"):
+        raise ValueError(f"unknown height variant {variant!r}")
+    if s.is_perfect:
+        return 0.0
     if variant == "projection":
         return abs(s.sse + s.sst - s.ssm) / (2.0 * math.sqrt(s.n * s.sst))
-    if variant == "altitude":
-        if s.ssm == 0.0 or s.sse == 0.0:
-            return 0.0
-        sin = math.sqrt(max(0.0, 1.0 - _cosine(s) ** 2))
-        return math.sqrt(s.ssm * s.sse) * sin / math.sqrt(s.sst)
-    raise ValueError(f"unknown height variant {variant!r}")
+    if s.ssm == 0.0:
+        return 0.0
+    sin = math.sqrt(max(0.0, 1.0 - _cosine(s) ** 2))
+    return math.sqrt(s.ssm * s.sse) * sin / math.sqrt(s.sst)
 
 
 def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params: int) -> float:
@@ -138,8 +157,9 @@ class RankDirection(Enum):
 def rank_models(values, direction: RankDirection) -> np.ndarray:
     """Average ranks (1 = best) with ties shared.
 
-    Values within 1e-9 of each other (chained) receive the mean of their
-    positional ranks, so the ranks always sum to n(n+1)/2.
+    Values that differ by at most 1e-9 times the column's largest magnitude
+    (chained) receive the mean of their positional ranks, so the ranks
+    always sum to n(n+1)/2 and do not change with the column's units.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -156,13 +176,14 @@ def rank_models(values, direction: RankDirection) -> np.ndarray:
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
+    tie_tol = _RANK_TIE_TOL * float(np.abs(values).max())
     order = np.argsort(merit, kind="stable")
     ranks = np.empty(values.size, dtype=float)
     i = 0
     while i < values.size:
         j = i
         while j + 1 < values.size and (
-            merit[order[j + 1]] - merit[order[j]] <= _RANK_TIE_TOL
+            merit[order[j + 1]] - merit[order[j]] <= tie_tol
         ):
             j += 1
         mean_rank = (i + j + 2) / 2.0  # average of 1-based positions i+1 .. j+1

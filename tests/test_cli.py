@@ -269,8 +269,8 @@ class TestClosedOutputPipe:
 
 
 def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
-    """A cold start loads scipy.special only: importing scipy.stats and
-    scipy.linalg as well would double the CLI's start-up time."""
+    """Importing the CLI loads neither scipy.stats nor scipy.linalg: either
+    would double the CLI's start-up time."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
     script = ("import sys, implicitreg.cli; "
@@ -279,6 +279,41 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from implicitreg.cli import main
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_fit_loads_scipy(tmp_path):
+    """compare, boyle, constancy and simulate print no p-value, so they run
+    without scipy; fit prints p-values and loads scipy.special for them."""
+    sample = str(tmp_path / "sample.csv")
+    scipy_free = [
+        ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", sample],
+        *(["compare", "--data", sample, "--format", fmt] for fmt in ("markdown", "csv", "json")),
+        ["boyle", "--plot-data-dir", str(tmp_path / "plots")],
+        ["constancy", "--data", sample],
+    ]
+    fit = ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps([*scipy_free, fit])],
+                         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+    *before_fit, after_fit = json.loads(out)
+    for argv, (code, modules) in zip(scipy_free, before_fit):
+        assert (code, modules) == (0, []), argv
+    assert after_fit[0] == 0
+    assert "scipy.special" in after_fit[1]
 
 
 class TestConstancyCommand:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,15 @@ from implicitreg import (
     build_comparison,
     constancy_index,
     generate,
+    rank_models,
+    read_csv,
     render_csv,
     render_json,
     render_markdown,
 )
-from implicitreg.compare import boyle_plot_data, report_to_dict
+from implicitreg.compare import _METRIC_DIRECTIONS, boyle_plot_data, report_to_dict
+
+GOLDEN_SAMPLE = Path(__file__).resolve().parent / "golden" / "sample.csv"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,56 @@ class TestBuildComparison:
         a = build_comparison(data)
         b = build_comparison(data)
         assert a == b
+
+
+class TestPerfectFits:
+    """y = 2x on x = 1..5: the rotations reduce to exact lines and the
+    quadratic fits it up to rounding (SSE ~ 1e-30), which is still perfect."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        report = build_comparison(Dataset("x", "y", x, [2.0 * v for v in x]))
+        return {r.model: r for r in report.rows}
+
+    def test_rounding_level_sse_has_no_angle_and_zero_height(self, rows):
+        quadratic = rows["y ~ 1 + x + x^2"]
+        assert quadratic.se_y < 1e-12
+        assert quadratic.theta_t is None
+        assert quadratic.height == 0.0
+        assert quadratic.ranks["theta_t"] is None
+
+    def test_exact_and_rounding_perfect_fits_rank_alike(self, rows):
+        quadratic, line = rows["y ~ 1 + x + x^2"], rows["y ~ 1 + x + x*y"]
+        assert line.theta_t is None and line.height == 0.0
+        for metric in ("r_squared", "se_y", "se_x", "height"):
+            assert quadratic.ranks[metric] == line.ranks[metric], metric
+        # theta_T ranks only the two imperfect fits
+        assert sorted(r.ranks["theta_t"] for r in rows.values()
+                      if r.ranks["theta_t"] is not None) == [1.0, 2.0]
+
+
+# the power of the data's unit each metric carries
+_UNIT_POWER = {"r_squared": 0, "se_y": 1, "se_x": 1, "theta_t": 0, "height": 1}
+
+
+class TestUnitInvariantRanks:
+    @pytest.fixture(scope="class")
+    def golden_report(self):
+        return build_comparison(read_csv(GOLDEN_SAMPLE))
+
+    @pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+    def test_rescaled_columns_rank_alike(self, golden_report, s):
+        for metric, direction in _METRIC_DIRECTIONS.items():
+            values = [getattr(r, metric) * s ** _UNIT_POWER[metric] for r in golden_report.rows]
+            assert rank_models(values, direction).tolist() == [
+                r.ranks[metric] for r in golden_report.rows], metric
+
+    def test_sample_in_nano_units_ranks_alike(self, golden_report):
+        data = read_csv(GOLDEN_SAMPLE)
+        nano = Dataset(data.x_label, data.y_label, data.x * 1e-9, data.y * 1e-9)
+        scaled = build_comparison(nano)
+        assert [r.ranks for r in scaled.rows] == [r.ranks for r in golden_report.rows]
 
 
 class TestFailureIsolation:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import stdtr, stdtrit
 
 from implicitreg import (
     Dataset,
@@ -18,7 +19,8 @@ from implicitreg import (
     self_weighting_mean,
 )
 from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
-from implicitreg.fitcore import design_matrix, reduce_model_trace, response_vector
+from implicitreg.fitcore import (ALPHA, Coefficient, design_matrix, next_to_drop,
+                                 reduce_model_trace, response_vector, t_tail)
 from implicitreg.formula import parse_model
 from implicitreg.simulate import SimulationConfig, generate
 
@@ -230,7 +232,7 @@ class TestReduceModel:
         reduced, steps = reduce_model_trace(fit, data)
         assert reduced.spec == ModelSpec(Term.XY, (), True)
         assert len(steps) == 2
-        assert all(p > 0.05 for _, p in steps)
+        assert all(c.p_value > 0.05 for c in steps)
 
     def test_all_significant_unchanged(self):
         rng = np.random.default_rng(2)
@@ -285,8 +287,8 @@ def _solve_triangular_reference(spec, data):
 
 
 class TestFitOlsOracle:
-    """fit_ols needs only numpy and scipy.special; scipy.stats and
-    scipy.linalg are the reference it must agree with."""
+    """fit_ols needs only numpy, and its p-values scipy.special; scipy.stats
+    and scipy.linalg are the reference it must agree with."""
 
     @settings(max_examples=150, deadline=None)
     @given(text=st.sampled_from(_ORACLE_SHAPES), data=_samples())
@@ -307,3 +309,96 @@ class TestFitOlsOracle:
         np.testing.assert_allclose(std_errors, ref_se, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(
             p_values, 2.0 * stats.t.sf(np.abs(t_stats), fit.residual_dof))
+
+
+def _exact_p(coef):
+    return float(2.0 * stdtr(coef.dof, -abs(coef.t_stat)))
+
+
+def _exact_decision(candidates):
+    """Elimination by stdtr p-values: the largest, the first on ties, if it
+    exceeds ALPHA."""
+    worst = max(candidates, key=_exact_p)
+    return worst if _exact_p(worst) > ALPHA else None
+
+
+def _candidates(dof, *t_stats):
+    terms = (Term.X, Term.Y, Term.XY)
+    return [Coefficient(term, t, 1.0, t, dof) for term, t in zip(terms, t_stats)]
+
+
+class TestEliminationDecision:
+    """next_to_drop decides with the in-repo t tail; stdtr is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dof=st.integers(1, 300_000), t=st.floats(-40.0, 40.0))
+    def test_threshold_matches_stdtr(self, dof, t):
+        (coef,) = _candidates(dof, t)
+        assert (next_to_drop([coef]) is coef) == (_exact_p(coef) > ALPHA)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dof=st.integers(1, 300_000))
+    def test_threshold_matches_stdtr_on_the_boundary(self, dof):
+        t_crit = abs(float(stdtrit(dof, ALPHA / 2)))
+        below = above = t_crit
+        neighbours = [t_crit]
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            neighbours += [float(below), float(above)]
+        for t in neighbours:
+            for signed in (t, -t):
+                (coef,) = _candidates(dof, signed)
+                assert (next_to_drop([coef]) is coef) == (_exact_p(coef) > ALPHA), signed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dof=st.integers(1, 300_000),
+        t=st.floats(0.0, 3.0),
+        rel=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3]),
+        ulps=st.integers(-3, 3),
+        order=st.permutations(range(3)),
+        signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+    )
+    def test_near_tied_candidates_drop_the_first_largest_p(self, dof, t, rel, ulps, order, signs):
+        near = t * (1.0 + rel)
+        for _ in range(abs(ulps)):
+            near = float(np.nextafter(near, np.inf if ulps > 0 else 0.0))
+        t_stats = [t, near, 2.0 * t + 1.0]
+        candidates = _candidates(dof, *(sign * t_stats[i] for sign, i in zip(signs, order)))
+        assert next_to_drop(candidates) is _exact_decision(candidates)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_symmetric_data_ties_x_and_y(self, seed):
+        # with every (a, b) also present as (b, a), x and y get the same
+        # coefficient in x*y ~ 1 + x + y, so their |t| tie up to rounding;
+        # with x*y near constant both are mostly insignificant, so one of
+        # the tied pair is dropped
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1.0, 10.0, 12)
+        b = 40.0 / a * rng.uniform(0.8, 1.2, 12)
+        data = Dataset("x", "y", np.concatenate([a, b]), np.concatenate([b, a]))
+        fit = fit_ols(parse_model("x*y ~ 1 + x + y"), data)
+        candidates = [c for c in fit.coefficients if c.term is not None]
+        expected = _exact_decision(candidates)
+        assert next_to_drop(candidates) is expected
+        steps = reduce_model_trace(fit, data)[1]
+        assert (steps[0] if steps else None) == expected
+
+
+class TestTTail:
+    @pytest.mark.parametrize("dof", [1, 2, 5, 48, 1000, 200_000, 10**9])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.96, 2.5, 12.0, 40.0])
+    def test_matches_stdtr(self, dof, t):
+        assert t_tail(dof, t) == pytest.approx(float(2.0 * stdtr(dof, -t)), rel=1e-6)
+
+    def test_undecidable_inputs(self):
+        assert t_tail(10, float("nan")) is None
+        assert t_tail(10, float("inf")) is None
+        assert t_tail(10, 0.0) == 1.0
+        # t^2 / dof underflows to 0: the tail is 1 to double precision
+        assert t_tail(20836, 2.3e-160) == 1.0
+
+    def test_p_value_is_stdtr_read_lazily(self):
+        (coef,) = _candidates(47, -2.0)
+        assert coef.p_value == float(2.0 * stdtr(47, -2.0))

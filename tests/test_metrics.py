@@ -89,6 +89,18 @@ class TestSeparationAngle:
         with pytest.raises(DegenerateTriangleError):
             separation_angle(SquareSums(4.0, 0.0, 4.0, 10))
 
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    def test_rounding_level_sse_is_perfect_at_any_scale(self, c):
+        # SSE against the observations' own sum of squares, with no floor
+        perfect = SquareSums(50.0 * c, 1e-30 * c, 50.0 * c, 10, 275.0 * c)
+        with pytest.raises(DegenerateTriangleError):
+            separation_angle(perfect)
+        assert relative_height(perfect) == 0.0
+        assert relative_height(perfect, variant="altitude") == 0.0
+        noisy = SquareSums(50.0 * c, 1e-20 * c, 50.0 * c, 10, 275.0 * c)
+        assert separation_angle(noisy) == pytest.approx(90.0, abs=1e-6)
+        assert relative_height(noisy, variant="altitude") > 0.0
+
     def test_clamps_tiny_overshoot(self):
         ssm, sse = 2.0, 3.0
         sst = ssm + sse - 2.0 * math.sqrt(ssm * sse) * (1.0 + 5e-10)
