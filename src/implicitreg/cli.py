@@ -130,7 +130,7 @@ def _cmd_fit(args) -> int:
     fit = fit_ols(args.model, data)
     trace = []
     if args.reduce:
-        fit, trace = reduce_model_trace(fit, data)
+        fit, trace = reduce_model_trace(fit)
     pred = predict(fit, data)
     row = model_metrics(fit, data, pred)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataio import Dataset, boyle_dataset
 from .errors import DegenerateTriangleError, ImplicitRegressionError, InsufficientDataError
-from .fitcore import (ALPHA, FitResult, constancy_index, fit_ols, reduce_model_trace,
+from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_model_trace,
                       self_weighting_mean)
 from .formula import format_model, parse_model
 from .implicit import Prediction, predict
@@ -174,18 +174,25 @@ def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport
     row with None metrics and its ``error`` message, ranked around; only
     when every model fails is the first model's error raised.
     """
+    basis = BasisQR(data)
+    fits: list[FitResult | ImplicitRegressionError] = []
+    for idx, spec in enumerate(_COMPARISON_SPECS):
+        try:
+            fit = basis.fit(spec)
+            fits.append(reduce_model_trace(fit)[0] if idx < _N_ROTATIONS else fit)
+        except ImplicitRegressionError as exc:
+            fits.append(exc)
+
+    # every fit and refit is done before the first n-row solve starts
     rows, reduced_texts, errors = [], [], []
-    for idx, (text, spec) in enumerate(zip(COMPARISON_MODEL_TEXTS, _COMPARISON_SPECS)):
+    for text, spec, fit in zip(COMPARISON_MODEL_TEXTS, _COMPARISON_SPECS, fits):
         reduced_text = None
         try:
-            fit = fit_ols(spec, data)
-            if idx < _N_ROTATIONS:
-                reduced = reduce_model_trace(fit, data)[0]
-                if reduced.spec != spec:
-                    reduced_text = format_model(reduced.spec)
-                fit = reduced
-            pred = predict(fit, data)
-            rows.append(model_metrics(fit, data, pred))
+            if isinstance(fit, ImplicitRegressionError):
+                raise fit
+            if fit.spec != spec:
+                reduced_text = format_model(fit.spec)
+            rows.append(model_metrics(fit, data, predict(fit, data)))
         except ImplicitRegressionError as exc:
             rows.append(ModelRow(model=text, error=str(exc)))
             errors.append(exc)
@@ -315,9 +322,10 @@ def boyle_summary() -> BoyleSummary:
     """Constancy indices and model geometry for the bundled Boyle data."""
     data = boyle_dataset()
     product = data.x * data.y
+    basis = BasisQR(data)
     rows, predictions = [], []
     for text, spec in zip(BOYLE_MODEL_TEXTS, _BOYLE_SPECS):
-        fit = fit_ols(spec, data)
+        fit = basis.fit(spec)
         pred = predict(fit, data)
         rows.append(replace(model_metrics(fit, data, pred), model=text))
         predictions.append(pred)

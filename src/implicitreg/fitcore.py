@@ -1,12 +1,13 @@
 """Linear least squares with coefficient inference and model reduction.
 
-Fitting goes through a QR decomposition of the design matrix rather than
-the normal equations: the interaction column x*y can be three orders of
-magnitude larger than x or y, and the orthogonal factorization keeps the
-conditioning manageable.  The same decomposition drives a deterministic
-rank check: a column whose residual norm after projection onto the
-preceding columns falls below 1e-10 of its own norm is declared
-collinear.
+Fitting goes through QR decompositions rather than the normal equations:
+the interaction column x*y can be three orders of magnitude larger than x
+or y, and the orthogonal factorization keeps the conditioning manageable.
+A dataset is factored once, as the R of its six basis columns, and each
+model is then solved from the QR of its own columns of that R.  That
+small QR drives a deterministic rank check: a column whose residual norm
+after projection onto the model's preceding columns falls below 1e-10 of
+its own norm is declared collinear.
 
 Nothing here imports scipy at module load.  A p-value is computed from
 ``scipy.special.stdtr`` when it is read, which only ``fit`` does when it
@@ -17,15 +18,23 @@ below and asks ``stdtr`` only where that tail cannot decide exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataio import Dataset
-from .errors import DegenerateDataError, InsufficientDataError, SingularDesignError
+from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
+                     SingularDesignError)
 from .formula import ModelSpec, Term, eval_term
 
 _RANK_RTOL = 1e-10
+# an SSE at most this fraction of the observations' own sum of squares is
+# rounding: an RMS residual within 1e-13 of the data's RMS magnitude
+_PERFECT_FIT_RTOL = 1e-26
+# the columns of Z, the basis every design and response is drawn from
+_BASIS = (Term.ONE, Term.X, Term.Y, Term.XY, Term.X_SQUARED, Term.INV_X)
+# rows of Z per block QR: 1.5 MiB of a block in memory at a time
+_BLOCK_ROWS = 1 << 15
 # backward elimination drops a predictor whose p-value exceeds this
 ALPHA = 0.05
 # t_tail is within 1e-10 relative of stdtr for dof up to 3e5 and within
@@ -78,6 +87,8 @@ class FitResult:
     sst_uncentered: float
     r_squared: float
     residual_dof: int
+    # the factorised dataset the fit came from; backward elimination refits on it
+    basis: BasisQR | None = field(default=None, repr=False, compare=False)
 
     @property
     def r_squared_uncentered(self) -> float:
@@ -98,23 +109,6 @@ def _r_squared(sse: float, sst: float) -> float:
     return 1.0 - sse / sst
 
 
-def design_matrix(spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, list[Term | None]]:
-    """Design columns in coefficient order: intercept first, then predictors."""
-    columns: list[np.ndarray] = []
-    order: list[Term | None] = []
-    if spec.intercept:
-        columns.append(np.ones(data.n))
-        order.append(None)
-    for term in spec.predictors:
-        columns.append(eval_term(term, data.x, data.y))
-        order.append(term)
-    return np.column_stack(columns), order
-
-
-def response_vector(spec: ModelSpec, data: Dataset) -> np.ndarray:
-    return eval_term(spec.response, data.x, data.y)
-
-
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the upper-triangular system ``R @ coefs = rhs`` row by row.
 
@@ -128,6 +122,105 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return coefs
 
 
+class BasisQR:
+    """One dataset's basis matrix Z = [1, x, y, xy, x^2, 1/x], kept as the
+    R factor of its QR decomposition.
+
+    Every design and every response of the grammar is a column of Z, so
+    each fit, and each refit of backward elimination, is a least-squares
+    problem on at most 6 x 4 columns of R; the n data rows are touched
+    again only for a fit's square sums.  R is built from row blocks of
+    ``_BLOCK_ROWS`` rows, each reduced to its own R before the stacked
+    block Rs are factored once more, so Z itself is never held.  When any
+    x = 0 the 1/x column is left out and only fits that use it fail.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.terms = _BASIS if not np.any(data.x == 0.0) else _BASIS[:-1]
+        blocks = []
+        # an empty dataset still gets its (empty) R; each fit then reports
+        # too few observations
+        for start in range(0, max(data.n, 1), _BLOCK_ROWS):
+            x, y = data.x[start:start + _BLOCK_ROWS], data.y[start:start + _BLOCK_ROWS]
+            block = np.column_stack([eval_term(term, x, y) for term in self.terms])
+            blocks.append(np.linalg.qr(block, mode="r"))
+        self.r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
+        # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q
+        self.column_norms = np.linalg.norm(self.r, axis=0)
+
+    def fit(self, spec: ModelSpec) -> FitResult:
+        """Fit ``spec`` by least squares; see ``fit_ols``."""
+        order: list[Term | None] = ([None] if spec.intercept else []) + list(spec.predictors)
+        terms = [Term.ONE if t is None else t for t in order]
+        if Term.INV_X in terms and Term.INV_X not in self.terms:
+            raise DomainError("1/x is undefined at x = 0")
+        data = self.data
+        n, p = data.n, len(order)
+        if n <= p:
+            raise InsufficientDataError(
+                f"need more than {p} observations to fit {spec}, have {n}"
+            )
+
+        cols = [self.terms.index(t) for t in terms]
+        q, R = np.linalg.qr(self.r[:, cols])
+        # |R[j,j]| is the residual norm of design column j after projecting
+        # out the previous ones; compare it against the column's own norm.
+        diag = np.abs(np.diag(R))
+        col_norms = self.column_norms[cols]
+        bad = [
+            ("intercept" if order[j] is None else order[j].value)
+            for j in range(p)
+            if col_norms[j] == 0.0 or diag[j] < _RANK_RTOL * col_norms[j]
+        ]
+        if bad:
+            raise SingularDesignError(
+                "design matrix is rank deficient; collinear column(s): "
+                + ", ".join(bad)
+            )
+
+        coefs = _back_substitute(R, q.T @ self.r[:, self.terms.index(spec.response)])
+        resp = eval_term(spec.response, data.x, data.y)
+        fitted = coefs[0] * eval_term(terms[0], data.x, data.y)
+        for c, term in zip(coefs[1:], terms[1:]):
+            fitted += c * eval_term(term, data.x, data.y)
+        residuals = resp - fitted
+        sse = float(residuals @ residuals)
+        dof = n - p
+        resp_mean = float(resp.mean())
+        sst_centered = float(((resp - resp_mean) ** 2).sum())
+        sst_uncentered = float((resp ** 2).sum())
+        ssm = float(((fitted - resp_mean) ** 2).sum())
+
+        # Floor the residual scale at the rounding level of the response's
+        # own size (at the least positive float for an all-zero response),
+        # so that exact fits produce finite (huge) t statistics instead of
+        # 0/0, whatever the data's units.
+        sigma2 = max(sse, _PERFECT_FIT_RTOL * sst_uncentered, np.finfo(float).tiny) / dof
+        r_inv = np.linalg.inv(R)
+        cov = sigma2 * (r_inv @ r_inv.T)
+        std_errors = np.sqrt(np.diag(cov))
+        t_stats = coefs / std_errors
+
+        coefficients = tuple(
+            Coefficient(order[j], float(coefs[j]), float(std_errors[j]),
+                        float(t_stats[j]), dof)
+            for j in range(p)
+        )
+        return FitResult(
+            spec=spec,
+            n=n,
+            coefficients=coefficients,
+            sse=sse,
+            ssm=ssm,
+            sst_centered=sst_centered,
+            sst_uncentered=sst_uncentered,
+            r_squared=_r_squared(sse, sst_centered if spec.intercept else sst_uncentered),
+            residual_dof=dof,
+            basis=self,
+        )
+
+
 def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     """Fit ``spec`` to ``data`` by least squares.
 
@@ -136,75 +229,20 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     its t statistic and the n - p degrees of freedom its two-sided p-value
     is read from.  For the non-response form the response is the constant
     1 and no intercept is estimated, so least squares minimizes the
-    percent error directly.
+    percent error directly.  To fit several models to one dataset, factor
+    it once with ``BasisQR(data)`` and call its ``fit``.
 
     Raises
     ------
+    DomainError
+        If the model uses 1/x and some x = 0.
     InsufficientDataError
         If n <= number of coefficients.
     SingularDesignError
         If the design matrix is rank deficient, naming the collinear
         column(s).
     """
-    X, order = design_matrix(spec, data)
-    resp = response_vector(spec, data)
-    n, p = X.shape
-    if n <= p:
-        raise InsufficientDataError(
-            f"need more than {p} observations to fit {spec}, have {n}"
-        )
-
-    col_norms = np.linalg.norm(X, axis=0)
-    Q, R = np.linalg.qr(X)
-    # |R[j,j]| is the residual norm of column j after projecting out the
-    # previous columns; compare it against the column's own norm.
-    diag = np.abs(np.diag(R))
-    bad = [
-        ("intercept" if order[j] is None else order[j].value)
-        for j in range(p)
-        if col_norms[j] == 0.0 or diag[j] < _RANK_RTOL * col_norms[j]
-    ]
-    if bad:
-        raise SingularDesignError(
-            "design matrix is rank deficient; collinear column(s): "
-            + ", ".join(bad)
-        )
-
-    coefs = _back_substitute(R, Q.T @ resp)
-    fitted = X @ coefs
-    residuals = resp - fitted
-    sse = float(residuals @ residuals)
-    dof = n - p
-
-    # Floor the residual scale at machine epsilon so exact fits produce
-    # finite (huge) t statistics instead of 0/0.
-    sigma2 = max(sse, np.finfo(float).eps) / dof
-    r_inv = np.linalg.inv(R)
-    cov = sigma2 * (r_inv @ r_inv.T)
-    std_errors = np.sqrt(np.diag(cov))
-    t_stats = coefs / std_errors
-
-    resp_mean = float(resp.mean())
-    sst_centered = float(((resp - resp_mean) ** 2).sum())
-    sst_uncentered = float((resp ** 2).sum())
-    ssm = float(((fitted - resp_mean) ** 2).sum())
-
-    coefficients = tuple(
-        Coefficient(order[j], float(coefs[j]), float(std_errors[j]),
-                    float(t_stats[j]), dof)
-        for j in range(p)
-    )
-    return FitResult(
-        spec=spec,
-        n=n,
-        coefficients=coefficients,
-        sse=sse,
-        ssm=ssm,
-        sst_centered=sst_centered,
-        sst_uncentered=sst_uncentered,
-        r_squared=_r_squared(sse, sst_centered if spec.intercept else sst_uncentered),
-        residual_dof=dof,
-    )
+    return BasisQR(data).fit(spec)
 
 
 def self_weighting_mean(v) -> float:
@@ -332,16 +370,15 @@ def next_to_drop(candidates: list[Coefficient]) -> Coefficient | None:
     return worst if worst.p_value > ALPHA else None
 
 
-def reduce_model_trace(
-    fit: FitResult, data: Dataset
-) -> tuple[FitResult, list[Coefficient]]:
+def reduce_model_trace(fit: FitResult) -> tuple[FitResult, list[Coefficient]]:
     """Backward elimination with the dropped coefficients recorded.
 
     Repeatedly removes the predictor with the largest p-value above
-    ``ALPHA`` and refits.  The intercept is never removed, so a model
-    with an intercept may reduce all the way to the constant model; a
-    no-intercept model keeps at least one predictor.  Each step records the
-    coefficient dropped, as it stood in the fit it was dropped from.
+    ``ALPHA`` and refits on the factorisation ``fit`` came from.  The
+    intercept is never removed, so a model with an intercept may reduce all
+    the way to the constant model; a no-intercept model keeps at least one
+    predictor.  Each step records the coefficient dropped, as it stood in
+    the fit it was dropped from.
     """
     current = fit
     steps: list[Coefficient] = []
@@ -357,5 +394,5 @@ def reduce_model_trace(
             break
         new_predictors = tuple(t for t in spec.predictors if t is not worst.term)
         steps.append(worst)
-        current = fit_ols(ModelSpec(spec.response, new_predictors, spec.intercept), data)
+        current = fit.basis.fit(ModelSpec(spec.response, new_predictors, spec.intercept))
     return current, steps

@@ -77,23 +77,31 @@ def _signed_terms(fit: FitResult) -> list[tuple[float, Term]]:
     return out
 
 
-def _coefficient_scale(fit: FitResult) -> float:
-    scale = max((abs(c.estimate) for c in fit.coefficients), default=0.0)
-    return scale if scale > 0.0 else 1.0
-
-
-def _polynomial(fit: FitResult, data: Dataset, axis: int) -> dict[int, np.ndarray]:
+def _polynomial(fit: FitResult, data: Dataset, axis: int) -> tuple[dict, dict]:
     """The fitted equation as a polynomial in x (``axis=0``) or y (``axis=1``).
 
     Maps each power of the solved axis to its per-observation coefficient,
-    which carries the other axis at its observed value.
+    which carries the other axis at its observed value; the second map
+    lists, per power, the addends summed into that coefficient.
     """
     other = data.x if axis else data.y
     coefs = defaultdict(lambda: np.zeros(data.n))
+    addends = defaultdict(list)
     for c, term in _signed_terms(fit):
         powers = TERM_POWERS[term]
-        coefs[powers[axis]] += times_power(c, other, powers[1 - axis])
-    return coefs
+        addend = times_power(c, other, powers[1 - axis])
+        coefs[powers[axis]] += addend
+        addends[powers[axis]].append(addend)
+    return coefs, addends
+
+
+def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
+    """Where a coefficient is zero up to the rounding of the addends it was
+    summed from.
+
+    The test compares like units, so it gives the same answer in any units.
+    """
+    return np.abs(coef) <= _SINGULAR_RTOL * sum(np.abs(addend) for addend in addends)
 
 
 def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
@@ -101,32 +109,32 @@ def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
 
     Entries where the y-coefficient is (near) zero are NaN.
     """
-    tol = _SINGULAR_RTOL * _coefficient_scale(fit)
     with np.errstate(divide="ignore", invalid="ignore"):  # 1/x at x = 0
-        coefs = _polynomial(fit, data, axis=1)
+        coefs, addends = _polynomial(fit, data, axis=1)
         a, b = coefs[1], coefs[0]
-        y_hat = np.where(np.abs(a) > tol, -b / a, np.nan)
+        y_hat = np.where(_vanishes(a, addends[1]), np.nan, -b / a)
     y_hat[~np.isfinite(y_hat)] = np.nan
     return y_hat
 
 
 def _solve_x(fit: FitResult, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Solve for x at each observed y; returns (x_hat, complex_mask)."""
-    coefs = _polynomial(fit, data, axis=0)
+    coefs, addends = _polynomial(fit, data, axis=0)
     a, b, c = coefs[2], coefs[1], coefs[0]
-    if np.any(coefs[-1] != 0.0):
+    a_addends, b_addends = addends[2], addends[1]
+    if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all():
         if np.any(a != 0.0):
             raise UnsupportedModelError(
                 f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve"
             )
         # multiply the equation through by x
         a, b, c = b, c, coefs[-1]
+        a_addends, b_addends = b_addends, addends[0]
 
-    tol = _SINGULAR_RTOL * _coefficient_scale(fit)
-    affine = np.abs(a) <= tol
+    affine = _vanishes(a, a_addends)
     complex_mask = np.zeros(data.n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x_hat = np.where(np.abs(b) > tol, -c / b, np.nan)
+        x_hat = np.where(_vanishes(b, b_addends), np.nan, -c / b)
         if not affine.all():
             disc = b * b - 4.0 * a * c
             complex_mask = ~affine & (disc < 0.0)

@@ -11,7 +11,7 @@ from the orthogonal decomposition.
 Two height readings of the same triangle are available:
 
 * ``projection`` (default): the component of the error side along the
-  data-mean base, |SSE + SST - SSM| / (2 sqrt(n SST)).  This is the
+  data-mean base, |SSE + (SST - SSM)| / (2 sqrt(n SST)).  This is the
   variant calibrated against the bundled Boyle analysis.
 * ``altitude``: the perpendicular height from the estimate vertex onto
   the base, sqrt(SSM SSE) sin(theta_T) / sqrt(SST).
@@ -27,14 +27,12 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import DegenerateTriangleError, InsufficientDataError
+from .fitcore import _PERFECT_FIT_RTOL
 from .implicit import Prediction
 
 _COS_CLAMP_TOL = 1e-9
 # ranks tie within this fraction of the column's largest magnitude
 _RANK_TIE_TOL = 1e-9
-# an SSE at most this fraction of the observations' own sum of squares is
-# rounding: an RMS residual within 1e-13 of the data's RMS magnitude
-_PERFECT_FIT_RTOL = 1e-26
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,8 @@ def relative_height(s: SquareSums, variant: str = "projection") -> float:
     if s.is_perfect:
         return 0.0
     if variant == "projection":
-        return abs(s.sse + s.sst - s.ssm) / (2.0 * math.sqrt(s.n * s.sst))
+        # SST - SSM first: SSE added to SST alone is lost below ~1e-16 SST
+        return abs(s.sse + (s.sst - s.ssm)) / (2.0 * math.sqrt(s.n * s.sst))
     if s.ssm == 0.0:
         return 0.0
     sin = math.sqrt(max(0.0, 1.0 - _cosine(s) ** 2))

@@ -234,13 +234,13 @@ class TestBoyleCommand:
 
     def test_plot_data_dir_fits_each_model_once(self, tmp_path, capsys, monkeypatch):
         fitted = []
-        fit_ols = compare.fit_ols
+        fit = compare.BasisQR.fit
 
-        def counting_fit_ols(spec, data):
+        def counting_fit(basis, spec):
             fitted.append(spec)
-            return fit_ols(spec, data)
+            return fit(basis, spec)
 
-        monkeypatch.setattr(compare, "fit_ols", counting_fit_ols)
+        monkeypatch.setattr(compare.BasisQR, "fit", counting_fit)
         code, _, _ = run_cli(capsys, "boyle", "--plot-data-dir", str(tmp_path / "plots"))
         assert code == 0
         assert len(fitted) == 3

@@ -2,12 +2,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from implicitreg import (
     COMPARISON_MODEL_TEXTS,
     Dataset,
     SimulationConfig,
     SingularDesignError,
+    boyle_dataset,
     boyle_summary,
     build_comparison,
     constancy_index,
@@ -118,6 +120,34 @@ class TestUnitInvariantRanks:
         nano = Dataset(data.x_label, data.y_label, data.x * 1e-9, data.y * 1e-9)
         scaled = build_comparison(nano)
         assert [r.ranks for r in scaled.rows] == [r.ranks for r in golden_report.rows]
+
+
+def _scaled(data, s):
+    return Dataset(data.x_label, data.y_label, data.x * s, data.y * s)
+
+
+class TestUnitInvariantReports:
+    """Scaling both axes by s leaves every report unchanged, up to SE_y, SE_x
+    and h, which scale by s."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {name: (data, build_comparison(data)) for name, data in
+                (("sample", read_csv(GOLDEN_SAMPLE)), ("boyle", boyle_dataset()))}
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-9, 9), name=st.sampled_from(["sample", "boyle"]))
+    def test_report_scales_with_the_data(self, datasets, k, name):
+        s = 10.0 ** k
+        data, base = datasets[name]
+        scaled = build_comparison(_scaled(data, s))
+        for want, got in zip(base.rows, scaled.rows):
+            assert (got.reduced, got.ranks, got.diagnostics) == (
+                want.reduced, want.ranks, want.diagnostics), want.model
+            for metric, value in want.metrics.items():
+                expected = None if value is None else pytest.approx(
+                    value * s ** _UNIT_POWER[metric], rel=1e-9, abs=0.0)
+                assert got.metrics[metric] == expected, (want.model, metric)
 
 
 class TestFailureIsolation:

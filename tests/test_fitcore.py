@@ -10,19 +10,30 @@ from scipy.special import stdtr, stdtrit
 from implicitreg import (
     Dataset,
     DegenerateDataError,
+    DomainError,
     InsufficientDataError,
     ModelSpec,
     SingularDesignError,
     Term,
+    build_comparison,
     constancy_index,
     fit_ols,
     self_weighting_mean,
 )
+from implicitreg import fitcore
 from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
-from implicitreg.fitcore import (ALPHA, Coefficient, design_matrix, next_to_drop,
-                                 reduce_model_trace, response_vector, t_tail)
-from implicitreg.formula import parse_model
+from implicitreg.fitcore import (ALPHA, BasisQR, Coefficient, next_to_drop, reduce_model_trace,
+                                 t_tail)
+from implicitreg.formula import eval_term, parse_model
 from implicitreg.simulate import SimulationConfig, generate
+
+
+def model_design(spec, data):
+    """A model's design columns (intercept first) and its response, built
+    from ``eval_term`` alone, for the oracles to solve independently."""
+    terms = ([Term.ONE] if spec.intercept else []) + list(spec.predictors)
+    X = np.column_stack([eval_term(term, data.x, data.y) for term in terms])
+    return X, eval_term(spec.response, data.x, data.y)
 
 
 def exact_inverse_dataset():
@@ -51,7 +62,7 @@ class TestFitOls:
         # of squares: refine a brute-force grid around the solution and
         # confirm the center always beats every neighbor.
         data = exact_inverse_dataset()
-        X, _ = design_matrix(parse_model("1 ~ x + y + x*y"), data)
+        X, _ = model_design(parse_model("1 ~ x + y + x*y"), data)
         target = np.ones(data.n)
 
         def sse(coefs):
@@ -223,13 +234,13 @@ class TestReduceModel:
         data = generate(SimulationConfig(n=50, sigma=5.0, seed=12345))
         fit = fit_ols(parse_model("y ~ 1 + x + x*y"), data)
         assert fit.coefficient(Term.XY).p_value > 0.05
-        reduced = reduce_model_trace(fit, data)[0]
+        reduced = reduce_model_trace(fit)[0]
         assert reduced.spec == parse_model("y ~ 1 + x")
 
     def test_constant_rotation_reduces_to_intercept_only(self):
         data = generate(SimulationConfig(n=50, sigma=5.0, seed=12345))
         fit = fit_ols(parse_model("x*y ~ 1 + x + y"), data)
-        reduced, steps = reduce_model_trace(fit, data)
+        reduced, steps = reduce_model_trace(fit)
         assert reduced.spec == ModelSpec(Term.XY, (), True)
         assert len(steps) == 2
         assert all(c.p_value > 0.05 for c in steps)
@@ -240,12 +251,12 @@ class TestReduceModel:
         y = 5.0 + 2.0 * x + rng.normal(0, 0.1, 60)
         data = Dataset("x", "y", x, y)
         fit = fit_ols(parse_model("y ~ 1 + x"), data)
-        assert reduce_model_trace(fit, data)[0].spec == fit.spec
+        assert reduce_model_trace(fit)[0].spec == fit.spec
 
     def test_exact_fit_unchanged(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
         fit = fit_ols(parse_model("y ~ 1 + x"), data)
-        reduced = reduce_model_trace(fit, data)[0]
+        reduced = reduce_model_trace(fit)[0]
         assert reduced.spec == fit.spec
         assert fit.coefficient(Term.X).p_value < 1e-6
 
@@ -257,7 +268,7 @@ class TestReduceModel:
         y = rng.normal(0, 1, 40)
         data = Dataset("x", "y", x, y)
         fit = fit_ols(parse_model("1 ~ x + y + x*y"), data)
-        reduced = reduce_model_trace(fit, data)[0]
+        reduced = reduce_model_trace(fit)[0]
         assert not reduced.spec.intercept
         assert len(reduced.spec.predictors) >= 1
 
@@ -275,13 +286,14 @@ def _samples(draw):
 
 def _solve_triangular_reference(spec, data):
     """Coefficients and standard errors through scipy's triangular solver."""
-    X, _ = design_matrix(spec, data)
-    resp = response_vector(spec, data)
+    X, resp = model_design(spec, data)
     n, p = X.shape
     Q, R = np.linalg.qr(X)
     coefs = solve_triangular(R, Q.T @ resp)
     residuals = resp - X @ coefs
-    sigma2 = max(float(residuals @ residuals), np.finfo(float).eps) / (n - p)
+    # the exact-fit floor: 1e-26 of the response's own sum of squares
+    sigma2 = max(float(residuals @ residuals), 1e-26 * float(resp @ resp),
+                 np.finfo(float).tiny) / (n - p)
     r_inv = solve_triangular(R, np.eye(p))
     return coefs, np.sqrt(sigma2 * (r_inv ** 2).sum(axis=1))
 
@@ -309,6 +321,151 @@ class TestFitOlsOracle:
         np.testing.assert_allclose(std_errors, ref_se, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(
             p_values, 2.0 * stats.t.sf(np.abs(t_stats), fit.residual_dof))
+
+
+def _lstsq_reference(spec, data):
+    """Coefficients by ``np.linalg.lstsq`` on the model's own design, and
+    standard errors from that design's singular values."""
+    X, resp = model_design(spec, data)
+    n, p = X.shape
+    coefs = np.linalg.lstsq(X, resp, rcond=None)[0]
+    residuals = resp - X @ coefs
+    sigma2 = float(residuals @ residuals) / (n - p)
+    _, sv, vt = np.linalg.svd(X, full_matrices=False)
+    return coefs, np.sqrt(sigma2 * ((vt.T / sv) ** 2).sum(axis=1))
+
+
+def _assert_fit_matches(fit, coefs, std_errors, rtol):
+    estimates = np.array([c.estimate for c in fit.coefficients])
+    np.testing.assert_allclose(estimates, coefs, rtol=rtol,
+                               atol=rtol * np.abs(coefs).max())
+    np.testing.assert_allclose([c.std_error for c in fit.coefficients],
+                               std_errors, rtol=rtol, atol=0.0)
+
+
+def _oracle_elimination(spec, data):
+    """Backward elimination that refits every step by lstsq and drops the
+    first largest stdtr p-value above ALPHA; returns (spec, dropped terms)."""
+    dropped = []
+    while spec.predictors and (spec.intercept or len(spec.predictors) > 1):
+        coefs, std_errors = _lstsq_reference(spec, data)
+        dof = data.n - spec.n_coefficients
+        offset = 1 if spec.intercept else 0
+        p_values = [float(2.0 * stdtr(dof, -abs(coefs[offset + i] / std_errors[offset + i])))
+                    for i in range(len(spec.predictors))]
+        worst = max(range(len(p_values)), key=p_values.__getitem__)
+        if p_values[worst] <= ALPHA:
+            break
+        dropped.append(spec.predictors[worst])
+        spec = ModelSpec(spec.response,
+                         tuple(t for t in spec.predictors if t is not dropped[-1]),
+                         spec.intercept)
+    return spec, dropped
+
+
+class TestBasisQR:
+    """One factorisation per dataset drives every fit and refit; independent
+    oracles solve each model's own design."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_samples())
+    def test_every_shape_from_one_factorisation_matches_lstsq(self, data):
+        basis = BasisQR(data)
+        for text in _ORACLE_SHAPES:
+            spec = parse_model(text)
+            try:
+                fit = basis.fit(spec)
+            except SingularDesignError:
+                continue
+            # within 1e-6 RMS of an exact fit, SSE and so the SEs are set by
+            # the rounding of each solver's residuals
+            if fit.sse <= 1e-12 * fit.sst_uncentered:
+                continue
+            _assert_fit_matches(fit, *_lstsq_reference(spec, data), rtol=1e-10)
+
+    def test_row_blocks_agree_with_one_block(self, monkeypatch):
+        n = 3 * fitcore._BLOCK_ROWS + 1
+        data = generate(SimulationConfig(n=n, sigma=5.0, seed=4))
+        blocked = BasisQR(data)
+        monkeypatch.setattr(fitcore, "_BLOCK_ROWS", n)
+        whole = BasisQR(data)
+        for text in _ORACLE_SHAPES:
+            spec = parse_model(text)
+            fit = whole.fit(spec)
+            _assert_fit_matches(blocked.fit(spec),
+                                [c.estimate for c in fit.coefficients],
+                                [c.std_error for c in fit.coefficients], rtol=1e-12)
+
+    @pytest.mark.parametrize("text, collinear", [
+        ("x*y ~ 1 + x + y", "y"),
+        ("1 ~ x + y + x*y", "y"),
+        ("y ~ 1 + x + x*y", None),
+        ("x ~ 1 + y + x*y", None),
+        ("y ~ 1 + 1/x", None),
+        ("y ~ 1 + x + x^2", None),
+        ("1 ~ x*y", None),
+    ])
+    def test_rank_check_on_a_noiseless_line(self, text, collinear):
+        # y = 2x: y repeats x, and the design rank drops only where both
+        # enter as columns
+        x = np.arange(1.0, 11.0)
+        basis = BasisQR(Dataset("x", "y", x, 2.0 * x))
+        if collinear is None:
+            basis.fit(parse_model(text))
+        else:
+            with pytest.raises(SingularDesignError,
+                               match=f"collinear column\\(s\\): {collinear}$"):
+                basis.fit(parse_model(text))
+
+    def test_x_zero_fails_only_the_inverse_fits(self):
+        data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                       [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
+        basis = BasisQR(data)
+        for text in _ORACLE_SHAPES:
+            spec = parse_model(text)
+            if Term.INV_X in spec.predictors:
+                with pytest.raises(DomainError, match="1/x is undefined at x = 0"):
+                    basis.fit(spec)
+            else:
+                _assert_fit_matches(basis.fit(spec), *_lstsq_reference(spec, data),
+                                    rtol=1e-10)
+
+    def test_reductions_match_an_lstsq_elimination(self):
+        # the criterion-5 study: seeds 0-99 at n = 50, sigma = 5
+        for seed in range(100):
+            data = generate(SimulationConfig(n=50, sigma=5.0, seed=seed))
+            basis = BasisQR(data)
+            for text in COMPARISON_MODEL_TEXTS[:3]:
+                spec = parse_model(text)
+                reduced, steps = reduce_model_trace(basis.fit(spec))
+                assert (reduced.spec, [c.term for c in steps]) == \
+                    _oracle_elimination(spec, data), (seed, text)
+
+    def test_no_fit_or_refit_factors_the_n_rows(self, monkeypatch):
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        n = 200_000
+        build_comparison(generate(SimulationConfig(n=n, sigma=5.0, seed=1)))
+        # the row blocks, then their stacked Rs; every other QR is a
+        # model's columns of R
+        blocks = [fitcore._BLOCK_ROWS] * (n // fitcore._BLOCK_ROWS) + [n % fitcore._BLOCK_ROWS]
+        assert [rows for rows, _ in shapes if rows > 6] == blocks + [6 * len(blocks)]
+        assert sum(rows <= 6 for rows, _ in shapes) == len(COMPARISON_MODEL_TEXTS)
+
+        # a refit reuses the factorisation it was reduced from
+        rng = np.random.default_rng(0)
+        x = rng.uniform(1.0, 10.0, n)
+        data = Dataset("x", "y", x, 3.0 + 2.0 * x + rng.normal(0.0, 1.0, n))
+        fit = fit_ols(parse_model("y ~ 1 + x + x^2"), data)
+        shapes.clear()
+        steps = reduce_model_trace(fit)[1]
+        assert steps and shapes and all(rows <= 6 for rows, _ in shapes)
 
 
 def _exact_p(coef):
@@ -382,7 +539,7 @@ class TestEliminationDecision:
         candidates = [c for c in fit.coefficients if c.term is not None]
         expected = _exact_decision(candidates)
         assert next_to_drop(candidates) is expected
-        steps = reduce_model_trace(fit, data)[1]
+        steps = reduce_model_trace(fit)[1]
         assert (steps[0] if steps else None) == expected
 
 

@@ -167,6 +167,12 @@ class TestRelativeHeight:
         expected = abs(s.sse + s.sst - s.ssm) / (2.0 * math.sqrt(s.n * s.sst))
         assert relative_height(s) == pytest.approx(expected, rel=1e-12)
 
+    def test_projection_keeps_an_sse_below_the_rounding_of_sst(self):
+        # SSE + SST alone would round the 1e-20 away
+        s = SquareSums(50.0, 1e-20, 50.0, 10)
+        assert relative_height(s) == pytest.approx(1e-20 / (2.0 * math.sqrt(500.0)),
+                                                   rel=1e-12, abs=0.0)
+
     def test_zero_base_rejected(self):
         with pytest.raises(DegenerateTriangleError):
             relative_height(SquareSums(1.0, 1.0, 0.0, 5))
