@@ -9,10 +9,10 @@ no precision is lost before the final division.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,10 @@ from .errors import DataFormatError, InsufficientDataError, IntegrityError
 # inch of mercury) following Fazio's 1992 republication.
 _BOYLE_SHA256 = "f5965311ce7928d00ea85a130d2db1b36efebb907fbf230646574b03273e7d93"
 
-# data lines parsed per bulk call: large enough to amortise the per-chunk
-# calls, small enough that the chunk's joined and split strings stay a small
-# fraction of the file's own lines in peak memory
-_CHUNK_LINES = 4096
+_BOM = b"\xef\xbb\xbf"
+# the bytes of a plain body, which numpy's reader takes: ASCII decimals with
+# exponents, field and line separators, spaces and tabs
+_PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,18 @@ def _parse_field(field: str, line: int) -> float:
     return value
 
 
-def _as_text_lines(source) -> list[str]:
+def _read_bytes(source) -> bytes:
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        data = source
-    elif hasattr(source, "read"):
+        return Path(source).read_bytes()
+    if isinstance(source, bytes):
+        return source
+    if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-    else:
-        raise TypeError(f"unsupported source type {type(source).__name__}")
+        return data.encode("utf-8") if isinstance(data, str) else data
+    raise TypeError(f"unsupported source type {type(source).__name__}")
+
+
+def _text_lines(data: bytes) -> list[str]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -113,27 +114,41 @@ def _as_text_lines(source) -> list[str]:
     return text.removeprefix("\ufeff").splitlines()
 
 
-def _parse_chunk(lines: list[str], first_lineno: int) -> np.ndarray:
-    """The (rows, 2) values of data lines numbered from ``first_lineno``.
+def _one_line(head: bytes) -> str | None:
+    """``head`` decoded, when it is a single line ending at the first LF or
+    CRLF as ``str.splitlines`` counts lines; else None."""
+    try:
+        line = head.decode("utf-8").removesuffix("\r")
+    except UnicodeDecodeError:
+        return None
+    return line if line.splitlines() == [line] else None
 
-    Blank lines are skipped.  When every line has one comma, all fields go
-    through ``float`` in one pass; ``float`` accepts a field only where
-    ``_parse_field`` returns that same ``float(token)`` (it rejects every
-    ``/``, empty field and inner space).  Any other chunk - fractions,
-    malformed or non-finite fields - is parsed field by field, which gives
-    the exact values and the error of the first bad line.
+
+def _plain_values(body: bytes) -> np.ndarray | None:
+    """The (rows, 2) values of a plain body, read by numpy; None when numpy's
+    reader rejects it or a value is not finite.
+
+    ``loadtxt`` converts each field with ``PyOS_string_to_double``, the
+    correctly rounded routine behind ``float()``, and on this alphabet it
+    accepts a field only where ``_parse_field`` returns that same value.
     """
-    rows = list(filter(str.strip, lines))
-    if set(map(str.count, rows, repeat(","))) == {1}:
-        try:
-            values = np.fromiter(map(float, ",".join(rows).split(",")), float, 2 * len(rows))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values.reshape(-1, 2)
-    pairs = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    if not body or body.isspace():
+        return np.empty((0, 2))  # loadtxt warns on input with no data
+    try:
+        values = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != 2 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _exact_values(lines: list[str]) -> np.ndarray:
+    """The (rows, 2) values of data lines numbered from 2, field by field;
+    blank lines are skipped and the first bad line raises."""
+    values = np.empty((len(lines), 2))
+    n_rows = 0
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -141,8 +156,19 @@ def _parse_chunk(lines: list[str], first_lineno: int) -> np.ndarray:
             raise DataFormatError(
                 f"expected two fields, found {len(fields)}", line=lineno
             )
-        pairs.append((_parse_field(fields[0], lineno), _parse_field(fields[1], lineno)))
-    return np.array(pairs, dtype=float).reshape(-1, 2)
+        values[n_rows] = _parse_field(fields[0], lineno), _parse_field(fields[1], lineno)
+        n_rows += 1
+    return values[:n_rows]
+
+
+def _labels(header: str) -> tuple[str, str]:
+    fields = header.split(",")
+    if len(fields) != 2:
+        raise DataFormatError("header must have exactly two fields", line=1)
+    x_label, y_label = (f.strip() for f in fields)
+    if not x_label or not y_label:
+        raise DataFormatError("header labels must be non-empty", line=1)
+    return x_label, y_label
 
 
 def read_csv(source) -> Dataset:
@@ -151,31 +177,33 @@ def read_csv(source) -> Dataset:
     The first line must be a two-field header.  Blank lines are skipped.
     Malformed records raise :class:`DataFormatError` with their line
     number; fewer than 3 data rows raise :class:`InsufficientDataError`.
+
+    A body (the lines after the header) of plain decimals - bytes of
+    ``_PLAIN_BYTES`` only - is read by numpy's C reader.  Every other body,
+    and every body that reader rejects, is read field by field, which gives
+    the exact fractions and the error of the first bad line.
     """
-    lines = _as_text_lines(source)
-    if not lines:
-        raise DataFormatError("empty input", line=1)
-    header = lines[0].split(",")
-    if len(header) != 2:
-        raise DataFormatError("header must have exactly two fields", line=1)
-    x_label, y_label = (h.strip() for h in header)
-    if not x_label or not y_label:
-        raise DataFormatError("header labels must be non-empty", line=1)
+    data = _read_bytes(source)
+    head, _, body = data.removeprefix(_BOM).partition(b"\n")
+    header = None if body.translate(None, _PLAIN_BYTES) else _one_line(head)
+    values = None
+    if header is not None:
+        x_label, y_label = _labels(header)
+        values = _plain_values(body)
+    if values is None:
+        lines = _text_lines(data)
+        if not lines:
+            raise DataFormatError("empty input", line=1)
+        x_label, y_label = _labels(lines[0])
+        values = _exact_values(lines[1:])
 
-    values = np.empty((len(lines) - 1, 2))
-    n_rows = 0
-    for start in range(1, len(lines), _CHUNK_LINES):
-        chunk = _parse_chunk(lines[start:start + _CHUNK_LINES], start + 1)
-        values[n_rows:n_rows + len(chunk)] = chunk
-        n_rows += len(chunk)
-
-    if n_rows < 3:
+    if len(values) < 3:
         raise InsufficientDataError(
-            f"need at least 3 observations, found {n_rows}"
+            f"need at least 3 observations, found {len(values)}"
         )
     # contiguous copies, not strided column views: a BLAS dot product over a
     # strided view can round differently in the last bit
-    return Dataset(x_label, y_label, values[:n_rows, 0].copy(), values[:n_rows, 1].copy())
+    return Dataset(x_label, y_label, values[:, 0].copy(), values[:, 1].copy())
 
 
 def write_csv(data: Dataset, decimals: int = 6) -> bytes:

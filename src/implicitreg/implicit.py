@@ -14,7 +14,7 @@ flagged undefined (NaN) and counted.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,38 +31,37 @@ class Prediction:
     """Per-observation solves of the fitted equation for each axis.
 
     Undefined entries are NaN; ``x_complex`` marks x-solves where a
-    negative discriminant forced the real-part estimate.
+    negative discriminant forced the real-part estimate, and
+    ``y_defined`` / ``x_defined`` mark the finite solves.
     """
 
     y_hat: np.ndarray
     x_hat: np.ndarray
     x_complex: np.ndarray
+    y_defined: np.ndarray = field(init=False)
+    x_defined: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("y_hat", "x_hat", "x_complex"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def y_defined(self) -> np.ndarray:
-        return np.isfinite(self.y_hat)
-
-    @property
-    def x_defined(self) -> np.ndarray:
-        return np.isfinite(self.x_hat)
+        for axis in ("y", "x"):
+            defined = np.isfinite(getattr(self, f"{axis}_hat"))
+            defined.flags.writeable = False
+            object.__setattr__(self, f"{axis}_defined", defined)
 
     @property
     def undefined_count_y(self) -> int:
-        return int((~self.y_defined).sum())
+        return self.y_defined.size - int(np.count_nonzero(self.y_defined))
 
     @property
     def undefined_count_x(self) -> int:
-        return int((~self.x_defined).sum())
+        return self.x_defined.size - int(np.count_nonzero(self.x_defined))
 
     @property
     def complex_count_x(self) -> int:
-        return int(self.x_complex.sum())
+        return int(np.count_nonzero(self.x_complex))
 
 
 def _signed_terms(fit: FitResult) -> list[tuple[float, Term]]:
@@ -156,8 +155,9 @@ def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for both axes; raises if every solve is singular."""
     y_hat = predict_y(fit, data)
     x_hat, complex_mask = _solve_x(fit, data)
-    if not (np.any(np.isfinite(y_hat)) or np.any(np.isfinite(x_hat))):
+    pred = Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
+    if not (pred.y_defined.any() or pred.x_defined.any()):
         raise DegenerateDataError(
             f"every solve of {fit.spec} hit a singular denominator"
         )
-    return Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
+    return pred

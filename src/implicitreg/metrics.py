@@ -76,15 +76,15 @@ def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> S
     else:
         raise ValueError(f"axes must be 'joint' or 'y', not {axes!r}")
 
-    n_used = int(mask.sum())
+    n_used = int(np.count_nonzero(mask))
     if n_used < 3:
         raise InsufficientDataError(
             f"need at least 3 observations with defined solves, have {n_used}"
         )
     ssm = sse = sst = sst_uncentered = 0.0
-    for obs, est in pairs:
-        o = obs[mask]
-        e = est[mask]
+    for o, e in pairs:
+        if n_used < data.n:
+            o, e = o[mask], e[mask]
         mean = o.mean()
         sse += float(((o - e) ** 2).sum())
         ssm += float(((e - mean) ** 2).sum())
@@ -138,12 +138,14 @@ def relative_height(s: SquareSums, variant: str = "projection") -> float:
 def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params: int) -> float:
     """Residual standard error of one axis over its defined solves, with
     n_def - n_params degrees of freedom."""
-    n_def = int(defined.sum())
+    n_def = int(np.count_nonzero(defined))
     if n_def <= n_params:
         raise InsufficientDataError(
             f"need more than {n_params} defined solves, have {n_def}"
         )
-    sse = float(((obs[defined] - est[defined]) ** 2).sum())
+    if n_def < defined.size:
+        obs, est = obs[defined], est[defined]
+    sse = float(((obs - est) ** 2).sum())
     return math.sqrt(sse / (n_def - n_params))
 
 

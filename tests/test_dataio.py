@@ -1,5 +1,7 @@
 import io
+import warnings
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -97,6 +99,18 @@ class TestReadCsv:
         assert excinfo.value.line == line
         assert str(excinfo.value) == f"line {line}: invalid UTF-8 byte 0xe9"
 
+    @pytest.mark.parametrize("payload, line, message", [
+        ("a\x0bb,c\n1,2\n3,4\n5,6\n", 1, "header must have exactly two fields"),
+        ("a\u2028b,c\n1,2\n3,4\n5,6\n", 1, "header must have exactly two fields"),
+        ("a,b\rc,d\n1,2\n3,4\n5,6\n", 2, "cannot parse value 'c'"),
+        ("a,b\x0c\n1,2\n3,4\n5,6\nx,1\n", 6, "cannot parse value 'x'"),
+    ], ids=["vt", "line-separator", "cr", "ff-blank-line"])
+    def test_header_ends_at_any_line_break(self, payload, line, message):
+        with pytest.raises(DataFormatError) as excinfo:
+            read_csv(payload.encode())
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"line {line}: {message}")
+
     def test_leading_byte_order_mark_is_dropped(self):
         d = read_csv(b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,6\n")
         assert (d.x_label, d.y_label) == ("x", "y")
@@ -140,14 +154,18 @@ _fraction_line = st.builds(
 _bad_field = st.sampled_from(["", "abc", "1 2", "inf", "nan", "1e999", "1/0", "1 1/0"])
 
 
+# thousands of data lines per file, so that one fraction row sends a long
+# plain body to the field-by-field reader
+_MANY_LINES = 4096
+
+
 @st.composite
 def _csv_lines(draw):
-    """Data lines spanning two to three parse chunks: tiled plain rows with
-    a few mixed-fraction rows dropped in at random positions."""
-    chunk = dataio._CHUNK_LINES
+    """A few thousand data lines: tiled plain rows with a few mixed-fraction
+    rows dropped in at random positions."""
     template = draw(st.lists(_plain_line, min_size=1, max_size=20).filter(
         lambda rows: any("," in row for row in rows)))
-    n_lines = draw(st.integers(chunk + 1, 5 * chunk // 2))
+    n_lines = draw(st.integers(_MANY_LINES + 1, 5 * _MANY_LINES // 2))
     lines = (template * (n_lines // len(template) + 1))[:n_lines]
     for _ in range(draw(st.integers(0, 3))):
         lines[draw(st.integers(0, n_lines - 1))] = draw(_fraction_line)
@@ -170,8 +188,39 @@ def _read_csv_arrays(text):
     return d.x, d.y
 
 
+# tokens of the plain alphabet: fields either reader takes, and fields or
+# lines that one or both reject
+_plain_token = st.one_of(
+    _value.map(repr),
+    _value.map(lambda v: "%.17g" % v),
+    _value.map(lambda v: "%+.6E" % v),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([".5", "5.", "-0", "+0", "-0.0", "1e-400", "-1e-400", "1e400",
+                     "-1e400", "1E+05", "+.5e-3"]),
+)
+_plain_junk = st.sampled_from(["", " ", "e", "1e", "E5", ".", "-", "+-1", "1..2", "1e+",
+                               "1 2", "1-", "--1", ".e1"])
+_good_field = st.builds(lambda a, v, b: a + v + b, _pad, _plain_token, _pad)
+_any_field = st.builds(lambda a, v, b: a + v + b, _pad, st.one_of(_plain_token, _plain_junk), _pad)
+_good_line = st.tuples(_good_field, _good_field).map(",".join)
+_odd_line = st.one_of(st.lists(_any_field, max_size=3).map(",".join),
+                      st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def _alphabet_body(draw):
+    """Up to a dozen lines over the plain alphabet, four in five of two
+    well-formed fields, ended by LF or by CRLF with a lone CR now and then."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        line = draw(_good_line if draw(st.integers(0, 4)) else _odd_line)
+        lines.append(line + (end if draw(st.integers(0, 19)) else "\r"))
+    return "".join(lines) + draw(st.sampled_from(["", "1,2"]))
+
+
 class TestBulkParse:
-    """``read_csv`` parses plain-decimal chunks in bulk and must agree with
+    """``read_csv`` hands plain bodies to numpy's reader and must agree with
     the field-by-field reader on every value and every error."""
 
     @settings(max_examples=25, deadline=None)
@@ -183,15 +232,56 @@ class TestBulkParse:
     @settings(max_examples=25, deadline=None)
     @given(lines=_csv_lines(), data=st.data())
     def test_errors_match_field_by_field_reader(self, lines, data):
-        at = data.draw(st.integers(dataio._CHUNK_LINES, len(lines) - 1), label="index")
+        at = data.draw(st.integers(0, len(lines) - 1), label="index")
         bad = data.draw(_bad_field, label="bad field")
-        # "1,2,3" next to "4" keeps the chunk's comma total at one per line
         lines[at] = data.draw(st.sampled_from([f"{bad},1", f"1,{bad}", "1,2,3", "1,2,3\n4"]),
                               label="bad line")
         text = "\n".join(["a,b", *lines]) + "\n"
         want = _outcome(_reference_read, text)
         assert want[0] is DataFormatError
         assert _outcome(_read_csv_arrays, text) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_alphabet_body())
+    def test_plain_alphabet_matches_field_by_field_reader(self, body):
+        text = "a,b\n" + body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(_read_csv_arrays, text)
+        assert got == _outcome(_reference_read, text)
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n3,4\n5,6\n",
+        "1,2\r\n3,4\r\n5,6",
+        "1,2\r3,4\r5,6\r",
+        "1,2\n\n3,4\n \n5,6\n\t\n",
+        "1,2\n\r\n3,4\n5,6\r",
+        " .5 ,\t5. \n-0,+0\n1e-400,-1e-400\n",
+        "1,2\n3,4\n1e400,6\n",
+        "1,2\n3,-1e400\n5,6\n",
+        "1,\n3,4\n5,6\n",
+        ",1\n3,4\n5,6\n",
+        "1,2\n1e,2\n5,6\n",
+        "1,2\n.,2\n5,6\n",
+        "1,2\n1..2,3\n5,6\n",
+        "1,2\n3,4\n1,2,3\n",
+        "1,2,3\n4,5,6\n7,8,9\n",
+        "1\n2\n3\n",
+        "1,2\n3,4\n1\n",
+        "1,2\n+-1,4\n5,6\n",
+        "1,2\n1 2,4\n5,6\n",
+        "1,2\n3,4\r\r\n5,6\n",
+        "1,2\n3,4\n",
+        "",
+        "\n\n",
+        " \r\n\t\n",
+    ])
+    def test_plain_body_table(self, body):
+        text = "a,b\n" + body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data"
+            got = _outcome(_read_csv_arrays, text)
+        assert got == _outcome(_reference_read, text)
 
     @pytest.fixture
     def parse_field_calls(self, monkeypatch):
@@ -204,6 +294,13 @@ class TestBulkParse:
 
         monkeypatch.setattr(dataio, "_parse_field", counting)
         return calls
+
+    @pytest.fixture
+    def no_exact_reader(self, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("the body went field by field")
+
+        monkeypatch.setattr(dataio, "_exact_values", refuse)
 
     def test_plain_file_skips_field_parser(self, parse_field_calls):
         rows = [f"{i * 0.1!r},{1.0 / (i + 1)!r}" for i in range(20_000)]
@@ -218,8 +315,37 @@ class TestBulkParse:
         assert d.x[12_345] == 29.125
         assert d.y[12_345] == float(Fraction(4, 3))
         assert d.x[12_346] == 12_346.0
-        # only the fraction row's chunk went field by field
-        assert 0 < len(parse_field_calls) <= 2 * dataio._CHUNK_LINES
+        # a body with one fraction is read field by field, every field of it
+        assert len(parse_field_calls) == 2 * 20_000
+
+    @pytest.mark.parametrize("n", [3, 50, 2_000])
+    def test_written_csv_takes_numpy_reader(self, n, no_exact_reader):
+        rng = np.random.default_rng(n)
+        d = Dataset("a", "b", rng.normal(0, 1e3, n), rng.uniform(-1e-3, 1e9, n))
+        text = write_csv(d, decimals=17).decode()
+        back = read_csv(text.encode())
+        assert (back.x_label, back.y_label) == ("a", "b")
+        assert (back.x.tobytes(), back.y.tobytes()) == _outcome(_reference_read, text)
+
+    def test_crlf_bom_and_padding_read_identically(self, no_exact_reader):
+        rng = np.random.default_rng(3)
+        d = Dataset("volume", "pressure", rng.uniform(1, 50, 100), rng.uniform(20, 120, 100))
+        plain = write_csv(d, decimals=17)
+        header, *rows = plain.decode().splitlines()
+        padded = "\r\n".join([header] + [" " + r.replace(",", " ,\t") + " " for r in rows])
+        variants = [plain, b"\xef\xbb\xbf" + padded.encode() + b"\r\n"]
+        first, second = ((v.x_label, v.y_label, v.x.tobytes(), v.y.tobytes())
+                         for v in map(read_csv, variants))
+        assert first[:2] == ("volume", "pressure")
+        assert second == first
+
+    def test_boyle_file_takes_exact_reader(self, parse_field_calls):
+        raw = resources.files("implicitreg").joinpath("data/boyle.csv").read_bytes()
+        d = boyle_dataset()
+        assert len(parse_field_calls) == 2 * d.n
+        for line, x, y in zip(raw.decode().splitlines()[1:], d.x, d.y):
+            want = [float(sum(map(Fraction, f.split()))) for f in line.split(",")]
+            assert [x, y] == want
 
 
 class TestWriteCsv:
