@@ -3,14 +3,9 @@ three-model Boyle verification.
 
 The comparison list is frozen: three rotations over {1, x, y, x*y}
 (reported after p-value reduction), the two standard one-axis models,
-and the two non-response forms.  Each row carries R^2, both residual
-standard errors, the separation angle, the height reading, and an
-average rank per metric.
-
-An intercept-only reduced model (e.g. the interaction rotation collapsing
-to a constant) reports its uncentered R^2: the centered version is zero
-by construction for a constant fit, while the uncentered one measures the
-constancy of the response, which is the quantity the comparison is after.
+and the two non-response forms.  Each row carries R^2 (see ``FitResult``
+for which one), both residual standard errors, the separation angle, the
+height reading, and an average rank per metric.
 """
 
 from __future__ import annotations
@@ -53,7 +48,8 @@ BOYLE_MODEL_TEXTS = (
     "y ~ 1 + x + x^2",
     "y ~ 1 + 1/x",
 )
-# both lists are fixed, so they are parsed once; reports print the texts
+# both lists are fixed, so they are parsed once; each text is canonical
+# (format_model gives it back), so a row named by its fitted spec prints it
 _COMPARISON_SPECS = tuple(parse_model(text) for text in COMPARISON_MODEL_TEXTS)
 _BOYLE_SPECS = tuple(parse_model(text) for text in BOYLE_MODEL_TEXTS)
 
@@ -76,8 +72,10 @@ class ModelRow:
 
     ``theta_t`` and ``height`` are None when the triangle is degenerate
     (perfect or null fit); standard errors are None when too few solves
-    are defined.  ``reduced`` and ``ranks`` are filled in by
-    ``build_comparison``.  A model ``build_comparison`` could not fit or
+    are defined.  ``model_metrics`` names a row by the spec it fitted and
+    leaves it unranked; ``build_comparison`` renames it by its listed text,
+    keeps the fitted text in ``reduced`` where backward elimination changed
+    it, and sets ``ranks``.  A model ``build_comparison`` could not fit or
     solve keeps its ``error`` message, and its metrics and diagnostics are
     None.
     """
@@ -134,13 +132,9 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     if sums is not None:
         theta = _or_none(separation_angle, sums)
         height = _or_none(relative_height, sums, variant=HEIGHT_VARIANT)
-    if fit.spec.predictors or not fit.spec.intercept:
-        r_squared = fit.r_squared
-    else:
-        r_squared = fit.r_squared_uncentered
     return ModelRow(
         model=format_model(fit.spec),
-        r_squared=r_squared,
+        r_squared=fit.r_squared,
         se_y=_or_none(residual_se, data.y, pred.y_hat, pred.y_defined, n_params),
         se_x=_or_none(residual_se, data.x, pred.x_hat, pred.x_defined, n_params),
         theta_t=theta,
@@ -175,43 +169,32 @@ def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport
     when every model fails is the first model's error raised.
     """
     basis = BasisQR(data)
-    fits: list[FitResult | ImplicitRegressionError] = []
-    for idx, spec in enumerate(_COMPARISON_SPECS):
+    rows, errors = [], []
+    for idx, (text, spec) in enumerate(zip(COMPARISON_MODEL_TEXTS, _COMPARISON_SPECS)):
         try:
             fit = basis.fit(spec)
-            fits.append(reduce_model_trace(fit)[0] if idx < _N_ROTATIONS else fit)
-        except ImplicitRegressionError as exc:
-            fits.append(exc)
-
-    # every fit and refit is done before the first n-row solve starts
-    rows, reduced_texts, errors = [], [], []
-    for text, spec, fit in zip(COMPARISON_MODEL_TEXTS, _COMPARISON_SPECS, fits):
-        reduced_text = None
-        try:
-            if isinstance(fit, ImplicitRegressionError):
-                raise fit
-            if fit.spec != spec:
-                reduced_text = format_model(fit.spec)
+            if idx < _N_ROTATIONS:
+                fit = reduce_model_trace(fit)[0]
             rows.append(model_metrics(fit, data, predict(fit, data)))
         except ImplicitRegressionError as exc:
             rows.append(ModelRow(model=text, error=str(exc)))
             errors.append(exc)
-        reduced_texts.append(reduced_text)
     if len(errors) == len(rows):
         raise errors[0]
 
     rank_dicts = _rank_columns(
         {name: [getattr(row, name) for row in rows] for name in _METRIC_DIRECTIONS}
     )
+    # every listed text is canonical, so a row named otherwise was reduced
     return ComparisonReport(
         n=data.n,
         x_label=data.x_label,
         y_label=data.y_label,
         seed=seed,
         rows=tuple(
-            replace(row, model=text, reduced=reduced_text, ranks=ranks)
-            for row, text, reduced_text, ranks
-            in zip(rows, COMPARISON_MODEL_TEXTS, reduced_texts, rank_dicts)
+            replace(row, model=text, reduced=None if row.model == text else row.model,
+                    ranks=ranks)
+            for row, text, ranks in zip(rows, COMPARISON_MODEL_TEXTS, rank_dicts)
         ),
     )
 
@@ -314,7 +297,9 @@ class BoyleSummary:
     constancy_product: float
     product_estimate: float  # self-weighting mean of volume*pressure
     rows: tuple[ModelRow, ...]
-    # the solves behind each row; boyle_plot_data draws its overlays from them
+    # the data and the solves behind each row; boyle_plot_data draws its
+    # overlays from them
+    data: Dataset = field(repr=False, compare=False)
     predictions: tuple[Prediction, ...] = field(repr=False, compare=False)
 
 
@@ -324,10 +309,10 @@ def boyle_summary() -> BoyleSummary:
     product = data.x * data.y
     basis = BasisQR(data)
     rows, predictions = [], []
-    for text, spec in zip(BOYLE_MODEL_TEXTS, _BOYLE_SPECS):
+    for spec in _BOYLE_SPECS:
         fit = basis.fit(spec)
         pred = predict(fit, data)
-        rows.append(replace(model_metrics(fit, data, pred), model=text))
+        rows.append(model_metrics(fit, data, pred))
         predictions.append(pred)
     return BoyleSummary(
         n=data.n,
@@ -336,6 +321,7 @@ def boyle_summary() -> BoyleSummary:
         constancy_product=constancy_index(product),
         product_estimate=self_weighting_mean(product),
         rows=tuple(rows),
+        data=data,
         predictions=tuple(predictions),
     )
 
@@ -372,7 +358,7 @@ def boyle_plot_data(summary: BoyleSummary) -> dict[str, str]:
     of ``summary``.  Per variable (volume, pressure, product): histogram
     bins.
     """
-    data = boyle_dataset()
+    data = summary.data
     files: dict[str, str] = {}
     for row, pred in zip(summary.rows, summary.predictions):
         lines = [f"{data.x_label},{data.y_label},estimated_{data.y_label}"]

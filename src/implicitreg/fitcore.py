@@ -18,6 +18,7 @@ below and asks ``stdtr`` only where that tail cannot decide exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,30 +70,26 @@ class Coefficient:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients plus the sums-of-squares decomposition of one fit.
+    """Coefficients, residual sum of squares and R^2 of one fit.
 
-    ``sse`` is the residual sum of squares in the response, ``ssm`` the
-    model sum of squares about the response mean, ``sst_centered`` and
-    ``sst_uncentered`` the total sums about the mean and about zero.
-    ``r_squared`` is centered for models with an intercept and uncentered
-    otherwise (the non-response convention).
+    ``sse`` is the residual sum of squares in the response.  ``r_squared``
+    is 1 - SSE/SST with SST about the response mean for a model with an
+    intercept and at least one predictor, and about zero otherwise.  The
+    non-response form has no intercept, so its R^2 is uncentered.  So is
+    that of an intercept-only model (e.g. a rotation reduced to a
+    constant): its centered R^2 is zero by construction, while the
+    uncentered one measures the constancy of the response, which is what
+    the comparison is after.
     """
 
     spec: ModelSpec
     n: int
     coefficients: tuple[Coefficient, ...]
     sse: float
-    ssm: float
-    sst_centered: float
-    sst_uncentered: float
     r_squared: float
     residual_dof: int
     # the factorised dataset the fit came from; backward elimination refits on it
     basis: BasisQR | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def r_squared_uncentered(self) -> float:
-        return _r_squared(self.sse, self.sst_uncentered)
 
     def coefficient(self, term: Term | None) -> Coefficient:
         """Look up a coefficient by term (``None`` for the intercept)."""
@@ -100,13 +97,6 @@ class FitResult:
             if coef.term is term:
                 return coef
         raise KeyError(f"model has no coefficient for {term}")
-
-
-def _r_squared(sse: float, sst: float) -> float:
-    """1 - SSE/SST; with SST = 0, 1 for an exact fit and 0 otherwise."""
-    if sst <= 0.0:
-        return 1.0 if sse == 0.0 else 0.0
-    return 1.0 - sse / sst
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -166,7 +156,7 @@ class BasisQR:
         q, R = np.linalg.qr(self.r[:, cols])
         # |R[j,j]| is the residual norm of design column j after projecting
         # out the previous ones; compare it against the column's own norm.
-        diag = np.abs(np.diag(R))
+        diag = np.abs(R.diagonal())
         col_norms = self.column_norms[cols]
         bad = [
             ("intercept" if order[j] is None else order[j].value)
@@ -187,35 +177,36 @@ class BasisQR:
         residuals = resp - fitted
         sse = float(residuals @ residuals)
         dof = n - p
-        resp_mean = float(resp.mean())
-        sst_centered = float(((resp - resp_mean) ** 2).sum())
-        sst_uncentered = float((resp ** 2).sum())
-        ssm = float(((fitted - resp_mean) ** 2).sum())
+        sum_sq = float((resp ** 2).sum())
+        if spec.intercept and spec.predictors:
+            resp_mean = float(resp.mean())
+            sst = float(((resp - resp_mean) ** 2).sum())
+        else:
+            sst = sum_sq
+        # 1 - SSE/SST; with SST = 0, 1 for an exact fit and 0 otherwise
+        r_squared = (1.0 if sse == 0.0 else 0.0) if sst <= 0.0 else 1.0 - sse / sst
 
         # Floor the residual scale at the rounding level of the response's
         # own size (at the least positive float for an all-zero response),
         # so that exact fits produce finite (huge) t statistics instead of
         # 0/0, whatever the data's units.
-        sigma2 = max(sse, _PERFECT_FIT_RTOL * sst_uncentered, np.finfo(float).tiny) / dof
+        sigma2 = max(sse, _PERFECT_FIT_RTOL * sum_sq, sys.float_info.min) / dof
         r_inv = np.linalg.inv(R)
         cov = sigma2 * (r_inv @ r_inv.T)
-        std_errors = np.sqrt(np.diag(cov))
+        std_errors = np.sqrt(cov.diagonal())
         t_stats = coefs / std_errors
 
         coefficients = tuple(
-            Coefficient(order[j], float(coefs[j]), float(std_errors[j]),
-                        float(t_stats[j]), dof)
-            for j in range(p)
+            Coefficient(term, estimate, std_error, t_stat, dof)
+            for term, estimate, std_error, t_stat
+            in zip(order, coefs.tolist(), std_errors.tolist(), t_stats.tolist())
         )
         return FitResult(
             spec=spec,
             n=n,
             coefficients=coefficients,
             sse=sse,
-            ssm=ssm,
-            sst_centered=sst_centered,
-            sst_uncentered=sst_uncentered,
-            r_squared=_r_squared(sse, sst_centered if spec.intercept else sst_uncentered),
+            r_squared=r_squared,
             residual_dof=dof,
             basis=self,
         )

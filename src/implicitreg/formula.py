@@ -176,4 +176,7 @@ def eval_term(term: Term, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     px, py = TERM_POWERS[term]
     if px < 0 and np.any(x == 0.0):
         raise DomainError("1/x is undefined at x = 0")
-    return times_power(times_power(np.ones(x.shape), x, px), y, py)
+    if px == py == 0:
+        return np.ones(x.shape)
+    # 1.0 * v is v bit for bit, so the scalar start saves a pass over ones
+    return times_power(times_power(1.0, x, px), y, py)

@@ -64,29 +64,22 @@ class Prediction:
         return int(np.count_nonzero(self.x_complex))
 
 
-def _signed_terms(fit: FitResult) -> list[tuple[float, Term]]:
-    """The fitted equation as sum(c_j * term_j) = 0.
-
-    The response enters with coefficient +1, the intercept (as
-    ``Term.ONE``) and predictors with their estimated coefficients negated.
-    """
-    out = [(1.0, fit.spec.response)]
-    for coef in fit.coefficients:
-        out.append((-coef.estimate, Term.ONE if coef.term is None else coef.term))
-    return out
-
-
 def _polynomial(fit: FitResult, data: Dataset, axis: int) -> tuple[dict, dict]:
     """The fitted equation as a polynomial in x (``axis=0``) or y (``axis=1``).
 
-    Maps each power of the solved axis to its per-observation coefficient,
-    which carries the other axis at its observed value; the second map
-    lists, per power, the addends summed into that coefficient.
+    The equation is sum(c_j * term_j) = 0, with the response at c = +1 and
+    the intercept (as ``Term.ONE``) and predictors at their estimates
+    negated.  Maps each power of the solved axis to its per-observation
+    coefficient, which carries the other axis at its observed value; the
+    second map lists, per power, the addends summed into that coefficient.
     """
     other = data.x if axis else data.y
     coefs = defaultdict(lambda: np.zeros(data.n))
     addends = defaultdict(list)
-    for c, term in _signed_terms(fit):
+    signed = [(1.0, fit.spec.response)]
+    signed += ((-coef.estimate, Term.ONE if coef.term is None else coef.term)
+               for coef in fit.coefficients)
+    for c, term in signed:
         powers = TERM_POWERS[term]
         addend = times_power(c, other, powers[1 - axis])
         coefs[powers[axis]] += addend
@@ -103,38 +96,33 @@ def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
     return np.abs(coef) <= _SINGULAR_RTOL * sum(np.abs(addend) for addend in addends)
 
 
-def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
-    """Solve the fitted equation for y at each observed x.
+def _solve(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the fitted equation for x (``axis=0``) at each observed y, or
+    for y (``axis=1``) at each observed x; returns (solves, complex_mask).
 
-    Entries where the y-coefficient is (near) zero are NaN.
+    The equation is at most quadratic in the solved axis; a 1/x term is
+    cleared by multiplying through by x.  Entries whose denominator is
+    (near) zero are NaN.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):  # 1/x at x = 0
-        coefs, addends = _polynomial(fit, data, axis=1)
-        a, b = coefs[1], coefs[0]
-        y_hat = np.where(_vanishes(a, addends[1]), np.nan, -b / a)
-    y_hat[~np.isfinite(y_hat)] = np.nan
-    return y_hat
-
-
-def _solve_x(fit: FitResult, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for x at each observed y; returns (x_hat, complex_mask)."""
-    coefs, addends = _polynomial(fit, data, axis=0)
-    a, b, c = coefs[2], coefs[1], coefs[0]
-    a_addends, b_addends = addends[2], addends[1]
-    if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all():
-        if np.any(a != 0.0):
-            raise UnsupportedModelError(
-                f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve"
-            )
-        # multiply the equation through by x
-        a, b, c = b, c, coefs[-1]
-        a_addends, b_addends = b_addends, addends[0]
-
-    affine = _vanishes(a, a_addends)
-    complex_mask = np.zeros(data.n, dtype=bool)
+    # 1/x at x = 0 and singular denominators become NaN below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x_hat = np.where(_vanishes(b, b_addends), np.nan, -c / b)
-        if not affine.all():
+        coefs, addends = _polynomial(fit, data, axis)
+        # the power holding the constant coefficient
+        low = 0
+        if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all():
+            if 2 in coefs and np.any(coefs[2] != 0.0):
+                raise UnsupportedModelError(
+                    f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve"
+                )
+            low = -1  # multiply the equation through by x
+        # a missing power reads as a zero coefficient
+        b, c = coefs[low + 1], coefs[low]
+        hat = np.where(_vanishes(b, addends[low + 1]), np.nan, -c / b)
+        complex_mask = np.zeros(data.n, dtype=bool)
+        # only an x-solve can be quadratic: x^2, or x after the multiply
+        a = coefs.get(low + 2)
+        affine = None if a is None else _vanishes(a, addends[low + 2])
+        if affine is not None and not affine.all():
             disc = b * b - 4.0 * a * c
             complex_mask = ~affine & (disc < 0.0)
             sq = np.sqrt(disc)
@@ -145,16 +133,20 @@ def _solve_x(fit: FitResult, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
             # the root nearest the observed x; an exact tie takes the smaller
             smaller = np.where(r2 < r1, r2, r1)
             nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
-            x_hat = np.where(affine, x_hat,
-                             np.where(complex_mask, -b / (2.0 * a), nearest))
-    x_hat[~np.isfinite(x_hat)] = np.nan
-    return x_hat, complex_mask
+            hat = np.where(affine, hat, np.where(complex_mask, -b / (2.0 * a), nearest))
+    hat[~np.isfinite(hat)] = np.nan
+    return hat, complex_mask
+
+
+def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
+    """Solve the fitted equation for y at each observed x; NaN where singular."""
+    return _solve(fit, data, axis=1)[0]
 
 
 def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for both axes; raises if every solve is singular."""
     y_hat = predict_y(fit, data)
-    x_hat, complex_mask = _solve_x(fit, data)
+    x_hat, complex_mask = _solve(fit, data, axis=0)
     pred = Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
     if not (pred.y_defined.any() or pred.x_defined.any()):
         raise DegenerateDataError(

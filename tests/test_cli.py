@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import implicitreg
-from implicitreg import SimulationConfig, generate, write_csv
+from implicitreg import DegenerateDataError, SimulationConfig, Term, generate, write_csv
 from implicitreg import compare
 from implicitreg.cli import main
 
@@ -179,6 +179,28 @@ class TestCompareCommand:
             assert sum(v is not None for v in r_squared) == 6
             assert r_squared[3] is None
 
+    def test_warnings_follow_row_order(self, tmp_path, capsys, monkeypatch):
+        # the 1/x fit fails at x = 0, and the solves of the x rotation (as
+        # reduced) and of 1 ~ x*y are made to fail, one before it and one after
+        predict = compare.predict
+
+        def predict_failing_two(fit, data):
+            if fit.spec.response is Term.X or str(fit.spec) == "1 ~ x*y":
+                raise DegenerateDataError("no solve")
+            return predict(fit, data)
+
+        monkeypatch.setattr(compare, "predict", predict_failing_two)
+        path = tmp_path / "zero_x.csv"
+        path.write_text("x,y\n0,5.1\n1,3.9\n2,3.2\n3,2.1\n4,0.8\n5,0.1\n")
+        code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))
+        assert code == 0
+        assert stderr.splitlines() == [
+            "warning: x ~ 1 + y + x*y: no solve",
+            "warning: y ~ 1 + 1/x: 1/x is undefined at x = 0",
+            "warning: 1 ~ x*y: no solve",
+        ]
+        assert sum(line.endswith("| n/a | n/a |") for line in stdout.splitlines()) == 3
+
 
 class TestInputEncoding:
     @pytest.mark.parametrize("command", [
@@ -240,10 +262,20 @@ class TestBoyleCommand:
             fitted.append(spec)
             return fit(basis, spec)
 
+        loads = []
+        boyle_dataset = compare.boyle_dataset
+
+        def counting_load():
+            loads.append(1)
+            return boyle_dataset()
+
         monkeypatch.setattr(compare.BasisQR, "fit", counting_fit)
+        monkeypatch.setattr(compare, "boyle_dataset", counting_load)
         code, _, _ = run_cli(capsys, "boyle", "--plot-data-dir", str(tmp_path / "plots"))
         assert code == 0
         assert len(fitted) == 3
+        # the overlays and histograms reuse the data the summary fitted
+        assert len(loads) == 1
 
 
 class TestClosedOutputPipe:

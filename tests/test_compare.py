@@ -20,7 +20,11 @@ from implicitreg import (
     render_json,
     render_markdown,
 )
-from implicitreg.compare import _METRIC_DIRECTIONS, boyle_plot_data, report_to_dict
+from implicitreg import compare
+from implicitreg.compare import (BOYLE_MODEL_TEXTS, _METRIC_DIRECTIONS, boyle_plot_data,
+                                 report_to_dict)
+from implicitreg.errors import DegenerateDataError, ImplicitRegressionError
+from implicitreg.formula import format_model, parse_model
 
 GOLDEN_SAMPLE = Path(__file__).resolve().parent / "golden" / "sample.csv"
 
@@ -35,6 +39,11 @@ class TestBuildComparison:
     def test_seven_rows_in_frozen_order(self, sigma5_report):
         assert len(sigma5_report.rows) == 7
         assert tuple(r.model for r in sigma5_report.rows) == COMPARISON_MODEL_TEXTS
+
+    def test_listed_texts_are_canonical(self):
+        # a row whose fitted spec prints otherwise than its text was reduced
+        for text in COMPARISON_MODEL_TEXTS + BOYLE_MODEL_TEXTS:
+            assert format_model(parse_model(text)) == text
 
     def test_rank_columns_sum_to_28(self, sigma5_report):
         for metric in ("r_squared", "se_y", "se_x", "theta_t", "height"):
@@ -154,6 +163,7 @@ class TestFailureIsolation:
     """A model that cannot be fit degrades its own row, not the table."""
 
     INVERSE = "y ~ 1 + 1/x"
+    MID_LIST = "y ~ 1 + x + x^2"
 
     @pytest.fixture(scope="class")
     def zero_x_report(self):
@@ -191,6 +201,65 @@ class TestFailureIsolation:
         data = Dataset("x", "y", [0.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(SingularDesignError, match="x, x\\*y"):
             build_comparison(data)
+
+    def test_a_failed_solve_keeps_its_row_in_place(self, sigma5_report, monkeypatch):
+        failing = parse_model(self.MID_LIST)
+        predict = compare.predict
+
+        def predict_failing_one(fit, data):
+            if fit.spec == failing:
+                raise DegenerateDataError("every solve hit a singular denominator")
+            return predict(fit, data)
+
+        monkeypatch.setattr(compare, "predict", predict_failing_one)
+        report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)),
+                                  seed=12345)
+        assert tuple(r.model for r in report.rows) == COMPARISON_MODEL_TEXTS
+        for row, full in zip(report.rows, sigma5_report.rows):
+            if row.model == self.MID_LIST:
+                assert row.error == "every solve hit a singular denominator"
+                assert set(row.metrics.values()) == {None}
+                assert set(row.ranks.values()) == {None}
+                continue
+            assert row.error is None and row.reduced == full.reduced
+            assert row.metrics == full.metrics
+        # the other six keep the order they had among seven
+        defined = [i for i, r in enumerate(report.rows) if r.model != self.MID_LIST]
+        for metric in _METRIC_DIRECTIONS:
+            ranks = [report.rows[i].ranks[metric] for i in defined]
+            before = [sigma5_report.rows[i].ranks[metric] for i in defined]
+            assert sum(ranks) == pytest.approx(21.0)
+            assert (sorted(range(6), key=lambda k: (ranks[k], k))
+                    == sorted(range(6), key=lambda k: (before[k], k)))
+
+    @pytest.mark.parametrize("first_fails_at", ["solve", "fit"])
+    def test_fit_and_solve_failures_raise_the_first_models_error(self, monkeypatch,
+                                                                 first_fails_at):
+        # every solve fails, y ~ 1 + 1/x fails at its fit (x = 0), and so
+        # does the first model when first_fails_at is "fit"
+        raised = []
+
+        def predict_failing(fit, data):
+            raised.append(DegenerateDataError(f"no solve of {fit.spec}"))
+            raise raised[-1]
+
+        fit = compare.BasisQR.fit
+        first = compare._COMPARISON_SPECS[0]
+
+        def fit_failing_first(basis, spec):
+            if spec == first and first_fails_at == "fit":
+                raised.append(SingularDesignError("the first model"))
+                raise raised[-1]
+            return fit(basis, spec)
+
+        monkeypatch.setattr(compare, "predict", predict_failing)
+        monkeypatch.setattr(compare.BasisQR, "fit", fit_failing_first)
+        data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                       [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
+        with pytest.raises(ImplicitRegressionError) as excinfo:
+            build_comparison(data)
+        assert excinfo.value is raised[0]
+        assert len(raised) == len(COMPARISON_MODEL_TEXTS) - 1
 
 
 class TestRendering:

@@ -117,8 +117,15 @@ class TestFitOls:
         for spec_text in ("y ~ 1 + x", "y ~ 1 + x + x*y", "x*y ~ 1 + x + y"):
             x = rng.uniform(1, 10, 30)
             y = rng.uniform(1, 10, 30)
-            fit = fit_ols(parse_model(spec_text), Dataset("x", "y", x, y))
-            assert fit.ssm + fit.sse == pytest.approx(fit.sst_centered, rel=1e-8)
+            spec = parse_model(spec_text)
+            fit = fit_ols(spec, Dataset("x", "y", x, y))
+            resp = eval_term(spec.response, x, y)
+            fitted = sum(c.estimate * eval_term(c.term or Term.ONE, x, y)
+                         for c in fit.coefficients)
+            ssm = float(((fitted - resp.mean()) ** 2).sum())
+            sst = float(((resp - resp.mean()) ** 2).sum())
+            assert ssm + fit.sse == pytest.approx(sst, rel=1e-8)
+            assert fit.r_squared == pytest.approx(1.0 - fit.sse / sst, rel=1e-12)
 
     def test_recovers_generating_coefficients(self):
         rng = np.random.default_rng(11)
@@ -151,8 +158,16 @@ class TestFitOls:
     def test_non_response_r_squared_is_uncentered(self):
         data = exact_inverse_dataset()
         fit = fit_ols(parse_model("1 ~ x*y"), data)
-        assert fit.r_squared == pytest.approx(1.0 - fit.sse / fit.sst_uncentered)
+        sum_sq = float((eval_term(Term.ONE, data.x, data.y) ** 2).sum())
+        assert fit.r_squared == pytest.approx(1.0 - fit.sse / sum_sq)
         assert fit.residual_dof == data.n - 1
+
+    def test_intercept_only_r_squared_is_the_constancy_index(self):
+        # centered, a constant fit's R^2 would be 0 by construction
+        rng = np.random.default_rng(8)
+        data = Dataset("x", "y", rng.uniform(1, 10, 20), rng.uniform(1, 10, 20))
+        fit = fit_ols(parse_model("y ~ 1"), data)
+        assert fit.r_squared == pytest.approx(constancy_index(data.y), rel=1e-12)
 
 
 class TestSelfWeightingMean:
@@ -379,7 +394,8 @@ class TestBasisQR:
                 continue
             # within 1e-6 RMS of an exact fit, SSE and so the SEs are set by
             # the rounding of each solver's residuals
-            if fit.sse <= 1e-12 * fit.sst_uncentered:
+            resp = eval_term(spec.response, data.x, data.y)
+            if fit.sse <= 1e-12 * float((resp ** 2).sum()):
                 continue
             _assert_fit_matches(fit, *_lstsq_reference(spec, data), rtol=1e-10)
 

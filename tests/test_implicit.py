@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from implicitreg import (
     fit_ols,
 )
 from implicitreg.fitcore import Coefficient, FitResult
-from implicitreg.formula import parse_model
+from implicitreg.formula import ModelSpec, format_model, parse_model
 from implicitreg.implicit import predict, predict_y
 
 
@@ -73,8 +75,7 @@ def pure_square_fit():
         Coefficient(term, est, 1.0, est, 0.5)
         for term, est in ((None, 0.0), (Term.X, 0.0), (Term.X_SQUARED, 1.0))
     )
-    return FitResult(spec=spec, n=7, coefficients=coefs, sse=0.0, ssm=1.0,
-                     sst_centered=1.0, sst_uncentered=1.0, r_squared=1.0,
+    return FitResult(spec=spec, n=7, coefficients=coefs, sse=0.0, r_squared=1.0,
                      residual_dof=4)
 
 
@@ -198,6 +199,27 @@ class TestPredictionContainer:
 _POWERS = {None: (0, 0), Term.ONE: (0, 0), Term.X: (1, 0), Term.Y: (0, 1),
            Term.XY: (1, 1), Term.X_SQUARED: (2, 0), Term.INV_X: (-1, 0)}
 _SHAPES = tuple(dict.fromkeys(COMPARISON_MODEL_TEXTS + BOYLE_MODEL_TEXTS))
+
+
+def _grammar_shapes():
+    """Every model the grammar admits, one per response, predictor subset
+    and intercept flag, as canonical text."""
+    predictors = [t for t in Term if t is not Term.ONE]
+    shapes = []
+    for response in (Term.ONE, Term.X, Term.Y, Term.XY):
+        others = [t for t in predictors if t is not response]
+        for k in range(len(others) + 1):
+            for subset in itertools.combinations(others, k):
+                for intercept in (False, True):
+                    try:
+                        shapes.append(format_model(ModelSpec(response, subset, intercept)))
+                    except ValueError:
+                        pass
+    return tuple(shapes)
+
+
+_GRAMMAR_SHAPES = _grammar_shapes()
+
 _RTOL = 1e-9
 
 _estimates = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
@@ -210,8 +232,7 @@ def fit_with(text, estimates):
     terms = ([None] if spec.intercept else []) + list(spec.predictors)
     coefs = tuple(Coefficient(t, float(e), 1.0, 1.0, 0.5)
                   for t, e in zip(terms, estimates))
-    return FitResult(spec=spec, n=10, coefficients=coefs, sse=1.0, ssm=1.0,
-                     sst_centered=1.0, sst_uncentered=1.0, r_squared=0.5,
+    return FitResult(spec=spec, n=10, coefficients=coefs, sse=1.0, r_squared=0.5,
                      residual_dof=1)
 
 
@@ -221,10 +242,11 @@ def signed_pairs(fit):
 
 
 def equation_terms(fit, x, y):
-    """The signed terms c_j * x**px * y**py of the fitted equation."""
+    """The signed terms c_j * x**px * y**py of the fitted equation; a term
+    with a zero coefficient is absent, so 0/x is no term even at x = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return [c * x ** float(_POWERS[t][0]) * y ** float(_POWERS[t][1])
-                for c, t in signed_pairs(fit)]
+                for c, t in signed_pairs(fit) if c != 0.0]
 
 
 def assert_satisfies(fit, x, y):
@@ -280,6 +302,46 @@ def fitted_probes(draw, text):
     return fit_with(text, estimates), probe, estimates
 
 
+def check_solves(fit, probe, estimates):
+    """Every defined solve of ``fit`` at ``probe`` satisfies the fitted
+    equation, complex flags mark negative discriminants, and of two real
+    roots the one nearer the observed x is taken."""
+    try:
+        pred = predict(fit, probe)
+    except UnsupportedModelError:
+        # no closed-form x solve with both an x^2 and a 1/x term
+        assert fit.coefficient(Term.X_SQUARED).estimate != 0.0
+        assert fit.coefficient(Term.INV_X).estimate != 0.0
+        return
+    except DegenerateDataError:
+        return
+
+    y_ok = pred.y_defined
+    assert_satisfies(fit, probe.x[y_ok], pred.y_hat[y_ok])
+
+    real = pred.x_defined & ~pred.x_complex
+    assert_satisfies(fit, pred.x_hat[real], probe.y[real])
+
+    a, b, c = x_quadratic(fit, probe.y)
+    flagged = pred.x_complex
+    disc = b * b - 4.0 * a * c
+    assert np.all(disc[flagged] < 0.0)
+    scale = max([abs(e) for e in estimates] + [1.0])
+    clearly_complex = ((np.abs(a) > 1e-9 * scale)
+                       & (disc < -1e-9 * (b * b + np.abs(4.0 * a * c))))
+    assert np.all(flagged[clearly_complex])
+    np.testing.assert_allclose(pred.x_hat[flagged],
+                               -b[flagged] / (2.0 * a[flagged]), rtol=1e-12)
+
+    two_roots = real & (a != 0.0)
+    if np.any(two_roots):
+        chosen = pred.x_hat[two_roots]
+        other = -b[two_roots] / a[two_roots] - chosen  # Vieta: r1 + r2 = -b/a
+        x_obs = probe.x[two_roots]
+        slack = _RTOL * (np.abs(chosen) + np.abs(other) + np.abs(x_obs) + 1.0)
+        assert np.all(np.abs(chosen - x_obs) <= np.abs(other - x_obs) + slack)
+
+
 class TestSolveProperties:
     """The algebra every solve obeys, over random coefficients per model shape."""
 
@@ -298,40 +360,20 @@ class TestSolveProperties:
         np.testing.assert_array_equal(pred.x_hat, want_x)
         np.testing.assert_array_equal(pred.x_complex, want_flags)
 
-    @pytest.mark.parametrize("text", _SHAPES)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_solves_satisfy_the_fitted_equation(self, text, data):
-        fit, probe, estimates = data.draw(fitted_probes(text))
-        try:
-            pred = predict(fit, probe)
-        except DegenerateDataError:
-            return
+    def test_the_grammar_admits_124_shapes(self):
+        assert len(_GRAMMAR_SHAPES) == len(set(_GRAMMAR_SHAPES)) == 124
+        assert set(_SHAPES) <= set(_GRAMMAR_SHAPES)
 
-        y_ok = pred.y_defined
-        assert_satisfies(fit, probe.x[y_ok], pred.y_hat[y_ok])
+    @pytest.mark.parametrize("text", _GRAMMAR_SHAPES)
+    def test_solves_satisfy_the_fitted_equation(self, text):
+        # 60 draws for a shape the reports fit and 4 for every other shape,
+        # which keeps the sweep over the whole grammar to a few seconds
+        @settings(max_examples=60 if text in _SHAPES else 4, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            check_solves(*data.draw(fitted_probes(text)))
 
-        real = pred.x_defined & ~pred.x_complex
-        assert_satisfies(fit, pred.x_hat[real], probe.y[real])
-
-        a, b, c = x_quadratic(fit, probe.y)
-        flagged = pred.x_complex
-        disc = b * b - 4.0 * a * c
-        assert np.all(disc[flagged] < 0.0)
-        scale = max([abs(e) for e in estimates] + [1.0])
-        clearly_complex = ((np.abs(a) > 1e-9 * scale)
-                           & (disc < -1e-9 * (b * b + np.abs(4.0 * a * c))))
-        assert np.all(flagged[clearly_complex])
-        np.testing.assert_allclose(pred.x_hat[flagged],
-                                   -b[flagged] / (2.0 * a[flagged]), rtol=1e-12)
-
-        two_roots = real & (a != 0.0)
-        if np.any(two_roots):
-            chosen = pred.x_hat[two_roots]
-            other = -b[two_roots] / a[two_roots] - chosen  # Vieta: r1 + r2 = -b/a
-            x_obs = probe.x[two_roots]
-            slack = _RTOL * (np.abs(chosen) + np.abs(other) + np.abs(x_obs) + 1.0)
-            assert np.all(np.abs(chosen - x_obs) <= np.abs(other - x_obs) + slack)
+        check()
 
     @given(st.integers(-20, 20), st.integers(-20, 20))
     def test_exact_tie_takes_the_smaller_root(self, r, s):
