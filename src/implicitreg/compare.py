@@ -61,8 +61,7 @@ _METRIC_DIRECTIONS = {
     "height": RankDirection.ASCENDING_BETTER,
 }
 _DIAGNOSTIC_NAMES = ("undefined_y", "undefined_x", "complex_x")
-# the height reading every report uses; metrics.relative_height also offers
-# the "altitude" reading
+# the height reading every report uses and prints
 HEIGHT_VARIANT = "projection"
 
 
@@ -112,10 +111,10 @@ class ComparisonReport:
     rows: tuple[ModelRow, ...]
 
 
-def _or_none(fn, *args, **kwargs):
-    """``fn(...)``, or None where the quantity is undefined for this fit."""
+def _or_none(fn, *args):
+    """``fn(*args)``, or None where the quantity is undefined for this fit."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except (InsufficientDataError, DegenerateTriangleError):
         return None
 
@@ -131,7 +130,7 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     sums = _or_none(joint_square_sums, data, pred)
     if sums is not None:
         theta = _or_none(separation_angle, sums)
-        height = _or_none(relative_height, sums, variant=HEIGHT_VARIANT)
+        height = _or_none(relative_height, sums)
     return ModelRow(
         model=format_model(fit.spec),
         r_squared=fit.r_squared,
@@ -344,11 +343,7 @@ def boyle_summary_to_dict(summary: BoyleSummary) -> dict:
     }
 
 
-_BOYLE_FILE_TAGS = {
-    "1 ~ x + y + x*y": "nonresponse",
-    "y ~ 1 + x + x^2": "quadratic",
-    "y ~ 1 + 1/x": "inverse",
-}
+_BOYLE_FILE_TAGS = dict(zip(BOYLE_MODEL_TEXTS, ("nonresponse", "quadratic", "inverse")))
 
 
 def boyle_plot_data(summary: BoyleSummary) -> dict[str, str]:

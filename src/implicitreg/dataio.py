@@ -44,8 +44,11 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        # read-only contiguous copies: the caller's arrays stay writeable and
+        # cannot change the dataset, and a BLAS dot product over a strided
+        # view can round differently in the last bit
+        x = np.array(self.x, dtype=float, ndmin=1)
+        y = np.array(self.y, dtype=float, ndmin=1)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -201,9 +204,7 @@ def read_csv(source) -> Dataset:
         raise InsufficientDataError(
             f"need at least 3 observations, found {len(values)}"
         )
-    # contiguous copies, not strided column views: a BLAS dot product over a
-    # strided view can round differently in the last bit
-    return Dataset(x_label, y_label, values[:, 0].copy(), values[:, 1].copy())
+    return Dataset(x_label, y_label, values[:, 0], values[:, 1])
 
 
 def write_csv(data: Dataset, decimals: int = 6) -> bytes:

@@ -8,13 +8,10 @@ perpendicular to the base, and its separation angle theta_T (90 degrees
 for classical one-axis least squares) measures how far a model departs
 from the orthogonal decomposition.
 
-Two height readings of the same triangle are available:
-
-* ``projection`` (default): the component of the error side along the
-  data-mean base, |SSE + (SST - SSM)| / (2 sqrt(n SST)).  This is the
-  variant calibrated against the bundled Boyle analysis.
-* ``altitude``: the perpendicular height from the estimate vertex onto
-  the base, sqrt(SSM SSE) sin(theta_T) / sqrt(SST).
+The height h of the triangle is its ``projection`` reading: the component
+of the error side along the data-mean base per root-n,
+|SSE + (SST - SSM)| / (2 sqrt(n SST)), the reading calibrated against the
+bundled Boyle analysis.
 """
 
 from __future__ import annotations
@@ -57,32 +54,21 @@ class SquareSums:
         return self.sse <= _PERFECT_FIT_RTOL * self.sst_uncentered
 
 
-def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> SquareSums:
-    """Square sums of a prediction against its dataset.
+def joint_square_sums(data: Dataset, pred: Prediction) -> SquareSums:
+    """Square sums of a prediction against its dataset, the x and y
+    coordinates stacked.
 
-    With ``axes="joint"`` (the default) the x and y coordinates are
-    stacked: observations where either solve is undefined are dropped
-    pairwise, and means are taken over the included observations.
-    ``axes="y"`` restricts everything to the y coordinate, which for a
-    with-intercept least-squares fit reproduces the classical orthogonal
-    decomposition (theta_T = 90).
+    Observations where either solve is undefined are dropped pairwise, and
+    means are taken over the included observations.
     """
-    if axes == "joint":
-        mask = pred.y_defined & pred.x_defined
-        pairs = [(data.y, pred.y_hat), (data.x, pred.x_hat)]
-    elif axes == "y":
-        mask = pred.y_defined
-        pairs = [(data.y, pred.y_hat)]
-    else:
-        raise ValueError(f"axes must be 'joint' or 'y', not {axes!r}")
-
+    mask = pred.y_defined & pred.x_defined
     n_used = int(np.count_nonzero(mask))
     if n_used < 3:
         raise InsufficientDataError(
             f"need at least 3 observations with defined solves, have {n_used}"
         )
     ssm = sse = sst = sst_uncentered = 0.0
-    for o, e in pairs:
+    for o, e in ((data.y, pred.y_hat), (data.x, pred.x_hat)):
         if n_used < data.n:
             o, e = o[mask], e[mask]
         mean = o.mean()
@@ -91,15 +77,6 @@ def joint_square_sums(data: Dataset, pred: Prediction, axes: str = "joint") -> S
         sst += float(((o - mean) ** 2).sum())
         sst_uncentered += float(o @ o)
     return SquareSums(ssm=ssm, sse=sse, sst=sst, n=n_used, sst_uncentered=sst_uncentered)
-
-
-def _cosine(s: SquareSums) -> float:
-    cos = (s.ssm + s.sse - s.sst) / (2.0 * math.sqrt(s.ssm * s.sse))
-    if abs(cos) > 1.0 + _COS_CLAMP_TOL:
-        raise ValueError(
-            f"square sums violate the triangle inequality (cos = {cos:.6g})"
-        )
-    return min(max(cos, -1.0), 1.0)
 
 
 def separation_angle(s: SquareSums) -> float:
@@ -112,27 +89,25 @@ def separation_angle(s: SquareSums) -> float:
         raise DegenerateTriangleError(
             f"no separation angle for ssm={s.ssm:.6g}, sse={s.sse:.6g}"
         )
-    return math.degrees(math.acos(_cosine(s)))
+    cos = (s.ssm + s.sse - s.sst) / (2.0 * math.sqrt(s.ssm * s.sse))
+    if abs(cos) > 1.0 + _COS_CLAMP_TOL:
+        raise ValueError(
+            f"square sums violate the triangle inequality (cos = {cos:.6g})"
+        )
+    return math.degrees(math.acos(min(max(cos, -1.0), 1.0)))
 
 
-def relative_height(s: SquareSums, variant: str = "projection") -> float:
-    """Height reading of the data-mean-estimate triangle; see module docs.
+def relative_height(s: SquareSums) -> float:
+    """Height h of the data-mean-estimate triangle; see module docs.
 
-    A perfect fit (SSE = 0 up to rounding) has height 0 under both variants.
+    A perfect fit (SSE = 0 up to rounding) has height 0.
     """
     if s.sst <= 0.0:
         raise DegenerateTriangleError("no height for sst = 0")
-    if variant not in ("projection", "altitude"):
-        raise ValueError(f"unknown height variant {variant!r}")
     if s.is_perfect:
         return 0.0
-    if variant == "projection":
-        # SST - SSM first: SSE added to SST alone is lost below ~1e-16 SST
-        return abs(s.sse + (s.sst - s.ssm)) / (2.0 * math.sqrt(s.n * s.sst))
-    if s.ssm == 0.0:
-        return 0.0
-    sin = math.sqrt(max(0.0, 1.0 - _cosine(s) ** 2))
-    return math.sqrt(s.ssm * s.sse) * sin / math.sqrt(s.sst)
+    # SST - SSM first: SSE added to SST alone is lost below ~1e-16 SST
+    return abs(s.sse + (s.sst - s.ssm)) / (2.0 * math.sqrt(s.n * s.sst))
 
 
 def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params: int) -> float:

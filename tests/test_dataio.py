@@ -34,6 +34,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.x[0] = 99.0
 
+    def test_callers_arrays_stay_writeable_and_apart(self):
+        x = np.arange(1.0, 6.0)
+        y = 2.0 * x
+        d = Dataset("x", "y", x, y)
+        assert x.flags.writeable and y.flags.writeable
+        x[0] = 10.0
+        y[0] = 10.0
+        assert d.x.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert d.y.tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
+
+    def test_strided_input_is_stored_contiguous(self):
+        table = np.arange(12.0).reshape(6, 2)
+        d = Dataset("x", "y", table[::-1, 0], table[:, 1])
+        assert d.x.flags.c_contiguous and d.y.flags.c_contiguous
+        assert d.x.tolist() == [10.0, 8.0, 6.0, 4.0, 2.0, 0.0]
+
 
 class TestReadCsv:
     def test_mixed_fraction(self):

@@ -10,14 +10,12 @@ from implicitreg import (
     InsufficientDataError,
     RankDirection,
     SquareSums,
-    fit_ols,
     joint_square_sums,
     rank_models,
     relative_height,
     separation_angle,
 )
-from implicitreg.formula import parse_model
-from implicitreg.implicit import Prediction, predict
+from implicitreg.implicit import Prediction
 from implicitreg.metrics import residual_se
 
 
@@ -72,12 +70,6 @@ class TestJointSquareSums:
         with pytest.raises(InsufficientDataError):
             joint_square_sums(data, pred)
 
-    def test_y_only_axis_switch(self):
-        data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
-        pred = prediction_from_arrays(data.y.copy(), np.full(4, np.nan))
-        s = joint_square_sums(data, pred, axes="y")
-        assert s.sse == pytest.approx(0.0, abs=1e-12)
-
 
 class TestSeparationAngle:
     def test_pythagorean_case(self):
@@ -96,10 +88,9 @@ class TestSeparationAngle:
         with pytest.raises(DegenerateTriangleError):
             separation_angle(perfect)
         assert relative_height(perfect) == 0.0
-        assert relative_height(perfect, variant="altitude") == 0.0
         noisy = SquareSums(50.0 * c, 1e-20 * c, 50.0 * c, 10, 275.0 * c)
         assert separation_angle(noisy) == pytest.approx(90.0, abs=1e-6)
-        assert relative_height(noisy, variant="altitude") > 0.0
+        assert relative_height(noisy) > 0.0
 
     def test_clamps_tiny_overshoot(self):
         ssm, sse = 2.0, 3.0
@@ -109,19 +100,6 @@ class TestSeparationAngle:
     def test_rejects_infeasible_sums(self):
         with pytest.raises(ValueError):
             separation_angle(SquareSums(1.0, 1.0, 100.0, 5))
-
-    def test_y_only_ols_is_orthogonal(self):
-        # only models whose y-solve IS the least-squares fitted vector
-        # (no y on the right-hand side) decompose orthogonally
-        rng = np.random.default_rng(17)
-        for text in ("y ~ 1 + x", "y ~ 1 + x + x^2", "y ~ 1 + 1/x"):
-            x = rng.uniform(1, 10, 40)
-            y = rng.uniform(1, 10, 40)
-            data = Dataset("x", "y", x, y)
-            fit = fit_ols(parse_model(text), data)
-            pred = predict(fit, data)
-            s = joint_square_sums(data, pred, axes="y")
-            assert separation_angle(s) == pytest.approx(90.0, abs=1e-6)
 
     def test_law_of_cosines_reconstruction(self):
         rng = np.random.default_rng(23)
@@ -143,22 +121,6 @@ class TestRelativeHeight:
     def test_perfect_fit_has_zero_height(self):
         s = SquareSums(5.0, 0.0, 5.0, 10)
         assert relative_height(s) == pytest.approx(0.0, abs=1e-12)
-        assert relative_height(s, variant="altitude") == 0.0
-
-    def test_altitude_symmetric_in_model_and_error(self):
-        s1 = SquareSums(3.0, 5.0, 6.0, 9)
-        s2 = SquareSums(5.0, 3.0, 6.0, 9)
-        assert relative_height(s1, variant="altitude") == pytest.approx(
-            relative_height(s2, variant="altitude"), rel=1e-12
-        )
-
-    def test_altitude_matches_triangle_area(self):
-        # height * base = 2 * area = ssm_side * sse_side * sin(theta)
-        s = SquareSums(4.0, 9.0, 10.0, 12)
-        theta = math.radians(separation_angle(s))
-        h = relative_height(s, variant="altitude")
-        area_twice = math.sqrt(s.ssm * s.sse) * math.sin(theta)
-        assert h * math.sqrt(s.sst) == pytest.approx(area_twice, rel=1e-12)
 
     def test_projection_is_base_component_of_error_side(self):
         # |sse + sst - ssm| / (2 sqrt(sst)) is the projection of the error
@@ -176,10 +138,6 @@ class TestRelativeHeight:
     def test_zero_base_rejected(self):
         with pytest.raises(DegenerateTriangleError):
             relative_height(SquareSums(1.0, 1.0, 0.0, 5))
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            relative_height(SquareSums(1.0, 1.0, 1.0, 5), variant="nope")
 
 
 class TestStandardErrors:
