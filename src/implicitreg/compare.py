@@ -29,6 +29,7 @@ from .metrics import (
     relative_height,
     residual_se,
     separation_angle,
+    standard_error,
 )
 
 COMPARISON_MODEL_TEXTS = (
@@ -123,7 +124,8 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     """The report row of one fitted model, named by its own spec and unranked.
 
     Fields are None where the quantity is undefined (degenerate triangle
-    or too few defined solves).
+    or too few defined solves).  An axis whose defined solves are the joint
+    sums' rows takes its SSE from them instead of summing it again.
     """
     n_params = fit.spec.n_coefficients
     theta = height = None
@@ -131,11 +133,18 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     if sums is not None:
         theta = _or_none(separation_angle, sums)
         height = _or_none(relative_height, sums)
+    se = []
+    for axis, (obs, est, defined) in enumerate(((data.y, pred.y_hat, pred.y_defined),
+                                                (data.x, pred.x_hat, pred.x_defined))):
+        if sums is not None and np.count_nonzero(defined) == sums.n:
+            se.append(_or_none(standard_error, sums.axis_sse[axis], sums.n, n_params))
+        else:
+            se.append(_or_none(residual_se, obs, est, defined, n_params))
     return ModelRow(
         model=format_model(fit.spec),
         r_squared=fit.r_squared,
-        se_y=_or_none(residual_se, data.y, pred.y_hat, pred.y_defined, n_params),
-        se_x=_or_none(residual_se, data.x, pred.x_hat, pred.x_defined, n_params),
+        se_y=se[0],
+        se_x=se[1],
         theta_t=theta,
         height=height,
         undefined_y=pred.undefined_count_y,

@@ -12,6 +12,7 @@ import hashlib
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -61,6 +62,14 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x.size
+
+    @cached_property
+    def axis_sums(self) -> tuple[tuple[float, float, float], ...]:
+        """Per axis, y then x: the mean and the sums of squares about it and
+        about zero, summed once per dataset."""
+        means = float(self.y.mean()), float(self.x.mean())
+        return tuple((mean, float(((v - mean) ** 2).sum()), float(v @ v))
+                     for v, mean in zip((self.y, self.x), means))
 
     def rows(self):
         """Iterate (x_i, y_i) pairs in source order."""

@@ -112,6 +112,18 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return coefs
 
 
+def _sum_response(term: Term, resp: np.ndarray, centered: bool) -> dict:
+    """(sum_sq, sst) of the response column ``resp`` of ``term``, keyed by
+    (term, centered).  The uncentered SST is sum_sq itself; the one about
+    the column's mean is summed only when ``centered``."""
+    sum_sq = float((resp ** 2).sum())
+    sums = {(term, False): (sum_sq, sum_sq)}
+    if centered:
+        resp_mean = float(resp.mean())
+        sums[term, True] = (sum_sq, float(((resp - resp_mean) ** 2).sum()))
+    return sums
+
+
 class BasisQR:
     """One dataset's basis matrix Z = [1, x, y, xy, x^2, 1/x], kept as the
     R factor of its QR decomposition.
@@ -119,10 +131,12 @@ class BasisQR:
     Every design and every response of the grammar is a column of Z, so
     each fit, and each refit of backward elimination, is a least-squares
     problem on at most 6 x 4 columns of R; the n data rows are touched
-    again only for a fit's square sums.  R is built from row blocks of
-    ``_BLOCK_ROWS`` rows, each reduced to its own R before the stacked
-    block Rs are factored once more, so Z itself is never held.  When any
-    x = 0 the 1/x column is left out and only fits that use it fail.
+    again only for a fit's residuals, and for its response's square sums
+    the first time a fit uses that response and centering.  R is built
+    from row blocks of ``_BLOCK_ROWS`` rows, each reduced to its own R
+    before the stacked block Rs are factored once more, so Z itself is
+    never held.  When any x = 0 the 1/x column is left out and only fits
+    that use it fail.
     """
 
     def __init__(self, data: Dataset):
@@ -138,6 +152,7 @@ class BasisQR:
         self.r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
         # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q
         self.column_norms = np.linalg.norm(self.r, axis=0)
+        self._response_sums: dict = {}  # (term, centered) -> (sum_sq, sst)
 
     def fit(self, spec: ModelSpec) -> FitResult:
         """Fit ``spec`` by least squares; see ``fit_ols``."""
@@ -177,12 +192,10 @@ class BasisQR:
         residuals = resp - fitted
         sse = float(residuals @ residuals)
         dof = n - p
-        sum_sq = float((resp ** 2).sum())
-        if spec.intercept and spec.predictors:
-            resp_mean = float(resp.mean())
-            sst = float(((resp - resp_mean) ** 2).sum())
-        else:
-            sst = sum_sq
+        key = (spec.response, spec.intercept and bool(spec.predictors))
+        if key not in self._response_sums:
+            self._response_sums.update(_sum_response(spec.response, resp, key[1]))
+        sum_sq, sst = self._response_sums[key]
         # 1 - SSE/SST; with SST = 0, 1 for an exact fit and 0 otherwise
         r_squared = (1.0 if sse == 0.0 else 0.0) if sst <= 0.0 else 1.0 - sse / sst
 

@@ -123,17 +123,22 @@ def _solve(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.nda
         a = coefs.get(low + 2)
         affine = None if a is None else _vanishes(a, addends[low + 2])
         if affine is not None and not affine.all():
+            # q = -(b + sign(b) sqrt(disc)) / 2, sign(+-0) = +1; one pass per step
             disc = b * b - 4.0 * a * c
             complex_mask = ~affine & (disc < 0.0)
             sq = np.sqrt(disc)
-            q = np.where(b >= 0.0, -(b + sq) / 2.0, -(b - sq) / 2.0)
-            r1 = np.where(q == 0.0, 0.0, q / a)
-            r2 = np.where(q == 0.0, 0.0, c / q)
+            np.negative(sq, out=sq, where=b < 0.0)
+            q = -(b + sq) / 2.0
+            r1, r2 = q / a, c / q
+            zero = q == 0.0
+            r1[zero] = r2[zero] = 0.0
             d1, d2 = np.abs(r1 - data.x), np.abs(r2 - data.x)
             # the root nearest the observed x; an exact tie takes the smaller
             smaller = np.where(r2 < r1, r2, r1)
             nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
-            hat = np.where(affine, hat, np.where(complex_mask, -b / (2.0 * a), nearest))
+            nearest[complex_mask] = -b[complex_mask] / (2.0 * a[complex_mask])
+            nearest[affine] = hat[affine]
+            hat = nearest
     hat[~np.isfinite(hat)] = np.nan
     return hat, complex_mask
 

@@ -38,7 +38,7 @@ class SquareSums:
 
     ``sst_uncentered`` is the observations' own sum of squares about zero,
     the scale below which an SSE counts as rounding (see ``is_perfect``);
-    left at 0, only an exact SSE = 0 does.
+    left at 0, only an exact SSE = 0 does.  ``axis_sse`` is (SSE_y, SSE_x).
     """
 
     ssm: float
@@ -46,6 +46,7 @@ class SquareSums:
     sst: float
     n: int
     sst_uncentered: float = 0.0
+    axis_sse: tuple[float, ...] = ()
 
     @property
     def is_perfect(self) -> bool:
@@ -59,7 +60,8 @@ def joint_square_sums(data: Dataset, pred: Prediction) -> SquareSums:
     coordinates stacked.
 
     Observations where either solve is undefined are dropped pairwise, and
-    means are taken over the included observations.
+    means are taken over the included observations; the observations' own
+    sums are the ``axis_sums`` of the dataset of those observations.
     """
     mask = pred.y_defined & pred.x_defined
     n_used = int(np.count_nonzero(mask))
@@ -67,16 +69,19 @@ def joint_square_sums(data: Dataset, pred: Prediction) -> SquareSums:
         raise InsufficientDataError(
             f"need at least 3 observations with defined solves, have {n_used}"
         )
+    y_hat, x_hat = pred.y_hat, pred.x_hat
+    if n_used < data.n:
+        data = Dataset(data.x_label, data.y_label, data.x[mask], data.y[mask])
+        y_hat, x_hat = y_hat[mask], x_hat[mask]
     ssm = sse = sst = sst_uncentered = 0.0
-    for o, e in ((data.y, pred.y_hat), (data.x, pred.x_hat)):
-        if n_used < data.n:
-            o, e = o[mask], e[mask]
-        mean = o.mean()
-        sse += float(((o - e) ** 2).sum())
+    axis_sse = []
+    for o, e, (mean, o_sst, o_sum_sq) in zip((data.y, data.x), (y_hat, x_hat), data.axis_sums):
+        axis_sse.append(float(((o - e) ** 2).sum()))
+        sse += axis_sse[-1]
         ssm += float(((e - mean) ** 2).sum())
-        sst += float(((o - mean) ** 2).sum())
-        sst_uncentered += float(o @ o)
-    return SquareSums(ssm=ssm, sse=sse, sst=sst, n=n_used, sst_uncentered=sst_uncentered)
+        sst += o_sst
+        sst_uncentered += o_sum_sq
+    return SquareSums(ssm, sse, sst, n_used, sst_uncentered, tuple(axis_sse))
 
 
 def separation_angle(s: SquareSums) -> float:
@@ -114,13 +119,17 @@ def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params:
     """Residual standard error of one axis over its defined solves, with
     n_def - n_params degrees of freedom."""
     n_def = int(np.count_nonzero(defined))
+    if n_def < defined.size:
+        obs, est = obs[defined], est[defined]
+    return standard_error(float(((obs - est) ** 2).sum()), n_def, n_params)
+
+
+def standard_error(sse: float, n_def: int, n_params: int) -> float:
+    """sqrt(SSE / (n_def - n_params)) for an SSE over n_def defined solves."""
     if n_def <= n_params:
         raise InsufficientDataError(
             f"need more than {n_params} defined solves, have {n_def}"
         )
-    if n_def < defined.size:
-        obs, est = obs[defined], est[defined]
-    sse = float(((obs - est) ** 2).sum())
     return math.sqrt(sse / (n_def - n_params))
 
 

@@ -15,6 +15,7 @@ from implicitreg import (
     ModelSpec,
     SingularDesignError,
     Term,
+    boyle_dataset,
     build_comparison,
     constancy_index,
     fit_ols,
@@ -482,6 +483,70 @@ class TestBasisQR:
         shapes.clear()
         steps = reduce_model_trace(fit)[1]
         assert steps and shapes and all(rows <= 6 for rows, _ in shapes)
+
+
+def _per_fit_response_sums(resp, centered):
+    """A fit's response sums, summed afresh for that fit."""
+    sum_sq = float((resp ** 2).sum())
+    if centered:
+        resp_mean = float(resp.mean())
+        return sum_sq, float(((resp - resp_mean) ** 2).sum())
+    return sum_sq, sum_sq
+
+
+# a fit of each response term and centering the grammar admits
+_RESPONSE_FITS = {
+    (Term.ONE, False): "1 ~ x",
+    (Term.X, False): "x ~ 1",
+    (Term.X, True): "x ~ 1 + y",
+    (Term.Y, False): "y ~ 1",
+    (Term.Y, True): "y ~ 1 + x",
+    (Term.XY, False): "x*y ~ 1",
+    (Term.XY, True): "x*y ~ 1 + x",
+}
+
+
+class TestResponseSums:
+    @pytest.mark.parametrize("data", [
+        boyle_dataset(),
+        generate(SimulationConfig(n=50, sigma=5.0, seed=3)),
+        Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 5.0, 0.0, 7.0],
+                [4.0, 0.0, 1.5, 0.0, 2.0, 3.0, 0.25]),
+    ], ids=["boyle", "simulated", "x0_y0"])
+    @pytest.mark.parametrize("centered_first", [True, False])
+    def test_kept_sums_are_the_per_fit_sums(self, data, centered_first):
+        keys = sorted(_RESPONSE_FITS, key=lambda k: (k[0].value, k[1] != centered_first))
+        basis = BasisQR(data)
+        for term, centered in keys:
+            fit = basis.fit(parse_model(_RESPONSE_FITS[term, centered]))
+            expected = _per_fit_response_sums(eval_term(term, data.x, data.y), centered)
+            kept = basis._response_sums[term, centered]
+            assert [v.hex() for v in kept] == [v.hex() for v in expected], (term, centered)
+            sum_sq, sst = expected
+            r_squared = (1.0 if fit.sse == 0.0 else 0.0) if sst <= 0.0 else 1.0 - fit.sse / sst
+            assert fit.r_squared.hex() == r_squared.hex()
+
+    def test_each_response_and_centering_is_summed_once(self, monkeypatch):
+        summed, fits = [], []
+        sum_response, basis_fit = fitcore._sum_response, BasisQR.fit
+
+        def spy_sum(term, resp, centered):
+            summed.append((term, centered))
+            return sum_response(term, resp, centered)
+
+        def spy_fit(self, spec):
+            fits.append(spec)
+            return basis_fit(self, spec)
+
+        monkeypatch.setattr(fitcore, "_sum_response", spy_sum)
+        monkeypatch.setattr(BasisQR, "fit", spy_fit)
+        # at this seed the rotations reduce to y ~ 1 + x, x ~ 1 + y and x*y ~ 1
+        report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)))
+        assert [row.reduced for row in report.rows[:3]] == ["y ~ 1 + x", "x ~ 1 + y", "x*y ~ 1"]
+        assert summed == [(Term.Y, True), (Term.X, True), (Term.XY, True), (Term.ONE, False)]
+        # every refit, the uncentered x*y ~ 1 too, reused the sums of its
+        # rotation's first fit
+        assert len(fits) > len(COMPARISON_MODEL_TEXTS)
 
 
 def _exact_p(coef):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from implicitreg import (
     boyle_dataset,
     fit_ols,
 )
+from implicitreg import implicit
 from implicitreg.fitcore import Coefficient, FitResult
 from implicitreg.formula import ModelSpec, format_model, parse_model
 from implicitreg.implicit import predict, predict_y
@@ -384,3 +386,64 @@ class TestSolveProperties:
         pred = predict(fit, probe)
         assert pred.x_hat.tolist() == [float(min(r, s))]
         assert not pred.x_complex.any()
+
+
+def _reference_quadratic_solve(a, b, c, x):
+    """The quadratic x-solve with every branch evaluated on every row: both
+    signs of q, both divisions and -b / 2a, then the affine rows' -c / b."""
+    hat = np.where(b == 0.0, np.nan, -c / b)
+    affine = a == 0.0
+    complex_mask = np.zeros(x.size, dtype=bool)
+    if not affine.all():
+        disc = b * b - 4.0 * a * c
+        complex_mask = ~affine & (disc < 0.0)
+        sq = np.sqrt(disc)
+        q = np.where(b >= 0.0, -(b + sq) / 2.0, -(b - sq) / 2.0)
+        r1 = np.where(q == 0.0, 0.0, q / a)
+        r2 = np.where(q == 0.0, 0.0, c / q)
+        d1, d2 = np.abs(r1 - x), np.abs(r2 - x)
+        smaller = np.where(r2 < r1, r2, r1)
+        nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
+        hat = np.where(affine, hat, np.where(complex_mask, -b / (2.0 * a), nearest))
+    hat[~np.isfinite(hat)] = np.nan
+    return hat, complex_mask
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_COEF = st.one_of(_SIGNED_ZERO, st.integers(-4, 4).map(float),
+                  st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def _quadratic_rows(draw):
+    """One row (a, b, c, x) of a x^2 + b x + c = 0, often at an edge."""
+    kind = draw(st.sampled_from(["any", "b_zero", "double", "tie", "q_zero", "complex"]))
+    s = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+    r, t = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    x = draw(_COEF)
+    if kind == "any":  # a may vanish, any coefficient may be -0.0
+        return draw(_COEF), draw(_COEF), draw(_COEF), x
+    if kind == "b_zero":  # +-0.0 takes the b >= 0 branch of q
+        return draw(_COEF), draw(_SIGNED_ZERO), draw(_COEF), x
+    if kind == "double":  # disc == 0 exactly: the double root r
+        return s, -2.0 * s * r, s * r * r, x
+    if kind == "tie":  # the observed x exactly halfway between r and t
+        return s, -s * (r + t), s * r * t, (r + t) / 2.0
+    if kind == "q_zero":  # b = c = 0 gives q = +-0
+        return draw(_COEF), draw(_SIGNED_ZERO), draw(_SIGNED_ZERO), x
+    return s, float(r), s * (r * r + abs(t) + 1), x  # disc < 0
+
+
+class TestQuadraticXSolve:
+    @given(st.lists(_quadratic_rows(), min_size=1, max_size=40))
+    def test_matches_the_every_branch_reference_bit_for_bit(self, rows):
+        a, b, c, x = (np.array(col) for col in zip(*rows))
+        # a term's addends are just the coefficient, so a and b vanish at +-0
+        coefs = {0: c, 1: b, 2: a}
+        addends = {power: [coef] for power, coef in coefs.items()}
+        with mock.patch.object(implicit, "_polynomial", return_value=(coefs, addends)):
+            hat, complex_mask = implicit._solve(None, Dataset("x", "y", x, x), axis=0)
+        with np.errstate(all="ignore"):
+            want, want_complex = _reference_quadratic_solve(a, b, c, x)
+        assert hat.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert complex_mask.tolist() == want_complex.tolist()

@@ -2,21 +2,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from pathlib import Path
+
+from hypothesis import example, given, strategies as st
 
 from implicitreg import (
+    COMPARISON_MODEL_TEXTS,
     Dataset,
     DegenerateTriangleError,
     InsufficientDataError,
     RankDirection,
+    SimulationConfig,
     SquareSums,
+    boyle_dataset,
+    fit_ols,
+    generate,
     joint_square_sums,
+    model_metrics,
+    predict,
+    read_csv,
     rank_models,
     relative_height,
     separation_angle,
 )
+from implicitreg.errors import ImplicitRegressionError
+from implicitreg.formula import parse_model
 from implicitreg.implicit import Prediction
 from implicitreg.metrics import residual_se
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def prediction_from_arrays(y_hat, x_hat):
@@ -69,6 +83,85 @@ class TestJointSquareSums:
         pred = prediction_from_arrays([5.0, np.nan, 8.0], [1.0, 2.0, 3.0])
         with pytest.raises(InsufficientDataError):
             joint_square_sums(data, pred)
+
+
+def _oracle_square_sums(data, pred):
+    """``joint_square_sums`` with every sum taken in the call, over the
+    pairwise mask: (ssm, sse, sst, n, sst_uncentered)."""
+    mask = pred.y_defined & pred.x_defined
+    n_used = int(np.count_nonzero(mask))
+    ssm = sse = sst = sst_uncentered = 0.0
+    for o, e in ((data.y, pred.y_hat), (data.x, pred.x_hat)):
+        if n_used < data.n:
+            o, e = o[mask], e[mask]
+        mean = o.mean()
+        sse += float(((o - e) ** 2).sum())
+        ssm += float(((e - mean) ** 2).sum())
+        sst += float(((o - mean) ** 2).sum())
+        sst_uncentered += float(o @ o)
+    return ssm, sse, sst, n_used, sst_uncentered
+
+
+def _oracle_se(obs, est, defined, n_params):
+    """One axis's residual SE summed over that axis's own defined solves."""
+    n_def = int(np.count_nonzero(defined))
+    if n_def <= n_params:
+        return None
+    if n_def < defined.size:
+        obs, est = obs[defined], est[defined]
+    return math.sqrt(float(((obs - est) ** 2).sum()) / (n_def - n_params))
+
+
+def _bits(values):
+    return [v if v is None or isinstance(v, int) else float(v).hex() for v in values]
+
+
+def assert_sums_match_the_oracles(fit, data, pred):
+    s = joint_square_sums(data, pred)
+    assert _bits([s.ssm, s.sse, s.sst, s.n, s.sst_uncentered]) == \
+        _bits(_oracle_square_sums(data, pred))
+    row = model_metrics(fit, data, pred)
+    k = fit.spec.n_coefficients
+    assert _bits([row.se_y, row.se_x]) == _bits([
+        _oracle_se(data.y, pred.y_hat, pred.y_defined, k),
+        _oracle_se(data.x, pred.x_hat, pred.x_defined, k),
+    ])
+
+
+class TestSharedSums:
+    """The dataset's kept sums and the SSE shared by an axis's SE give the
+    bits of the sums taken per call, on full and on masked rows."""
+
+    @given(seed=st.integers(0, 30), text=st.sampled_from(COMPARISON_MODEL_TEXTS),
+           undefined_y=st.sets(st.integers(0, 19), max_size=6),
+           undefined_x=st.sets(st.integers(0, 19), max_size=6))
+    # y and x undefined on different rows: each axis's mask differs from
+    # the pairwise one, so neither SE may take the joint SSE
+    @example(seed=0, text="y ~ 1 + x + x*y", undefined_y={1}, undefined_x={2})
+    @example(seed=0, text="1 ~ x + y + x*y", undefined_y={1, 5}, undefined_x={5})
+    @example(seed=0, text="y ~ 1 + x + x^2", undefined_y={3, 4}, undefined_x={3, 4})
+    @example(seed=0, text="x ~ 1 + y + x*y", undefined_y=set(), undefined_x=set())
+    def test_sums_with_undefined_solves(self, seed, text, undefined_y, undefined_x):
+        data = generate(SimulationConfig(n=20, sigma=5.0, seed=seed))
+        fit = fit_ols(parse_model(text), data)
+        pred = predict(fit, data)
+        y_hat, x_hat = pred.y_hat.copy(), pred.x_hat.copy()
+        y_hat[list(undefined_y)] = np.nan
+        x_hat[list(undefined_x)] = np.nan
+        assert_sums_match_the_oracles(fit, data, Prediction(y_hat, x_hat, pred.x_complex))
+
+    @pytest.mark.parametrize("source", ["boyle", "sample", "sample_x0"])
+    def test_every_comparison_model(self, source):
+        data = boyle_dataset() if source == "boyle" else read_csv(GOLDEN / "sample.csv")
+        if source == "sample_x0":  # the golden compare_x0 input
+            data = Dataset("x", "y", np.concatenate([[0.0], data.x[1:]]), data.y)
+        for text in COMPARISON_MODEL_TEXTS:
+            try:
+                fit = fit_ols(parse_model(text), data)
+                pred = predict(fit, data)
+            except ImplicitRegressionError:
+                continue
+            assert_sums_match_the_oracles(fit, data, pred)
 
 
 class TestSeparationAngle:
