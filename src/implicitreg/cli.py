@@ -116,15 +116,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _print_fit_table(fit) -> None:
-    print(f"model: {format_model(fit.spec)}")
-    print(f"n = {fit.n}, residual dof = {fit.residual_dof}")
-    print(f"{'term':<12}{'estimate':>16}{'std error':>14}{'t':>12}{'p':>10}")
-    for coef in fit.coefficients:
-        print(f"{coef.label:<12}{coef.estimate:>16.8g}{coef.std_error:>14.4g}"
-              f"{coef.t_stat:>12.4g}{coef.p_value:>10.4f}")
-
-
 def _cmd_fit(args) -> int:
     data = read_csv(args.data)
     fit = fit_ols(args.model, data)
@@ -162,7 +153,12 @@ def _cmd_fit(args) -> int:
         print(f"dropped {coef.label} (p = {coef.p_value:.4f})")
     if trace:
         print()
-    _print_fit_table(fit)
+    print(f"model: {format_model(fit.spec)}")
+    print(f"n = {fit.n}, residual dof = {fit.residual_dof}")
+    print(f"{'term':<12}{'estimate':>16}{'std error':>14}{'t':>12}{'p':>10}")
+    for coef in fit.coefficients:
+        print(f"{coef.label:<12}{coef.estimate:>16.8g}{coef.std_error:>14.4g}"
+              f"{coef.t_stat:>12.4g}{coef.p_value:>10.4f}")
     print()
     print(f"R^2 = {row.r_squared:.6f}")
     print(f"SE_y = {_fmt(row.se_y, '.6g')}, SE_x = {_fmt(row.se_x, '.6g')}")

@@ -27,7 +27,6 @@ from .metrics import (
     joint_square_sums,
     rank_models,
     relative_height,
-    residual_se,
     separation_angle,
     standard_error,
 )
@@ -136,10 +135,12 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     se = []
     for axis, (obs, est, defined) in enumerate(((data.y, pred.y_hat, pred.y_defined),
                                                 (data.x, pred.x_hat, pred.x_defined))):
-        if sums is not None and np.count_nonzero(defined) == sums.n:
-            se.append(_or_none(standard_error, sums.axis_sse[axis], sums.n, n_params))
+        n_def = int(np.count_nonzero(defined))
+        if sums is not None and n_def == sums.n:
+            sse = sums.axis_sse[axis]
         else:
-            se.append(_or_none(residual_se, obs, est, defined, n_params))
+            sse = float(((obs[defined] - est[defined]) ** 2).sum())
+        se.append(_or_none(standard_error, sse, n_def, n_params))
     return ModelRow(
         model=format_model(fit.spec),
         r_squared=fit.r_squared,
@@ -153,19 +154,15 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
     )
 
 
-def _rank_columns(metric_values: dict[str, list[float | None]]) -> list[dict[str, float | None]]:
-    """Per-model rank dicts; undefined metric values get a None rank."""
-    n_rows = len(next(iter(metric_values.values())))
-    ranks: list[dict[str, float | None]] = [dict() for _ in range(n_rows)]
+def _rank_columns(rows: list[ModelRow]) -> list[dict[str, float | None]]:
+    """Per-row rank dicts in the JSON key order; undefined metrics get a None rank."""
+    ranks = [dict.fromkeys(_METRIC_DIRECTIONS) for _ in rows]
     for metric, direction in _METRIC_DIRECTIONS.items():
-        values = metric_values[metric]
-        defined = [i for i, v in enumerate(values) if v is not None]
-        col: dict[int, float] = {}
+        defined = {i: v for i, row in enumerate(rows) if (v := getattr(row, metric)) is not None}
         if defined:
-            ranked = rank_models([values[i] for i in defined], direction)
-            col = {i: float(r) for i, r in zip(defined, ranked)}
-        for i in range(n_rows):
-            ranks[i][metric] = col.get(i)
+            ranked = rank_models(list(defined.values()), direction).tolist()
+            for i, rank in zip(defined, ranked):
+                ranks[i][metric] = rank
     return ranks
 
 
@@ -190,9 +187,7 @@ def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport
     if len(errors) == len(rows):
         raise errors[0]
 
-    rank_dicts = _rank_columns(
-        {name: [getattr(row, name) for row in rows] for name in _METRIC_DIRECTIONS}
-    )
+    rank_dicts = _rank_columns(rows)
     # every listed text is canonical, so a row named otherwise was reduced
     return ComparisonReport(
         n=data.n,
@@ -212,11 +207,8 @@ def _fmt(value: float | None, spec: str) -> str:
 
 
 def _fmt_rank(rank: float | None) -> str:
-    if rank is None:
-        return "-"
-    if rank == int(rank):
-        return str(int(rank))
-    return f"{rank:.1f}"
+    # ranks are whole or half numbers, which "g" prints as "2" and "6.5"
+    return "-" if rank is None else format(rank, "g")
 
 
 def render_markdown(report: ComparisonReport) -> str:

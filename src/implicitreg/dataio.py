@@ -26,8 +26,8 @@ from .errors import DataFormatError, InsufficientDataError, IntegrityError
 _BOYLE_SHA256 = "f5965311ce7928d00ea85a130d2db1b36efebb907fbf230646574b03273e7d93"
 
 _BOM = b"\xef\xbb\xbf"
-# the bytes of a plain body, which numpy's reader takes: ASCII decimals with
-# exponents, field and line separators, spaces and tabs
+# the bytes of a plain body or line, which numpy's reader takes: ASCII
+# decimals with exponents, field and line separators, spaces and tabs
 _PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
 
 
@@ -70,10 +70,6 @@ class Dataset:
         means = float(self.y.mean()), float(self.x.mean())
         return tuple((mean, float(((v - mean) ** 2).sum()), float(v @ v))
                      for v, mean in zip((self.y, self.x), means))
-
-    def rows(self):
-        """Iterate (x_i, y_i) pairs in source order."""
-        return zip(self.x.tolist(), self.y.tolist())
 
 
 def _parse_field(field: str, line: int) -> float:
@@ -156,21 +152,26 @@ def _plain_values(body: bytes) -> np.ndarray | None:
 
 
 def _exact_values(lines: list[str]) -> np.ndarray:
-    """The (rows, 2) values of data lines numbered from 2, field by field;
-    blank lines are skipped and the first bad line raises."""
-    values = np.empty((len(lines), 2))
-    n_rows = 0
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise DataFormatError(
-                f"expected two fields, found {len(fields)}", line=lineno
-            )
-        values[n_rows] = _parse_field(fields[0], lineno), _parse_field(fields[1], lineno)
-        n_rows += 1
-    return values[:n_rows]
+    """The (rows, 2) values of data lines numbered from 2; blank lines are
+    skipped.  numpy reads the lines of plain bytes in one call and the rest
+    go field by field; if numpy rejects the plain lines, every line goes
+    field by field, so the first bad line raises."""
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=2) if line.strip()]
+    # non-ASCII text encodes to bytes outside the plain alphabet
+    plain = [not line.encode().translate(None, _PLAIN_BYTES) for _, line in numbered]
+    values = np.empty((len(numbered), 2))
+    bulk = _plain_values("\n".join(line for (_, line), p in zip(numbered, plain) if p).encode())
+    if bulk is not None and len(bulk) == sum(plain):
+        values[plain] = bulk
+    else:
+        plain = [False] * len(numbered)
+    for row, (lineno, line) in enumerate(numbered):
+        if not plain[row]:
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise DataFormatError(f"expected two fields, found {len(fields)}", line=lineno)
+            values[row] = _parse_field(fields[0], lineno), _parse_field(fields[1], lineno)
+    return values
 
 
 def _labels(header: str) -> tuple[str, str]:
@@ -191,9 +192,11 @@ def read_csv(source) -> Dataset:
     number; fewer than 3 data rows raise :class:`InsufficientDataError`.
 
     A body (the lines after the header) of plain decimals - bytes of
-    ``_PLAIN_BYTES`` only - is read by numpy's C reader.  Every other body,
-    and every body that reader rejects, is read field by field, which gives
-    the exact fractions and the error of the first bad line.
+    ``_PLAIN_BYTES`` only - is read by numpy's C reader.  In every other
+    body, and every body that reader rejects, numpy reads the plain lines
+    and the rest are read field by field, which gives the exact fractions;
+    where numpy rejects the plain lines too, every line is read field by
+    field, which gives the error of the first bad line.
     """
     data = _read_bytes(source)
     head, _, body = data.removeprefix(_BOM).partition(b"\n")
@@ -221,7 +224,8 @@ def write_csv(data: Dataset, decimals: int = 6) -> bytes:
     if not 0 <= decimals <= 17:
         raise ValueError("decimals must be between 0 and 17")
     out = [f"{data.x_label},{data.y_label}"]
-    out.extend(f"{x:.{decimals}f},{y:.{decimals}f}" for x, y in data.rows())
+    out.extend(f"{x:.{decimals}f},{y:.{decimals}f}"
+               for x, y in zip(data.x.tolist(), data.y.tolist()))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 

@@ -158,8 +158,6 @@ def parse_model(text: str) -> ModelSpec:
             raise ParseError(f"duplicate predictor {token!r}", position=pos)
         predictors.append(term)
 
-    if not predictors and not intercept:
-        raise ParseError("empty predictor list", position=tilde + 1)
     return ModelSpec(response, tuple(predictors), intercept)
 
 

@@ -115,15 +115,6 @@ def relative_height(s: SquareSums) -> float:
     return abs(s.sse + (s.sst - s.ssm)) / (2.0 * math.sqrt(s.n * s.sst))
 
 
-def residual_se(obs: np.ndarray, est: np.ndarray, defined: np.ndarray, n_params: int) -> float:
-    """Residual standard error of one axis over its defined solves, with
-    n_def - n_params degrees of freedom."""
-    n_def = int(np.count_nonzero(defined))
-    if n_def < defined.size:
-        obs, est = obs[defined], est[defined]
-    return standard_error(float(((obs - est) ** 2).sum()), n_def, n_params)
-
-
 def standard_error(sse: float, n_def: int, n_params: int) -> float:
     """sqrt(SSE / (n_def - n_params)) for an SSE over n_def defined solves."""
     if n_def <= n_params:
@@ -163,16 +154,14 @@ def rank_models(values, direction: RankDirection) -> np.ndarray:
 
     tie_tol = _RANK_TIE_TOL * float(np.abs(values).max())
     order = np.argsort(merit, kind="stable")
+    sorted_merit, order = merit[order].tolist(), order.tolist()
     ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and (
-            merit[order[j + 1]] - merit[order[j]] <= tie_tol
-        ):
-            j += 1
-        mean_rank = (i + j + 2) / 2.0  # average of 1-based positions i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
+    start = 0
+    for end in range(1, values.size + 1):
+        # a tie group closes where the sorted merit steps by more than tie_tol
+        if end == values.size or sorted_merit[end] - sorted_merit[end - 1] > tie_tol:
+            mean_rank = (start + end + 1) / 2.0  # average of 1-based positions start+1 .. end
+            for k in order[start:end]:
+                ranks[k] = mean_rank
+            start = end
     return ranks

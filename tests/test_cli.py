@@ -57,6 +57,12 @@ class TestSimulateCommand:
             main(["simulate", "--sigma", "-1"])
         assert excinfo.value.code == 2
 
+    def test_zero_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--n", "0"])
+        assert excinfo.value.code == 2
+        assert "--n: must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "NaN", "1e309"])
     def test_non_finite_sigma_is_usage_error(self, capsys, sigma):
         with pytest.raises(SystemExit) as excinfo:
@@ -364,6 +370,12 @@ class TestConstancyCommand:
         assert code == 0
         for name in ("x:", "y:", "xy:"):
             assert name in stdout
+
+    def test_empty_var_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["constancy", "--data", "d.csv", "--vars", ","])
+        assert excinfo.value.code == 2
+        assert "--vars: no variables requested" in capsys.readouterr().err
 
     def test_unknown_var_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

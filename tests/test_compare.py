@@ -309,6 +309,17 @@ class TestRendering:
             assert entry["model"] == row.model
             assert entry["metrics"]["r_squared"] == row.r_squared
 
+    @pytest.mark.parametrize("rank", [None, *(k / 2 for k in range(2, 15))])
+    def test_rank_text_matches_two_branch_format(self, rank):
+        # the whole-or-half rule the "g" format replaced
+        if rank is None:
+            want = "-"
+        elif rank == int(rank):
+            want = str(int(rank))
+        else:
+            want = f"{rank:.1f}"
+        assert compare._fmt_rank(rank) == want
+
 
 class TestBoyleSummary:
     def test_constancy_anchors(self):

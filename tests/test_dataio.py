@@ -127,6 +127,18 @@ class TestReadCsv:
         assert excinfo.value.line == line
         assert str(excinfo.value).startswith(f"line {line}: {message}")
 
+    @pytest.mark.parametrize("payload, line, message", [
+        (b"", 1, "empty input"),
+        (b"x,\n1,2\n3,4\n5,6\n", 1, "header labels must be non-empty"),
+        (b"x,y\n1,2\n1 2 3/4,3\n5,6\n",
+         3, "cannot parse value '1 2 3/4': too many components"),
+    ], ids=["empty", "empty-label", "three-part-field"])
+    def test_rejected_input_names_its_line(self, payload, line, message):
+        with pytest.raises(DataFormatError) as excinfo:
+            read_csv(payload)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"
+
     def test_leading_byte_order_mark_is_dropped(self):
         d = read_csv(b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,6\n")
         assert (d.x_label, d.y_label) == ("x", "y")
@@ -331,8 +343,32 @@ class TestBulkParse:
         assert d.x[12_345] == 29.125
         assert d.y[12_345] == float(Fraction(4, 3))
         assert d.x[12_346] == 12_346.0
-        # a body with one fraction is read field by field, every field of it
-        assert len(parse_field_calls) == 2 * 20_000
+        # only the fraction row (data line 12_345, file line 12_347) is read
+        # field by field; numpy reads the plain rows around it
+        assert parse_field_calls == [12_347, 12_347]
+
+    def test_mixed_body_takes_numpy_for_its_plain_lines(self, parse_field_calls):
+        rows = [f"{i * 0.1!r},{1.0 / (i + 1)!r}" for i in range(3_000)]
+        rows[7], rows[2_000] = "29 2/16,1 1/3", "-3 1/7,\t12 "
+        mixed = "\n".join(["x,y", *rows]) + "\n"
+        got = _outcome(_read_csv_arrays, mixed)
+        # only the fields of the two fraction rows (file lines 9 and 2_002)
+        assert parse_field_calls == [9, 9, 2_002, 2_002]
+        assert got == _outcome(_reference_read, mixed)
+        # the same values written as decimals are the same bits
+        rows[7], rows[2_000] = f"29.125,{4 / 3!r}", f"{-22 / 7!r},12"
+        assert got == _outcome(_read_csv_arrays, "\n".join(["x,y", *rows]) + "\n")
+
+    def test_mixed_body_errors_name_their_own_lines(self):
+        # a fraction row, then a malformed plain line, then a bad fraction
+        rows = ["1,2", "29 2/16,3", "4,5", "1,2,3", "6,7", "2 1/0,8", "9,10"]
+        text = "\n".join(["a,b", *rows]) + "\n"
+        want = (DataFormatError, "line 5: expected two fields, found 3", 5)
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text) == want
+        # with that line mended, the bad fraction after the plain rows raises
+        text = text.replace("1,2,3", "1,2")
+        want = (DataFormatError, "line 7: cannot parse value '2 1/0': Fraction(1, 0)", 7)
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text) == want
 
     @pytest.mark.parametrize("n", [3, 50, 2_000])
     def test_written_csv_takes_numpy_reader(self, n, no_exact_reader):
@@ -358,7 +394,9 @@ class TestBulkParse:
     def test_boyle_file_takes_exact_reader(self, parse_field_calls):
         raw = resources.files("implicitreg").joinpath("data/boyle.csv").read_bytes()
         d = boyle_dataset()
-        assert len(parse_field_calls) == 2 * d.n
+        # every row but the plain 38,37 on line 7, which numpy reads
+        assert len(parse_field_calls) == 2 * (d.n - 1) == 48
+        assert 7 not in parse_field_calls
         for line, x, y in zip(raw.decode().splitlines()[1:], d.x, d.y):
             want = [float(sum(map(Fraction, f.split()))) for f in line.split(",")]
             assert [x, y] == want

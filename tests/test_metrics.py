@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pathlib import Path
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from implicitreg import (
     COMPARISON_MODEL_TEXTS,
@@ -28,7 +28,7 @@ from implicitreg import (
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.formula import parse_model
 from implicitreg.implicit import Prediction
-from implicitreg.metrics import residual_se
+from implicitreg.metrics import _RANK_TIE_TOL, standard_error
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -235,23 +235,18 @@ class TestRelativeHeight:
 
 class TestStandardErrors:
     def test_exact_fit(self):
-        data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
-        pred = prediction_from_arrays(data.y.copy(), data.x.copy())
-        se_y = residual_se(data.y, pred.y_hat, pred.y_defined, 2)
-        se_x = residual_se(data.x, pred.x_hat, pred.x_defined, 2)
-        assert se_y == 0.0 and se_x == 0.0
+        assert standard_error(0.0, 4, 2) == 0.0
 
     def test_dof_correction(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
         pred = prediction_from_arrays(data.y + 1.0, data.x.copy())
-        se_y = residual_se(data.y, pred.y_hat, pred.y_defined, 2)
+        se_y = standard_error(float(((data.y - pred.y_hat) ** 2).sum()), 4, 2)
         assert se_y == pytest.approx(math.sqrt(4.0 / 2.0))
 
     def test_insufficient_defined(self):
-        data = Dataset("x", "y", [1.0, 2.0, 3.0], [5.0, 6.0, 8.0])
-        pred = prediction_from_arrays([5.0, np.nan, np.nan], data.x.copy())
+        # one defined solve cannot carry one parameter and a residual
         with pytest.raises(InsufficientDataError):
-            residual_se(data.y, pred.y_hat, pred.y_defined, 1)
+            standard_error(0.0, 1, 1)
 
 
 class TestRankModels:
@@ -296,3 +291,55 @@ class TestRankModels:
             before = rank_models(values, direction)
             after = rank_models([scale * v + shift for v in values], direction)
             assert before.tolist() == after.tolist()
+
+
+def _nested_scan_ranks(values, direction):
+    """Average ranks by the nested tie scan ``rank_models`` once ran: from
+    each sorted position, extend the group while the next merit is within
+    the tolerance of the previous one."""
+    values = np.asarray(values, dtype=float)
+    merit = {
+        RankDirection.ASCENDING_BETTER: values.copy(),
+        RankDirection.DESCENDING_BETTER: -values,
+        RankDirection.NEAREST_90_BETTER: np.abs(values - 90.0),
+    }[direction]
+    tie_tol = _RANK_TIE_TOL * float(np.abs(values).max())
+    order = np.argsort(merit, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and merit[order[j + 1]] - merit[order[j]] <= tie_tol:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+@st.composite
+def _tie_prone_values(draw):
+    """Up to nine values drawn from a few bases: exact repeats, relative
+    steps of 1e-12 and of the tie tolerance itself, and mirror images
+    about 90, which are equally near it."""
+    bases = draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 90.0, 89.5])),
+                          min_size=1, max_size=4))
+    values = []
+    for _ in range(draw(st.integers(1, 9))):
+        v = draw(st.sampled_from(bases))
+        step = draw(st.sampled_from(["repeat", "1e-12", "tol", "mirror"]))
+        if step == "1e-12":
+            v *= 1.0 + draw(st.sampled_from([-2, -1, 1, 2])) * 1e-12
+        elif step == "tol":
+            v *= 1.0 + draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0])) * _RANK_TIE_TOL
+        elif step == "mirror":
+            v = 180.0 - v
+        values.append(v)
+    return values
+
+
+@settings(max_examples=300)
+@given(values=_tie_prone_values(), direction=st.sampled_from(list(RankDirection)))
+def test_ranks_match_the_nested_tie_scan(values, direction):
+    assert rank_models(values, direction).tobytes() == \
+        _nested_scan_ranks(values, direction).tobytes()
