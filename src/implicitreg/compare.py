@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +72,9 @@ class ModelRow:
     ``theta_t`` and ``height`` are None when the triangle is degenerate
     (perfect or null fit); standard errors are None when too few solves
     are defined.  ``model_metrics`` names a row by the spec it fitted and
-    leaves it unranked; ``build_comparison`` renames it by its listed text,
+    leaves it unranked; ``build_comparison`` names it by its listed text,
     keeps the fitted text in ``reduced`` where backward elimination changed
-    it, and sets ``ranks``.  A model ``build_comparison`` could not fit or
+    it, and fills ``ranks``.  A model ``build_comparison`` could not fit or
     solve keeps its ``error`` message, and its metrics and diagnostics are
     None.
     """
@@ -120,13 +120,14 @@ def _or_none(fn, *args):
 
 
 def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
-    """The report row of one fitted model, named by its own spec and unranked.
+    """The report row of one fitted model, named by its own spec and unranked."""
+    return ModelRow(format_model(fit.spec), None, *_metric_values(fit, data, pred))
 
-    Fields are None where the quantity is undefined (degenerate triangle
-    or too few defined solves).  An axis whose defined solves are the joint
-    sums' rows takes its SSE from them instead of summing it again.
-    """
-    n_params = fit.spec.n_coefficients
+
+def _metric_values(fit: FitResult, data: Dataset, pred: Prediction) -> tuple:
+    """A row's metrics and diagnostics in ``ModelRow``'s field order, None
+    where undefined (degenerate triangle or too few defined solves).  An axis
+    whose defined solves are the joint sums' rows takes its SSE from them."""
     theta = height = None
     sums = _or_none(joint_square_sums, data, pred)
     if sums is not None:
@@ -140,30 +141,21 @@ def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
             sse = sums.axis_sse[axis]
         else:
             sse = float(((obs[defined] - est[defined]) ** 2).sum())
-        se.append(_or_none(standard_error, sse, n_def, n_params))
-    return ModelRow(
-        model=format_model(fit.spec),
-        r_squared=fit.r_squared,
-        se_y=se[0],
-        se_x=se[1],
-        theta_t=theta,
-        height=height,
-        undefined_y=pred.undefined_count_y,
-        undefined_x=pred.undefined_count_x,
-        complex_x=pred.complex_count_x,
-    )
+        se.append(_or_none(standard_error, sse, n_def, fit.spec.n_coefficients))
+    return (fit.r_squared, *se, theta, height, pred.undefined_count_y,
+            pred.undefined_count_x, pred.complex_count_x)
 
 
-def _rank_columns(rows: list[ModelRow]) -> list[dict[str, float | None]]:
-    """Per-row rank dicts in the JSON key order; undefined metrics get a None rank."""
-    ranks = [dict.fromkeys(_METRIC_DIRECTIONS) for _ in rows]
+def _rank_rows(rows: list[ModelRow]) -> None:
+    """Fill each row's rank dict in the JSON key order; undefined metrics get a None rank."""
+    for row in rows:
+        row.ranks.update(dict.fromkeys(_METRIC_DIRECTIONS))
     for metric, direction in _METRIC_DIRECTIONS.items():
         defined = {i: v for i, row in enumerate(rows) if (v := getattr(row, metric)) is not None}
         if defined:
             ranked = rank_models(list(defined.values()), direction).tolist()
             for i, rank in zip(defined, ranked):
-                ranks[i][metric] = rank
-    return ranks
+                rows[i].ranks[metric] = rank
 
 
 def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport:
@@ -173,33 +165,26 @@ def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport
     row with None metrics and its ``error`` message, ranked around; only
     when every model fails is the first model's error raised.
     """
-    basis = BasisQR(data)
     rows, errors = [], []
-    for idx, (text, spec) in enumerate(zip(COMPARISON_MODEL_TEXTS, _COMPARISON_SPECS)):
+    fits = BasisQR(data).fits(_COMPARISON_SPECS)
+    for idx, (text, fit) in enumerate(zip(COMPARISON_MODEL_TEXTS, fits)):
         try:
-            fit = basis.fit(spec)
+            if isinstance(fit, ImplicitRegressionError):
+                raise fit
             if idx < _N_ROTATIONS:
                 fit = reduce_model_trace(fit)[0]
-            rows.append(model_metrics(fit, data, predict(fit, data)))
+            # every listed text is canonical, so a fit named otherwise was reduced
+            fitted = format_model(fit.spec)
+            rows.append(ModelRow(text, None if fitted == text else fitted,
+                                 *_metric_values(fit, data, predict(fit, data))))
         except ImplicitRegressionError as exc:
             rows.append(ModelRow(model=text, error=str(exc)))
             errors.append(exc)
     if len(errors) == len(rows):
         raise errors[0]
-
-    rank_dicts = _rank_columns(rows)
-    # every listed text is canonical, so a row named otherwise was reduced
-    return ComparisonReport(
-        n=data.n,
-        x_label=data.x_label,
-        y_label=data.y_label,
-        seed=seed,
-        rows=tuple(
-            replace(row, model=text, reduced=None if row.model == text else row.model,
-                    ranks=ranks)
-            for row, text, ranks in zip(rows, COMPARISON_MODEL_TEXTS, rank_dicts)
-        ),
-    )
+    _rank_rows(rows)
+    return ComparisonReport(n=data.n, x_label=data.x_label, y_label=data.y_label, seed=seed,
+                            rows=tuple(rows))
 
 
 def _fmt(value: float | None, spec: str) -> str:

@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
 from .dataio import Dataset
-from .errors import (DegenerateDataError, DomainError, InsufficientDataError,
-                     SingularDesignError)
+from .errors import (DegenerateDataError, DomainError, ImplicitRegressionError,
+                     InsufficientDataError, SingularDesignError)
 from .formula import ModelSpec, Term, eval_term
 
 _RANK_RTOL = 1e-10
@@ -42,6 +43,10 @@ ALPHA = 0.05
 # 1e-7 up to 1e9; where its p lies this close (relative) to ALPHA or to
 # another candidate's p, stdtr decides instead
 _TAIL_BAND = 1e-6
+# relative, about the critical |t|: there p's elasticity in |t|, 2 |t| density / ALPHA,
+# is 0.996 at dof 1 and 4.58 as dof grows, so past it p is 9 _TAIL_BAND from ALPHA
+_T_BAND = 1e-5
+_Z = 1.959963984540054  # the standard normal quantile at 1 - ALPHA / 2
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,11 @@ class Coefficient:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients, residual sum of squares and R^2 of one fit.
+    """Estimates, residual sum of squares and R^2 of one fit.
+
+    ``estimates`` follow ``spec.coefficient_terms``.  ``coefficients`` adds
+    standard errors and t statistics when first read, as elimination and
+    ``fit``'s printout do; no other fit pays for inverting its R.
 
     ``sse`` is the residual sum of squares in the response.  ``r_squared``
     is 1 - SSE/SST with SST about the response mean for a model with an
@@ -84,12 +93,25 @@ class FitResult:
 
     spec: ModelSpec
     n: int
-    coefficients: tuple[Coefficient, ...]
+    estimates: tuple[float, ...]
     sse: float
     r_squared: float
     residual_dof: int
     # the factorised dataset the fit came from; backward elimination refits on it
     basis: BasisQR | None = field(default=None, repr=False, compare=False)
+    # the R of the model's columns and the floored residual variance
+    _r: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _sigma2: float = field(default=0.0, repr=False, compare=False)
+
+    @cached_property
+    def coefficients(self) -> tuple[Coefficient, ...]:
+        """The estimates with their classical standard errors and t statistics."""
+        r_inv = np.linalg.inv(self._r)
+        std_errors = np.sqrt((self._sigma2 * (r_inv @ r_inv.T)).diagonal())
+        t_stats = np.asarray(self.estimates) / std_errors
+        dofs = [self.residual_dof] * len(self.estimates)
+        return tuple(map(Coefficient, self.spec.coefficient_terms, self.estimates,
+                         std_errors.tolist(), t_stats.tolist(), dofs))
 
     def coefficient(self, term: Term | None) -> Coefficient:
         """Look up a coefficient by term (``None`` for the intercept)."""
@@ -156,26 +178,45 @@ class BasisQR:
 
     def fit(self, spec: ModelSpec) -> FitResult:
         """Fit ``spec`` by least squares; see ``fit_ols``."""
-        order: list[Term | None] = ([None] if spec.intercept else []) + list(spec.predictors)
-        terms = [Term.ONE if t is None else t for t in order]
-        if Term.INV_X in terms and Term.INV_X not in self.terms:
-            raise DomainError("1/x is undefined at x = 0")
-        data = self.data
-        n, p = data.n, len(order)
-        if n <= p:
-            raise InsufficientDataError(
-                f"need more than {p} observations to fit {spec}, have {n}"
-            )
+        (result,) = self.fits([spec])
+        if isinstance(result, ImplicitRegressionError):
+            raise result
+        return result
 
-        cols = [self.terms.index(t) for t in terms]
-        q, R = np.linalg.qr(self.r[:, cols])
+    def fits(self, specs) -> list[FitResult | ImplicitRegressionError]:
+        """Fit each spec, with one stacked QR per design width; a spec that
+        cannot be fit gets the error ``fit`` would raise in its place."""
+        results: list = []  # per spec: its columns of R until it is fit, or its error
+        widths: dict[int, list[int]] = {}
+        for spec in specs:
+            terms = [Term.ONE if t is None else t for t in spec.coefficient_terms]
+            if Term.INV_X in terms and Term.INV_X not in self.terms:
+                results.append(DomainError("1/x is undefined at x = 0"))
+            elif self.data.n <= len(terms):
+                results.append(InsufficientDataError(f"need more than {len(terms)} "
+                               f"observations to fit {spec}, have {self.data.n}"))
+            else:
+                widths.setdefault(len(terms), []).append(len(results))
+                results.append([self.terms.index(t) for t in terms])
+        for members in widths.values():
+            qs, rs = np.linalg.qr(np.stack([self.r[:, results[i]] for i in members]))
+            for i, q, R in zip(members, qs, rs):
+                try:
+                    results[i] = self._solve(specs[i], results[i], q, R)
+                except SingularDesignError as exc:
+                    results[i] = exc
+        return results
+
+    def _solve(self, spec: ModelSpec, cols: list[int], q: np.ndarray, R: np.ndarray) -> FitResult:
+        """The fit of ``spec`` from the QR of its columns ``cols`` of R."""
+        order = spec.coefficient_terms
         # |R[j,j]| is the residual norm of design column j after projecting
         # out the previous ones; compare it against the column's own norm.
         diag = np.abs(R.diagonal())
         col_norms = self.column_norms[cols]
         bad = [
             ("intercept" if order[j] is None else order[j].value)
-            for j in range(p)
+            for j in range(len(cols))
             if col_norms[j] == 0.0 or diag[j] < _RANK_RTOL * col_norms[j]
         ]
         if bad:
@@ -184,6 +225,8 @@ class BasisQR:
                 + ", ".join(bad)
             )
 
+        data = self.data
+        terms = [self.terms[j] for j in cols]
         coefs = _back_substitute(R, q.T @ self.r[:, self.terms.index(spec.response)])
         resp = eval_term(spec.response, data.x, data.y)
         fitted = coefs[0] * eval_term(terms[0], data.x, data.y)
@@ -191,7 +234,7 @@ class BasisQR:
             fitted += c * eval_term(term, data.x, data.y)
         residuals = resp - fitted
         sse = float(residuals @ residuals)
-        dof = n - p
+        dof = data.n - len(cols)
         key = (spec.response, spec.intercept and bool(spec.predictors))
         if key not in self._response_sums:
             self._response_sums.update(_sum_response(spec.response, resp, key[1]))
@@ -204,25 +247,8 @@ class BasisQR:
         # so that exact fits produce finite (huge) t statistics instead of
         # 0/0, whatever the data's units.
         sigma2 = max(sse, _PERFECT_FIT_RTOL * sum_sq, sys.float_info.min) / dof
-        r_inv = np.linalg.inv(R)
-        cov = sigma2 * (r_inv @ r_inv.T)
-        std_errors = np.sqrt(cov.diagonal())
-        t_stats = coefs / std_errors
-
-        coefficients = tuple(
-            Coefficient(term, estimate, std_error, t_stat, dof)
-            for term, estimate, std_error, t_stat
-            in zip(order, coefs.tolist(), std_errors.tolist(), t_stats.tolist())
-        )
-        return FitResult(
-            spec=spec,
-            n=n,
-            coefficients=coefficients,
-            sse=sse,
-            r_squared=r_squared,
-            residual_dof=dof,
-            basis=self,
-        )
+        return FitResult(spec, data.n, tuple(coefs.tolist()), sse, r_squared, dof,
+                         self, R, sigma2)
 
 
 def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
@@ -298,18 +324,13 @@ def _beta_fraction(a: float, b: float, x: float) -> float | None:
     for m in range(1, _MAX_TERMS):
         a2m = a + 2 * m
         # the even term, then the odd one
-        num = m * (b - m) * x / ((a2m - 1.0) * a2m)
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > _TINY else _TINY)
-        c = 1.0 + num / c
-        c = c if abs(c) > _TINY else _TINY
-        h *= d * c
-        num = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > _TINY else _TINY)
-        c = 1.0 + num / c
-        c = c if abs(c) > _TINY else _TINY
-        h *= d * c
+        for num in (m * (b - m) * x / ((a2m - 1.0) * a2m),
+                    -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
         if abs(d * c - 1.0) < 1e-15:
             return h
     return None
@@ -352,17 +373,48 @@ def t_tail(dof: float, t: float) -> float | None:
     return None if fraction is None else 1.0 - 2.0 * front * fraction
 
 
+@cache
+def _critical_t(dof: int) -> float:
+    """The |t| whose ``t_tail`` is ALPHA, or NaN where it does not settle: Newton
+    steps from the Cornish-Fisher expansion in 1/dof, off by about 1e-6 at dof
+    30, where one step settles.  The tail is convex and decreasing in |t|, so
+    iterates rise to the root after a first step, which may halve |t| at most."""
+    z2, inv, a = _Z * _Z, 1.0 / dof, 0.5 * dof
+    t = _Z * (1.0 + inv * ((z2 + 1.0) / 4.0 + inv * ((5.0 * z2 * z2 + 16.0 * z2 + 3.0) / 96.0
+              + inv * (3.0 * z2 ** 3 + 19.0 * z2 * z2 + 17.0 * z2 - 15.0) / 384.0)))
+    for _ in range(20):
+        p = t_tail(dof, t)
+        if p is None:
+            return math.nan
+        # the t density at t; the tail's slope is -2 times it
+        density = math.exp(-(a + 0.5) * math.log1p(t * t / dof) - 0.5 * math.log(dof)
+                           - _log_beta_half(a))
+        step = (p - ALPHA) / (2.0 * density)
+        t = max(t + step, 0.5 * t)
+        if abs(step) <= 1e-6 * t:
+            return t
+    return math.nan
+
+
 def next_to_drop(candidates: list[Coefficient]) -> Coefficient | None:
     """The predictor backward elimination drops next, or None to stop.
 
     The rule is the largest p-value, the first in coefficient order on a
     tie, if it exceeds ``ALPHA``.  The candidates share one dof, so the
-    largest p belongs to the smallest |t|, and ``t_tail`` decides the
-    threshold.  Only when its p lies within ``_TAIL_BAND`` of ``ALPHA``, or
-    of the runner-up's p, do the exact ``stdtr`` p-values decide.
+    largest p belongs to the smallest |t|.  Outside ``_T_BAND`` of the
+    critical |t|, with the runner-up's |t| above that band, |t| decides
+    alone.  Otherwise ``t_tail`` decides, and only when its p lies within
+    ``_TAIL_BAND`` of ``ALPHA``, or of the runner-up's p, does ``stdtr``.
     """
     if all(math.isfinite(c.t_stat) for c in candidates):
         first, *rest = sorted(candidates, key=lambda c: abs(c.t_stat))
+        t_crit = _critical_t(first.dof)
+        low, high = t_crit * (1.0 - _T_BAND), t_crit * (1.0 + _T_BAND)
+        if abs(first.t_stat) > high:
+            return None
+        # then p > ALPHA > the runner-up's p / (1 - _TAIL_BAND)
+        if abs(first.t_stat) < low and (not rest or abs(rest[0].t_stat) > high):
+            return first
         p = t_tail(first.dof, first.t_stat)
         if p is not None and abs(p - ALPHA) > _TAIL_BAND * ALPHA:
             if p <= ALPHA:
@@ -384,16 +436,10 @@ def reduce_model_trace(fit: FitResult) -> tuple[FitResult, list[Coefficient]]:
     predictor.  Each step records the coefficient dropped, as it stood in
     the fit it was dropped from.
     """
-    current = fit
-    steps: list[Coefficient] = []
-    while True:
+    current, steps = fit, []
+    while len(current.spec.predictors) > (0 if current.spec.intercept else 1):
         spec = current.spec
-        if not spec.intercept and len(spec.predictors) <= 1:
-            break
-        candidates = [c for c in current.coefficients if c.term is not None]
-        if not candidates:
-            break
-        worst = next_to_drop(candidates)
+        worst = next_to_drop([c for c in current.coefficients if c.term is not None])
         if worst is None:
             break
         new_predictors = tuple(t for t in spec.predictors if t is not worst.term)

@@ -86,6 +86,11 @@ class ModelSpec:
             raise ValueError("model has an empty right-hand side")
 
     @property
+    def coefficient_terms(self) -> tuple[Term | None, ...]:
+        """The terms of the estimated coefficients in order, None for the intercept."""
+        return ((None,) if self.intercept else ()) + self.predictors
+
+    @property
     def n_coefficients(self) -> int:
         return len(self.predictors) + (1 if self.intercept else 0)
 

@@ -77,8 +77,8 @@ def _polynomial(fit: FitResult, data: Dataset, axis: int) -> tuple[dict, dict]:
     coefs = defaultdict(lambda: np.zeros(data.n))
     addends = defaultdict(list)
     signed = [(1.0, fit.spec.response)]
-    signed += ((-coef.estimate, Term.ONE if coef.term is None else coef.term)
-               for coef in fit.coefficients)
+    signed += ((-estimate, Term.ONE if term is None else term)
+               for term, estimate in zip(fit.spec.coefficient_terms, fit.estimates))
     for c, term in signed:
         powers = TERM_POWERS[term]
         addend = times_power(c, other, powers[1 - axis])

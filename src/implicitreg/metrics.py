@@ -17,6 +17,7 @@ bundled Boyle analysis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,7 +95,10 @@ def separation_angle(s: SquareSums) -> float:
         raise DegenerateTriangleError(
             f"no separation angle for ssm={s.ssm:.6g}, sse={s.sse:.6g}"
         )
-    cos = (s.ssm + s.sse - s.sst) / (2.0 * math.sqrt(s.ssm * s.sse))
+    product = s.ssm * s.sse  # rooted side by side where it underflows or overflows
+    root = (math.sqrt(product) if sys.float_info.min <= product < math.inf
+            else math.sqrt(s.ssm) * math.sqrt(s.sse))
+    cos = (s.ssm + s.sse - s.sst) / (2.0 * root)
     if abs(cos) > 1.0 + _COS_CLAMP_TOL:
         raise ValueError(
             f"square sums violate the triangle inequality (cos = {cos:.6g})"
@@ -140,28 +144,28 @@ def rank_models(values, direction: RankDirection) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(values)):
+    values = values.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("values must all be defined")
 
     if direction is RankDirection.ASCENDING_BETTER:
-        merit = values.copy()
+        merit = values
     elif direction is RankDirection.DESCENDING_BETTER:
-        merit = -values
+        merit = [-v for v in values]
     elif direction is RankDirection.NEAREST_90_BETTER:
-        merit = np.abs(values - 90.0)
+        merit = [abs(v - 90.0) for v in values]
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    tie_tol = _RANK_TIE_TOL * float(np.abs(values).max())
-    order = np.argsort(merit, kind="stable")
-    sorted_merit, order = merit[order].tolist(), order.tolist()
-    ranks = np.empty(values.size, dtype=float)
+    tie_tol = _RANK_TIE_TOL * max(map(abs, values))
+    order = sorted(range(len(merit)), key=merit.__getitem__)
+    ranks = [0.0] * len(merit)
     start = 0
-    for end in range(1, values.size + 1):
+    for end in range(1, len(merit) + 1):
         # a tie group closes where the sorted merit steps by more than tie_tol
-        if end == values.size or sorted_merit[end] - sorted_merit[end - 1] > tie_tol:
+        if end == len(merit) or merit[order[end]] - merit[order[end - 1]] > tie_tol:
             mean_rank = (start + end + 1) / 2.0  # average of 1-based positions start+1 .. end
             for k in order[start:end]:
                 ranks[k] = mean_rank
             start = end
-    return ranks
+    return np.array(ranks)

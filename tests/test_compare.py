@@ -81,6 +81,15 @@ class TestBuildComparison:
         assert a == b
 
 
+def test_tiny_scale_sample_compares_without_a_traceback():
+    # at 1e-90 the product SSM * SSE of the 1/x row underflows to 0
+    data = generate(SimulationConfig(n=30, sigma=5.0, seed=0))
+    report = build_comparison(Dataset("x", "y", data.x * 1e-90, data.y * 1e-90))
+    inverse = {row.model: row for row in report.rows}["y ~ 1 + 1/x"]
+    reference = {row.model: row for row in build_comparison(data).rows}["y ~ 1 + 1/x"]
+    assert inverse.theta_t == pytest.approx(reference.theta_t, rel=1e-9)
+
+
 class TestPerfectFits:
     """y = 2x on x = 1..5: the rotations reduce to exact lines and the
     quadratic fits it up to rounding (SSE ~ 1e-30), which is still perfect."""

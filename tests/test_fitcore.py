@@ -1,4 +1,9 @@
+import contextlib
+import io
 import itertools
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +21,24 @@ from implicitreg import (
     SingularDesignError,
     Term,
     boyle_dataset,
+    boyle_summary,
     build_comparison,
     constancy_index,
     fit_ols,
+    read_csv,
     self_weighting_mean,
 )
 from implicitreg import fitcore
+from implicitreg.cli import main
+from implicitreg.errors import ImplicitRegressionError
 from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
 from implicitreg.fitcore import (ALPHA, BasisQR, Coefficient, next_to_drop, reduce_model_trace,
                                  t_tail)
 from implicitreg.formula import eval_term, parse_model
 from implicitreg.simulate import SimulationConfig, generate
+from test_implicit import _GRAMMAR_SHAPES
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def model_design(spec, data):
@@ -469,11 +481,13 @@ class TestBasisQR:
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         n = 200_000
         build_comparison(generate(SimulationConfig(n=n, sigma=5.0, seed=1)))
-        # the row blocks, then their stacked Rs; every other QR is a
-        # model's columns of R
+        # the row blocks, then their stacked Rs; every other QR is a stack of
+        # models' columns of R, one per design width: three for seven models
         blocks = [fitcore._BLOCK_ROWS] * (n // fitcore._BLOCK_ROWS) + [n % fitcore._BLOCK_ROWS]
-        assert [rows for rows, _ in shapes if rows > 6] == blocks + [6 * len(blocks)]
-        assert sum(rows <= 6 for rows, _ in shapes) == len(COMPARISON_MODEL_TEXTS)
+        assert [shape[0] for shape in shapes if len(shape) == 2] == blocks + [6 * len(blocks)]
+        stacks = sorted((cols, k) for k, rows, cols in shapes[len(blocks) + 1:] if rows == 6)
+        assert stacks == [(1, 1), (2, 1), (3, 5)]
+        assert len(shapes) == len(blocks) + 1 + len(stacks)
 
         # a refit reuses the factorisation it was reduced from
         rng = np.random.default_rng(0)
@@ -482,7 +496,7 @@ class TestBasisQR:
         fit = fit_ols(parse_model("y ~ 1 + x + x^2"), data)
         shapes.clear()
         steps = reduce_model_trace(fit)[1]
-        assert steps and shapes and all(rows <= 6 for rows, _ in shapes)
+        assert steps and shapes and all(shape[-2] <= 6 for shape in shapes)
 
 
 def _per_fit_response_sums(resp, centered):
@@ -528,18 +542,18 @@ class TestResponseSums:
 
     def test_each_response_and_centering_is_summed_once(self, monkeypatch):
         summed, fits = [], []
-        sum_response, basis_fit = fitcore._sum_response, BasisQR.fit
+        sum_response, basis_solve = fitcore._sum_response, BasisQR._solve
 
         def spy_sum(term, resp, centered):
             summed.append((term, centered))
             return sum_response(term, resp, centered)
 
-        def spy_fit(self, spec):
+        def spy_solve(self, spec, *args):
             fits.append(spec)
-            return basis_fit(self, spec)
+            return basis_solve(self, spec, *args)
 
         monkeypatch.setattr(fitcore, "_sum_response", spy_sum)
-        monkeypatch.setattr(BasisQR, "fit", spy_fit)
+        monkeypatch.setattr(BasisQR, "_solve", spy_solve)
         # at this seed the rotations reduce to y ~ 1 + x, x ~ 1 + y and x*y ~ 1
         report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)))
         assert [row.reduced for row in report.rows[:3]] == ["y ~ 1 + x", "x ~ 1 + y", "x*y ~ 1"]
@@ -605,6 +619,30 @@ class TestEliminationDecision:
         candidates = _candidates(dof, *(sign * t_stats[i] for sign, i in zip(signs, order)))
         assert next_to_drop(candidates) is _exact_decision(candidates)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        dof=st.integers(1, 1_000_000),
+        offsets=st.lists(st.one_of(st.floats(-1e-5, 1e-5),
+                                   st.sampled_from([-fitcore._T_BAND, fitcore._T_BAND]),
+                                   st.sampled_from([-0.9, -0.5, 1.0, 3.0])),
+                         min_size=1, max_size=3),
+        ulps=st.tuples(*[st.integers(-2, 2)] * 3),
+        signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+    )
+    def test_decisions_near_the_critical_t_match_stdtr(self, dof, offsets, ulps, signs):
+        # |t| within 1e-5 (relative) of the critical value, on and around the
+        # edges of the band outside which |t| decides without t_tail, next to
+        # runner-ups near it or far from it
+        t_crit = abs(float(stdtrit(dof, ALPHA / 2)))
+        t_stats = []
+        for sign, offset, steps in zip(signs, offsets, ulps):
+            t = t_crit * (1.0 + offset)
+            for _ in range(abs(steps)):
+                t = float(np.nextafter(t, np.inf if steps > 0 else 0.0))
+            t_stats.append(sign * t)
+        candidates = _candidates(dof, *t_stats)
+        assert next_to_drop(candidates) is _exact_decision(candidates)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_symmetric_data_ties_x_and_y(self, seed):
@@ -640,3 +678,143 @@ class TestTTail:
     def test_p_value_is_stdtr_read_lazily(self):
         (coef,) = _candidates(47, -2.0)
         assert coef.p_value == float(2.0 * stdtr(47, -2.0))
+
+
+def _outcome(result):
+    """A fit's bits (coefficients, SE, t, SSE and R^2), or its error's type
+    and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return (result.spec, [v.hex() for c in result.coefficients
+                          for v in (c.estimate, c.std_error, c.t_stat)],
+            result.sse.hex(), result.r_squared.hex())
+
+
+def _one_spec_outcome(data, spec):
+    try:
+        return _outcome(BasisQR(data).fit(spec))
+    except ImplicitRegressionError as exc:
+        return _outcome(exc)
+
+
+class TestGroupedFit:
+    """``BasisQR.fits`` factors every design width with one stacked QR; each
+    member is the one-spec fit bit for bit, and one that cannot be fit fails
+    alone."""
+
+    @pytest.mark.parametrize("data", [
+        generate(SimulationConfig(n=50, sigma=5.0, seed=3)),
+        generate(SimulationConfig(n=50, sigma=1.0, seed=8)),
+        boyle_dataset(),
+        # y = 2x: every design holding both x and y is rank deficient
+        Dataset("x", "y", np.arange(1.0, 11.0), 2.0 * np.arange(1.0, 11.0)),
+        # x = 0: every design holding 1/x fails its domain check
+        Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5], [5.1, 3.9, 3.2, 2.1, 0.8, 0.1, 1.3]),
+        # n = 4: every design of four or more columns has too few rows
+        Dataset("x", "y", [1.0, 2.0, 3.0, 4.5], [3.0, 1.0, 4.0, 1.5]),
+    ], ids=["sigma5", "sigma1", "boyle", "collinear", "x0", "n4"])
+    def test_every_grammar_shape_in_mixed_lists_is_its_one_spec_fit(self, data):
+        specs = [parse_model(text) for text in _GRAMMAR_SHAPES]
+        assert len(specs) == 124
+        expected = [_one_spec_outcome(data, spec) for spec in specs]
+        rng = np.random.default_rng(0)
+        for chunk_size in (7, 31, 124):
+            order = rng.permutation(len(specs))
+            for start in range(0, len(order), chunk_size):
+                chunk = order[start:start + chunk_size]
+                results = BasisQR(data).fits([specs[i] for i in chunk])
+                assert [_outcome(r) for r in results] == [expected[i] for i in chunk]
+
+    def test_failing_members_leave_the_others_unchanged(self):
+        x = np.arange(1.0, 11.0)
+        cases = [
+            (Dataset("x", "y", x, 2.0 * x), "x*y ~ 1 + x + y", SingularDesignError),
+            (Dataset("x", "y", np.append(x, 0.0), np.append(2.0 / x, 3.0)), "y ~ 1 + 1/x",
+             DomainError),
+        ]
+        for data, failing, error in cases:
+            texts = ["y ~ 1 + x", failing, "1 ~ x*y", "y ~ 1 + x + x^2"]
+            results = BasisQR(data).fits([parse_model(text) for text in texts])
+            assert isinstance(results[1], error)
+            with pytest.raises(error, match=re.escape(str(results[1]))):
+                BasisQR(data).fit(parse_model(failing))
+            for text, result in zip(texts[::2] + texts[3:], results[::2] + results[3:]):
+                assert _outcome(result) == _one_spec_outcome(data, parse_model(text))
+
+    def test_one_qr_per_design_width(self, monkeypatch):
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        basis = BasisQR(generate(SimulationConfig(n=50, sigma=5.0, seed=1)))
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        basis.fits([parse_model(text) for text in COMPARISON_MODEL_TEXTS])
+        assert sorted(shapes) == [(1, 6, 1), (1, 6, 2), (5, 6, 3)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=_samples(), size=st.integers(1, 4))
+    def test_stacked_qr_is_each_members_qr(self, data, size):
+        # what the grouped fit relies on: LAPACK factors each matrix of a
+        # stack as it factors that matrix alone
+        r = BasisQR(data).r
+        rng = np.random.default_rng(size)
+        for p in range(1, 5):
+            stack = np.stack([r[:, np.sort(rng.choice(r.shape[1], p, replace=False))]
+                              for _ in range(size)])
+            qs, rs = np.linalg.qr(stack)
+            for member, q, R in zip(stack, qs, rs):
+                q1, r1 = np.linalg.qr(member)
+                assert q.tobytes() == q1.tobytes() and R.tobytes() == r1.tobytes()
+                assert np.linalg.inv(R).tobytes() == np.linalg.inv(r1).tobytes()
+
+
+def _counting_inv(monkeypatch):
+    """Record every ``np.linalg.inv`` call; returns the list of inputs."""
+    calls = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        calls.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    return calls
+
+
+class TestLazyInference:
+    """Standard errors and t statistics are built, and R inverted, only for
+    the fits whose coefficients are read."""
+
+    def test_comparison_inverts_only_the_fits_elimination_examines(self):
+        data = read_csv(GOLDEN_DIR / "sample.csv")
+        # per rotation: its first fit and every refit with a predictor left
+        examined = 0
+        for text in COMPARISON_MODEL_TEXTS[:3]:
+            reduced, steps = reduce_model_trace(BasisQR(data).fit(parse_model(text)))
+            examined += len(steps) + bool(reduced.spec.predictors)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _counting_inv(monkeypatch)
+            build_comparison(data)
+        assert examined >= 3 and len(calls) == examined
+
+    def test_boyle_inverts_nothing(self, monkeypatch):
+        calls = _counting_inv(monkeypatch)
+        boyle_summary()
+        assert calls == []
+
+    @pytest.mark.parametrize("argv, golden, fits_read", [
+        (["fit", "--model", "y ~ 1 + x + x^2"], "fit_quadratic.json", 1),
+        (["fit", "--model", "1 ~ x + y + x*y", "--reduce"], "fit_reduce.json", None),
+    ])
+    def test_fit_printout_reads_the_pinned_bytes(self, monkeypatch, argv, golden, fits_read):
+        calls = _counting_inv(monkeypatch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--data", str(GOLDEN_DIR / "sample.csv"), "--format", "json"]) == 0
+        assert out.getvalue().encode() == (GOLDEN_DIR / golden).read_bytes()
+        # the printed fit, plus every fit elimination examined before it
+        reduction = json.loads(out.getvalue())["reduction"]
+        assert len(calls) == (fits_read or len(reduction) + 1)

@@ -16,7 +16,7 @@ from implicitreg import (
     fit_ols,
 )
 from implicitreg import implicit
-from implicitreg.fitcore import Coefficient, FitResult
+from implicitreg.fitcore import FitResult
 from implicitreg.formula import ModelSpec, format_model, parse_model
 from implicitreg.implicit import predict, predict_y
 
@@ -69,15 +69,11 @@ class TestPredictY:
 
 def pure_square_fit():
     """A fit of y ~ 1 + x + x^2 with coefficients exactly (0, 0, 1)."""
-    from implicitreg.fitcore import Coefficient, FitResult
+    from implicitreg.fitcore import FitResult
     from implicitreg.formula import ModelSpec
 
     spec = ModelSpec(Term.Y, (Term.X, Term.X_SQUARED), True)
-    coefs = tuple(
-        Coefficient(term, est, 1.0, est, 0.5)
-        for term, est in ((None, 0.0), (Term.X, 0.0), (Term.X_SQUARED, 1.0))
-    )
-    return FitResult(spec=spec, n=7, coefficients=coefs, sse=0.0, r_squared=1.0,
+    return FitResult(spec=spec, n=7, estimates=(0.0, 0.0, 1.0), sse=0.0, r_squared=1.0,
                      residual_dof=4)
 
 
@@ -230,17 +226,14 @@ _coords = st.floats(-10.0, 10.0).filter(lambda v: abs(v) >= 0.1)
 
 def fit_with(text, estimates):
     """A FitResult for ``text`` whose coefficients are ``estimates``."""
-    spec = parse_model(text)
-    terms = ([None] if spec.intercept else []) + list(spec.predictors)
-    coefs = tuple(Coefficient(t, float(e), 1.0, 1.0, 0.5)
-                  for t, e in zip(terms, estimates))
-    return FitResult(spec=spec, n=10, coefficients=coefs, sse=1.0, r_squared=0.5,
-                     residual_dof=1)
+    return FitResult(spec=parse_model(text), n=10, estimates=tuple(map(float, estimates)),
+                     sse=1.0, r_squared=0.5, residual_dof=1)
 
 
 def signed_pairs(fit):
     """The fitted equation as (c_j, term_j) with sum(c_j * term_j) = 0."""
-    return [(1.0, fit.spec.response)] + [(-c.estimate, c.term) for c in fit.coefficients]
+    terms = fit.spec.coefficient_terms
+    return [(1.0, fit.spec.response)] + [(-e, t) for t, e in zip(terms, fit.estimates)]
 
 
 def equation_terms(fit, x, y):
@@ -273,7 +266,7 @@ def x_solve_by_rows(fit, data):
     """The x-solve one observation at a time: the reference for the
     vectorised solve, which must match it bit for bit."""
     a, b, c = x_quadratic(fit, data.y)
-    tol = 1e-12 * (max((abs(co.estimate) for co in fit.coefficients), default=0.0) or 1.0)
+    tol = 1e-12 * (max(map(abs, fit.estimates), default=0.0) or 1.0)
     x_hat = np.full(data.n, np.nan)
     flagged = np.zeros(data.n, dtype=bool)
     for i, (ai, bi, ci, xi) in enumerate(zip(a, b, c, data.x)):
@@ -312,8 +305,8 @@ def check_solves(fit, probe, estimates):
         pred = predict(fit, probe)
     except UnsupportedModelError:
         # no closed-form x solve with both an x^2 and a 1/x term
-        assert fit.coefficient(Term.X_SQUARED).estimate != 0.0
-        assert fit.coefficient(Term.INV_X).estimate != 0.0
+        by_term = dict(zip(fit.spec.coefficient_terms, fit.estimates))
+        assert by_term[Term.X_SQUARED] != 0.0 and by_term[Term.INV_X] != 0.0
         return
     except DegenerateDataError:
         return

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ class TestSeparationAngle:
         noisy = SquareSums(50.0 * c, 1e-20 * c, 50.0 * c, 10, 275.0 * c)
         assert separation_angle(noisy) == pytest.approx(90.0, abs=1e-6)
         assert relative_height(noisy) > 0.0
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 1000])
+    def test_sides_whose_product_leaves_the_float_range(self, scale):
+        # SSM * SSE underflows (overflows) to 0 (inf); each side's root does not
+        for ssm, sse, sst in ((3.0, 4.0, 7.0), (2.0, 3.0, 4.0), (50.0, 1.0, 49.5)):
+            unscaled = separation_angle(SquareSums(ssm, sse, sst, 10))
+            scaled = SquareSums(ssm * scale, sse * scale, sst * scale, 10)
+            assert not sys.float_info.min <= scaled.ssm * scaled.sse < math.inf
+            assert separation_angle(scaled) == pytest.approx(unscaled, rel=1e-12)
 
     def test_clamps_tiny_overshoot(self):
         ssm, sse = 2.0, 3.0
