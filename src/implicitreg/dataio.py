@@ -29,6 +29,9 @@ _BOM = b"\xef\xbb\xbf"
 # the bytes of a plain body or line, which numpy's reader takes: ASCII
 # decimals with exponents, field and line separators, spaces and tabs
 _PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
+# rows per block of the factorisation, the solves and the writer, read only
+# through Dataset.row_blocks(): 1.5 MiB of the six basis columns at a time
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,12 @@ class Dataset:
         means = float(self.y.mean()), float(self.x.mean())
         return tuple((mean, float(((v - mean) ** 2).sum()), float(v @ v))
                      for v, mean in zip((self.y, self.x), means))
+
+    def row_blocks(self):
+        """(x, y) views of at most ``_BLOCK_ROWS`` consecutive rows, in row
+        order; an empty dataset yields one empty block."""
+        for start in range(0, self.n or 1, _BLOCK_ROWS):
+            yield self.x[start:start + _BLOCK_ROWS], self.y[start:start + _BLOCK_ROWS]
 
 
 def _parse_field(field: str, line: int) -> float:
@@ -220,13 +229,21 @@ def read_csv(source) -> Dataset:
 
 
 def write_csv(data: Dataset, decimals: int = 6) -> bytes:
-    """Serialize a dataset with fixed decimal places, LF line endings."""
+    """Serialize a dataset with fixed decimal places, LF line endings; a
+    label that would not read back as a header field raises ValueError.
+
+    Each row block is one ``%`` template over its interleaved values, so no
+    string per row is held; ``%`` prints a float as an f-string does."""
     if not 0 <= decimals <= 17:
         raise ValueError("decimals must be between 0 and 17")
-    out = [f"{data.x_label},{data.y_label}"]
-    out.extend(f"{x:.{decimals}f},{y:.{decimals}f}"
-               for x, y in zip(data.x.tolist(), data.y.tolist()))
-    return ("\n".join(out) + "\n").encode("utf-8")
+    for label in (data.x_label, data.y_label):
+        if "," in label or not label.strip() or label.splitlines() != [label]:
+            raise ValueError(f"label {label!r} cannot be a CSV header field")
+    out = [f"{data.x_label},{data.y_label}\n".encode()]
+    row = f"%.{decimals}f,%.{decimals}f\n"
+    for x, y in data.row_blocks():
+        out.append((row * x.size % tuple(np.column_stack((x, y)).ravel().tolist())).encode())
+    return b"".join(out)
 
 
 def boyle_dataset() -> Dataset:

@@ -35,8 +35,6 @@ _RANK_RTOL = 1e-10
 _PERFECT_FIT_RTOL = 1e-26
 # the columns of Z, the basis every design and response is drawn from
 _BASIS = (Term.ONE, Term.X, Term.Y, Term.XY, Term.X_SQUARED, Term.INV_X)
-# rows of Z per block QR: 1.5 MiB of a block in memory at a time
-_BLOCK_ROWS = 1 << 15
 # backward elimination drops a predictor whose p-value exceeds this
 ALPHA = 0.05
 # t_tail is within 1e-10 relative of stdtr for dof up to 3e5 and within
@@ -155,22 +153,20 @@ class BasisQR:
     problem on at most 6 x 4 columns of R; the n data rows are touched
     again only for a fit's residuals, and for its response's square sums
     the first time a fit uses that response and centering.  R is built
-    from row blocks of ``_BLOCK_ROWS`` rows, each reduced to its own R
-    before the stacked block Rs are factored once more, so Z itself is
-    never held.  When any x = 0 the 1/x column is left out and only fits
-    that use it fail.
+    from the dataset's ``row_blocks``, the blocks the solves and the CSV
+    writer walk too; each is reduced to its own R before the stacked block
+    Rs are factored once more, so Z itself is never held.  Those residual
+    and square sums stay whole-array.  When any x = 0 the 1/x column is
+    left out and only fits that use it fail.
     """
 
     def __init__(self, data: Dataset):
         self.data = data
         self.terms = _BASIS if not np.any(data.x == 0.0) else _BASIS[:-1]
-        blocks = []
         # an empty dataset still gets its (empty) R; each fit then reports
         # too few observations
-        for start in range(0, max(data.n, 1), _BLOCK_ROWS):
-            x, y = data.x[start:start + _BLOCK_ROWS], data.y[start:start + _BLOCK_ROWS]
-            block = np.column_stack([eval_term(term, x, y) for term in self.terms])
-            blocks.append(np.linalg.qr(block, mode="r"))
+        blocks = [np.linalg.qr(np.column_stack([eval_term(term, x, y) for term in self.terms]),
+                               mode="r") for x, y in data.row_blocks()]
         self.r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
         # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q
         self.column_norms = np.linalg.norm(self.r, axis=0)

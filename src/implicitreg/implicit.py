@@ -64,8 +64,9 @@ class Prediction:
         return int(np.count_nonzero(self.x_complex))
 
 
-def _polynomial(fit: FitResult, data: Dataset, axis: int) -> tuple[dict, dict]:
-    """The fitted equation as a polynomial in x (``axis=0``) or y (``axis=1``).
+def _polynomial(fit: FitResult, x: np.ndarray, y: np.ndarray, axis: int) -> tuple[dict, dict]:
+    """The fitted equation over one row block (x, y) as a polynomial in x
+    (``axis=0``) or y (``axis=1``).
 
     The equation is sum(c_j * term_j) = 0, with the response at c = +1 and
     the intercept (as ``Term.ONE``) and predictors at their estimates
@@ -73,8 +74,8 @@ def _polynomial(fit: FitResult, data: Dataset, axis: int) -> tuple[dict, dict]:
     coefficient, which carries the other axis at its observed value; the
     second map lists, per power, the addends summed into that coefficient.
     """
-    other = data.x if axis else data.y
-    coefs = defaultdict(lambda: np.zeros(data.n))
+    other = x if axis else y
+    coefs = defaultdict(lambda: np.zeros(x.size))
     addends = defaultdict(list)
     signed = [(1.0, fit.spec.response)]
     signed += ((-estimate, Term.ONE if term is None else term)
@@ -96,29 +97,17 @@ def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
     return np.abs(coef) <= _SINGULAR_RTOL * sum(np.abs(addend) for addend in addends)
 
 
-def _solve(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the fitted equation for x (``axis=0``) at each observed y, or
-    for y (``axis=1``) at each observed x; returns (solves, complex_mask).
-
-    The equation is at most quadratic in the solved axis; a 1/x term is
-    cleared by multiplying through by x.  Entries whose denominator is
-    (near) zero are NaN.
-    """
+def _solve(fit: FitResult, x: np.ndarray, y: np.ndarray, axis: int,
+           low: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_solves`` on one row block, with ``low`` the power holding the
+    constant coefficient; entries whose denominator is (near) zero are NaN."""
     # 1/x at x = 0 and singular denominators become NaN below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coefs, addends = _polynomial(fit, data, axis)
-        # the power holding the constant coefficient
-        low = 0
-        if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all():
-            if 2 in coefs and np.any(coefs[2] != 0.0):
-                raise UnsupportedModelError(
-                    f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve"
-                )
-            low = -1  # multiply the equation through by x
+        coefs, addends = _polynomial(fit, x, y, axis)
         # a missing power reads as a zero coefficient
         b, c = coefs[low + 1], coefs[low]
         hat = np.where(_vanishes(b, addends[low + 1]), np.nan, -c / b)
-        complex_mask = np.zeros(data.n, dtype=bool)
+        complex_mask = np.zeros(x.size, dtype=bool)
         # only an x-solve can be quadratic: x^2, or x after the multiply
         a = coefs.get(low + 2)
         affine = None if a is None else _vanishes(a, addends[low + 2])
@@ -132,7 +121,7 @@ def _solve(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.nda
             r1, r2 = q / a, c / q
             zero = q == 0.0
             r1[zero] = r2[zero] = 0.0
-            d1, d2 = np.abs(r1 - data.x), np.abs(r2 - data.x)
+            d1, d2 = np.abs(r1 - x), np.abs(r2 - x)
             # the root nearest the observed x; an exact tie takes the smaller
             smaller = np.where(r2 < r1, r2, r1)
             nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
@@ -143,15 +132,42 @@ def _solve(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.nda
     return hat, complex_mask
 
 
+def _solves(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the fitted equation for x (``axis=0``) at each observed y, or
+    for y (``axis=1``) at each observed x, one row block at a time; returns
+    (solves, complex_mask), a single block's arrays as they are.
+
+    The equation is at most quadratic in the solved axis; a 1/x term that
+    does not vanish is cleared by multiplying through by x.  The x-equation's
+    1/x and x^2 coefficients are minus their estimates on every row, so that
+    choice, and the error for a model with both, are made once per model by
+    the rules a row would apply.
+    """
+    low = 0
+    if not axis and Term.INV_X in fit.spec.predictors:
+        estimates = dict(zip(fit.spec.coefficient_terms, fit.estimates))
+        inv_x = abs(estimates[Term.INV_X])
+        # _vanishes of a coefficient with one addend, in plain floats
+        if not inv_x <= _SINGULAR_RTOL * inv_x:
+            if estimates.get(Term.X_SQUARED, 0.0) != 0.0:
+                raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
+            low = -1
+    blocks = [_solve(fit, x, y, axis, low) for x, y in data.row_blocks()]
+    if len(blocks) == 1:
+        return blocks[0]
+    hats, masks = zip(*blocks)
+    return np.concatenate(hats), np.concatenate(masks)
+
+
 def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
     """Solve the fitted equation for y at each observed x; NaN where singular."""
-    return _solve(fit, data, axis=1)[0]
+    return _solves(fit, data, axis=1)[0]
 
 
 def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for both axes; raises if every solve is singular."""
     y_hat = predict_y(fit, data)
-    x_hat, complex_mask = _solve(fit, data, axis=0)
+    x_hat, complex_mask = _solves(fit, data, axis=0)
     pred = Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
     if not (pred.y_defined.any() or pred.x_defined.any()):
         raise DegenerateDataError(

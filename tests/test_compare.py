@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from implicitreg import (
     render_json,
     render_markdown,
 )
-from implicitreg import compare
+from implicitreg import compare, dataio
 from implicitreg.compare import (BOYLE_MODEL_TEXTS, _METRIC_DIRECTIONS, boyle_plot_data,
                                  report_to_dict)
 from implicitreg.errors import DegenerateDataError, ImplicitRegressionError
@@ -88,6 +89,21 @@ def test_tiny_scale_sample_compares_without_a_traceback():
     inverse = {row.model: row for row in report.rows}["y ~ 1 + 1/x"]
     reference = {row.model: row for row in build_comparison(data).rows}["y ~ 1 + 1/x"]
     assert inverse.theta_t == pytest.approx(reference.theta_t, rel=1e-9)
+
+
+def test_traced_peak_is_at_most_eight_n_row_arrays():
+    # four row blocks: the solves hold block-sized temporaries, the residual
+    # and square sums whole-array ones
+    n = 3 * dataio._BLOCK_ROWS + 1
+    data = generate(SimulationConfig(n=n, sigma=5.0, seed=3))
+    build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=3)))  # warm caches
+    tracemalloc.start()
+    try:
+        build_comparison(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * data.x.nbytes
 
 
 class TestPerfectFits:

@@ -1,7 +1,11 @@
+import hashlib
 import io
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +16,10 @@ from implicitreg import (
     Dataset,
     InsufficientDataError,
     IntegrityError,
+    SimulationConfig,
     boyle_dataset,
     constancy_index,
+    generate,
     read_csv,
     write_csv,
 )
@@ -49,6 +55,20 @@ class TestDataset:
         d = Dataset("x", "y", table[::-1, 0], table[:, 1])
         assert d.x.flags.c_contiguous and d.y.flags.c_contiguous
         assert d.x.tolist() == [10.0, 8.0, 6.0, 4.0, 2.0, 0.0]
+
+
+    @pytest.mark.parametrize("n, sizes", [(0, [0]), (1, [1]), (6, [6]), (7, [7]),
+                                          (8, [7, 1]), (15, [7, 7, 1])])
+    def test_row_blocks_are_views_of_at_most_the_block_size(self, n, sizes, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 7)
+        d = Dataset("x", "y", np.arange(float(n)), -np.arange(float(n)))
+        blocks = list(d.row_blocks())
+        # an empty dataset still yields one (empty) block
+        assert [x.size for x, _ in blocks] == sizes
+        for x, y in blocks:
+            assert x.base is d.x and y.base is d.y
+        assert np.concatenate([x for x, _ in blocks]).tolist() == d.x.tolist()
+        assert np.concatenate([y for _, y in blocks]).tolist() == d.y.tolist()
 
 
 class TestReadCsv:
@@ -431,6 +451,65 @@ class TestWriteCsv:
     def test_boyle_serializes_to_26_lines(self):
         out = write_csv(boyle_dataset(), decimals=4)
         assert len(out.decode().splitlines()) == 26
+
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "", " "])
+    def test_label_that_is_no_header_field_raises(self, label):
+        # read_csv would reject the header these labels write
+        d = Dataset(label, "y", [1, 2, 3], [4, 5, 6])
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write_csv(d)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write_csv(Dataset("x", label, [1, 2, 3], [4, 5, 6]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=st.integers(1, 5), decimals=st.integers(0, 17), data=st.data())
+    def test_blocks_write_the_bytes_of_one_f_string_per_row(self, block, decimals, data):
+        n = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
+        values = st.lists(_WRITER_FLOATS, min_size=n, max_size=n)
+        d = Dataset(data.draw(_WRITER_LABELS), data.draw(_WRITER_LABELS),
+                    data.draw(values), data.draw(values))
+        with mock.patch.object(dataio, "_BLOCK_ROWS", block):
+            assert write_csv(d, decimals) == _f_string_csv(d, decimals)
+
+    def test_simulated_file_bytes_are_pinned(self):
+        # what `implicitreg simulate --n 200000 --sigma 5 --seed 7 --out F`
+        # writes: seven row blocks, the last one partial
+        d = generate(SimulationConfig(n=200_000, sigma=5, seed=7))
+        assert hashlib.sha256(write_csv(d, decimals=10)).hexdigest() == \
+            "8142e3752bbdc806ccd6be01bba379138d7343ddafc83bec9625eca85295993a"
+
+    def test_traced_peak_is_at_most_two_and_a_half_times_the_output(self):
+        d = generate(SimulationConfig(n=3 * dataio._BLOCK_ROWS + 1, sigma=5.0, seed=3))
+        tracemalloc.start()
+        try:
+            out = write_csv(d, decimals=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(out)
+
+
+def _f_string_csv(data, decimals):
+    """The writer as one f-string per row: the reference the block writer
+    must match byte for byte."""
+    out = [f"{data.x_label},{data.y_label}"]
+    out.extend(f"{x:.{decimals}f},{y:.{decimals}f}"
+               for x, y in zip(data.x.tolist(), data.y.tolist()))
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+_WRITER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 0.5, -2.5, 0.125]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# "%" and "{" must reach the file as they are
+_WRITER_LABELS = st.one_of(
+    st.sampled_from(["x", "%", "%s", "%d%%", "{", "{0}", "%(x)s {y}"]),
+    st.text(min_size=1, max_size=8).filter(
+        lambda s: "," not in s and s.strip() and s.splitlines() == [s]),
+)
 
 
 class TestBoyleDataset:

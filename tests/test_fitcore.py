@@ -28,7 +28,7 @@ from implicitreg import (
     read_csv,
     self_weighting_mean,
 )
-from implicitreg import fitcore
+from implicitreg import dataio, fitcore
 from implicitreg.cli import main
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
@@ -413,10 +413,10 @@ class TestBasisQR:
             _assert_fit_matches(fit, *_lstsq_reference(spec, data), rtol=1e-10)
 
     def test_row_blocks_agree_with_one_block(self, monkeypatch):
-        n = 3 * fitcore._BLOCK_ROWS + 1
+        n = 3 * dataio._BLOCK_ROWS + 1
         data = generate(SimulationConfig(n=n, sigma=5.0, seed=4))
         blocked = BasisQR(data)
-        monkeypatch.setattr(fitcore, "_BLOCK_ROWS", n)
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", n)
         whole = BasisQR(data)
         for text in _ORACLE_SHAPES:
             spec = parse_model(text)
@@ -483,7 +483,7 @@ class TestBasisQR:
         build_comparison(generate(SimulationConfig(n=n, sigma=5.0, seed=1)))
         # the row blocks, then their stacked Rs; every other QR is a stack of
         # models' columns of R, one per design width: three for seven models
-        blocks = [fitcore._BLOCK_ROWS] * (n // fitcore._BLOCK_ROWS) + [n % fitcore._BLOCK_ROWS]
+        blocks = [dataio._BLOCK_ROWS] * (n // dataio._BLOCK_ROWS) + [n % dataio._BLOCK_ROWS]
         assert [shape[0] for shape in shapes if len(shape) == 2] == blocks + [6 * len(blocks)]
         stacks = sorted((cols, k) for k, rows, cols in shapes[len(blocks) + 1:] if rows == 6)
         assert stacks == [(1, 1), (2, 1), (3, 5)]

@@ -10,13 +10,16 @@ from implicitreg import (
     COMPARISON_MODEL_TEXTS,
     Dataset,
     DegenerateDataError,
+    SimulationConfig,
     Term,
     UnsupportedModelError,
     boyle_dataset,
     fit_ols,
+    generate,
 )
-from implicitreg import implicit
-from implicitreg.fitcore import FitResult
+from implicitreg import dataio, implicit
+from implicitreg.errors import ImplicitRegressionError
+from implicitreg.fitcore import BasisQR, FitResult
 from implicitreg.formula import ModelSpec, format_model, parse_model
 from implicitreg.implicit import predict, predict_y
 
@@ -435,8 +438,48 @@ class TestQuadraticXSolve:
         coefs = {0: c, 1: b, 2: a}
         addends = {power: [coef] for power, coef in coefs.items()}
         with mock.patch.object(implicit, "_polynomial", return_value=(coefs, addends)):
-            hat, complex_mask = implicit._solve(None, Dataset("x", "y", x, x), axis=0)
+            hat, complex_mask = implicit._solve(None, x, x, axis=0, low=0)
         with np.errstate(all="ignore"):
             want, want_complex = _reference_quadratic_solve(a, b, c, x)
         assert hat.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert complex_mask.tolist() == want_complex.tolist()
+
+
+def _solve_outcome(fit, data):
+    """The bits of ``predict``, or the type and message of its error."""
+    try:
+        pred = predict(fit, data)
+    except ImplicitRegressionError as exc:
+        return type(exc), str(exc)
+    return pred.y_hat.tobytes(), pred.x_hat.tobytes(), pred.x_complex.tobytes()
+
+
+class TestRowBlocks:
+    def test_seven_row_blocks_solve_every_shape_as_one_block(self, monkeypatch):
+        raised = []
+
+        class CountedUnsupported(UnsupportedModelError):
+            def __init__(self, *args):
+                raised.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(implicit, "UnsupportedModelError", CountedUnsupported)
+        sample = generate(SimulationConfig(n=30, sigma=5.0, seed=11))
+        fits = BasisQR(sample).fits([parse_model(text) for text in _GRAMMAR_SHAPES])
+        assert not any(isinstance(fit, ImplicitRegressionError) for fit in fits)
+        with_zero = generate(SimulationConfig(n=23, sigma=5.0, seed=12))
+        x = with_zero.x.copy()
+        x[9] = 0.0
+        line = np.arange(1.0, 21.0)
+        probes = [Dataset("x", "y", x, with_zero.y), Dataset("x", "y", line, 2.0 * line)]
+        probes += [Dataset("x", "y", sample.x[:n], sample.y[:n]) for n in (0, 1, 4)]
+        whole = [_solve_outcome(fit, probe) for fit in fits for probe in probes]
+        raised.clear()
+        # 23 rows in blocks of 7, 7, 7 and 2, with x = 0 in the second; 20
+        # in 7, 7 and 6; n = 0, 1 and 4 stay one block
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 7)
+        blocked = [_solve_outcome(fit, probe) for fit in fits for probe in probes]
+        assert blocked == whole
+        # the x^2-and-1/x error is raised once per solve, not once per block
+        unsupported = [o for o in blocked if o[0] is CountedUnsupported]
+        assert unsupported and len(raised) == len(unsupported)
