@@ -8,11 +8,10 @@ no precision is lost before the final division.
 
 from __future__ import annotations
 
-import hashlib
 import io
+import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +28,7 @@ _BOM = b"\xef\xbb\xbf"
 # the bytes of a plain body or line, which numpy's reader takes: ASCII
 # decimals with exponents, field and line separators, spaces and tabs
 _PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
+_NON_SPACE = re.compile(rb"\S")
 # rows per block of the factorisation, the solves and the writer, read only
 # through Dataset.row_blocks(): 1.5 MiB of the six basis columns at a time
 _BLOCK_ROWS = 1 << 15
@@ -81,6 +81,15 @@ class Dataset:
             yield self.x[start:start + _BLOCK_ROWS], self.y[start:start + _BLOCK_ROWS]
 
 
+@cache
+def _fraction():
+    """``fractions.Fraction``, imported on the first fraction read: reading
+    decimals never loads it, and a fraction field pays no import."""
+    from fractions import Fraction
+
+    return Fraction
+
+
 def _parse_field(field: str, line: int) -> float:
     """Parse a decimal literal or mixed fraction ``W N/D`` exactly."""
     token = field.strip()
@@ -88,20 +97,21 @@ def _parse_field(field: str, line: int) -> float:
         raise DataFormatError("empty field", line=line)
     parts = token.split()
     try:
-        if len(parts) == 1:
-            if "/" in parts[0]:
-                value = float(Fraction(parts[0]))
-            else:
-                value = float(parts[0])
-        elif len(parts) == 2:
-            whole = Fraction(parts[0])
-            frac = Fraction(parts[1])
-            if "/" not in parts[1]:
-                raise ValueError("second part of a mixed number must be N/D")
-            # a negative whole part pulls the fraction in the same direction
-            value = float(whole - frac if whole < 0 else whole + frac)
-        else:
+        if len(parts) > 2:
             raise ValueError("too many components")
+        if len(parts) == 1 and "/" not in token:
+            value = float(token)
+        else:
+            Fraction = _fraction()
+            if len(parts) == 1:
+                value = float(Fraction(token))
+            else:
+                whole = Fraction(parts[0])
+                frac = Fraction(parts[1])
+                if "/" not in parts[1]:
+                    raise ValueError("second part of a mixed number must be N/D")
+                # a negative whole part pulls the fraction in the same direction
+                value = float(whole - frac if whole < 0 else whole + frac)
     except (ValueError, ZeroDivisionError) as exc:
         raise DataFormatError(f"cannot parse value {token!r}: {exc}", line=line) from None
     if not np.isfinite(value):
@@ -141,18 +151,21 @@ def _one_line(head: bytes) -> str | None:
     return line if line.splitlines() == [line] else None
 
 
-def _plain_values(body: bytes) -> np.ndarray | None:
-    """The (rows, 2) values of a plain body, read by numpy; None when numpy's
-    reader rejects it or a value is not finite.
+def _plain_values(data: bytes, start: int = 0) -> np.ndarray | None:
+    """The (rows, 2) values of the plain body ``data[start:]``, read by numpy
+    in place; None when numpy's reader rejects it or a value is not finite.
 
     ``loadtxt`` converts each field with ``PyOS_string_to_double``, the
     correctly rounded routine behind ``float()``, and on this alphabet it
     accepts a field only where ``_parse_field`` returns that same value.
     """
-    if not body or body.isspace():
+    if _NON_SPACE.search(data, start) is None:
         return np.empty((0, 2))  # loadtxt warns on input with no data
+    # a BytesIO shares the bytes' buffer until it is written to
+    body = io.BytesIO(data)
+    body.seek(start)
     try:
-        values = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if values.shape[1] != 2 or not np.isfinite(values).all():
@@ -208,12 +221,17 @@ def read_csv(source) -> Dataset:
     field, which gives the error of the first bad line.
     """
     data = _read_bytes(source)
-    head, _, body = data.removeprefix(_BOM).partition(b"\n")
-    header = None if body.translate(None, _PLAIN_BYTES) else _one_line(head)
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)
+    head = data[:end]
+    # the body is plain when the header holds every byte outside the alphabet
+    plain = len(data.translate(None, _PLAIN_BYTES)) == len(head.translate(None, _PLAIN_BYTES))
+    header = _one_line(head.removeprefix(_BOM)) if plain else None
     values = None
     if header is not None:
         x_label, y_label = _labels(header)
-        values = _plain_values(body)
+        values = _plain_values(data, end + 1)
     if values is None:
         lines = _text_lines(data)
         if not lines:
@@ -259,6 +277,8 @@ def boyle_dataset() -> Dataset:
         raw = resource.read_bytes()
     except FileNotFoundError as exc:
         raise IntegrityError(f"bundled Boyle resource missing: {exc}") from None
+    import hashlib
+
     digest = hashlib.sha256(raw).hexdigest()
     if digest != _BOYLE_SHA256:
         raise IntegrityError(

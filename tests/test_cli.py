@@ -319,17 +319,28 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     assert out.strip() == "[]"
 
 
-_SCIPY_PROBE = """
+_MODULE_PROBE = """
 import contextlib, io, json, sys
 from implicitreg.cli import main
 
+roots = set(json.loads(sys.argv[2]))
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded.append([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')])
+    loaded.append([code, sorted(m for m in sys.modules if m.split('.')[0] in roots)])
 print(json.dumps(loaded))
 """
+
+
+def _probe_modules(runs, roots):
+    """Run ``main`` on each argv in turn in one fresh interpreter; after each,
+    its exit code and the loaded modules under the package names ``roots``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs), json.dumps(roots)],
+                         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+    return json.loads(out)
 
 
 def test_only_fit_loads_scipy(tmp_path):
@@ -343,15 +354,28 @@ def test_only_fit_loads_scipy(tmp_path):
         ["constancy", "--data", sample],
     ]
     fit = ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps([*scipy_free, fit])],
-                         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
-    *before_fit, after_fit = json.loads(out)
+    *before_fit, after_fit = _probe_modules([*scipy_free, fit], ["scipy"])
     for argv, (code, modules) in zip(scipy_free, before_fit):
         assert (code, modules) == (0, []), argv
     assert after_fit[0] == 0
     assert "scipy.special" in after_fit[1]
+
+
+def test_decimal_csv_loads_neither_hashlib_nor_fractions():
+    """Only the Boyle checksum needs hashlib and only a fraction field needs
+    fractions (and decimal, which it imports), so compare and constancy on a
+    decimal CSV load none of them.  fit reads no fraction either; its
+    p-values load scipy.special, whose numpy.random import brings hashlib."""
+    sample = str(Path(__file__).parent / "golden" / "sample.csv")
+    decimal_only = [["compare", "--data", sample, "--format", "json"],
+                    ["constancy", "--data", sample]]
+    fit = ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample]
+    roots = ["hashlib", "_hashlib", "fractions", "decimal", "_decimal"]
+    *before_fit, after_fit = _probe_modules([*decimal_only, fit], roots)
+    for argv, (code, modules) in zip(decimal_only, before_fit):
+        assert (code, modules) == (0, []), argv
+    assert after_fit[0] == 0
+    assert not {"fractions", "decimal", "_decimal"} & set(after_fit[1])
 
 
 class TestConstancyCommand:

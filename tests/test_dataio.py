@@ -411,6 +411,32 @@ class TestBulkParse:
         assert first[:2] == ("volume", "pressure")
         assert second == first
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("body", [
+        "", "{e}", "{e}{e} {e}", "{e}1,2{e}3,4{e}5,6", "{e}1,2{e}3,4{e}{e}5,6{e}", "{e}1,2{e}3,4{e}",
+    ], ids=["header-only", "header-line", "blank-lines", "rows", "rows-and-blank", "two-rows"])
+    def test_body_offset_after_bom_and_line_end(self, bom, end, body, no_exact_reader):
+        # numpy reads the source in place from just after the header's LF
+        text = bom + "x,y" + body.format(e=end)
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
+
+    def test_traced_peak_is_below_48_bytes_per_row(self, no_exact_reader):
+        """Reading a plain 17-decimal file (≈43 bytes per row) allocates the
+        plain-byte scan's output, as long as the input, and then numpy's
+        (n, 2) values and the two columns, 32 bytes per row; a copy of the
+        body on top of either breaks the bound."""
+        n = 3 * dataio._BLOCK_ROWS + 1
+        data = write_csv(generate(SimulationConfig(n=n, sigma=5.0, seed=3)), decimals=17)
+        tracemalloc.start()
+        try:
+            d = read_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == n
+        assert peak < 48 * n
+
     def test_boyle_file_takes_exact_reader(self, parse_field_calls):
         raw = resources.files("implicitreg").joinpath("data/boyle.csv").read_bytes()
         d = boyle_dataset()
