@@ -9,10 +9,9 @@ small QR drives a deterministic rank check: a column whose residual norm
 after projection onto the model's preceding columns falls below 1e-10 of
 its own norm is declared collinear.
 
-Nothing here imports scipy at module load.  A p-value is computed from
-``scipy.special.stdtr`` when it is read, which only ``fit`` does when it
-prints one; backward elimination decides p > ALPHA with the Student t tail
-below and asks ``stdtr`` only where that tail cannot decide exactly.
+Nothing here imports scipy.  A two-sided p-value is the Student t tail
+``t_tail`` below, computed when it is read; backward elimination drops on
+that same p, and reads it only where |t| alone cannot decide.
 """
 
 from __future__ import annotations
@@ -37,12 +36,9 @@ _PERFECT_FIT_RTOL = 1e-26
 _BASIS = (Term.ONE, Term.X, Term.Y, Term.XY, Term.X_SQUARED, Term.INV_X)
 # backward elimination drops a predictor whose p-value exceeds this
 ALPHA = 0.05
-# t_tail is within 1e-10 relative of stdtr for dof up to 3e5 and within
-# 1e-7 up to 1e9; where its p lies this close (relative) to ALPHA or to
-# another candidate's p, stdtr decides instead
-_TAIL_BAND = 1e-6
 # relative, about the critical |t|: there p's elasticity in |t|, 2 |t| density / ALPHA,
-# is 0.996 at dof 1 and 4.58 as dof grows, so past it p is 9 _TAIL_BAND from ALPHA
+# is 0.996 at dof 1 and 4.58 as dof grows, so past it p lies 0.99e-5 (relative)
+# or more from ALPHA, far beyond t_tail's own error, and |t| decides alone
 _T_BAND = 1e-5
 _Z = 1.959963984540054  # the standard normal quantile at 1 - ALPHA / 2
 
@@ -64,11 +60,8 @@ class Coefficient:
 
     @property
     def p_value(self) -> float:
-        """Two-sided p-value; the first one read loads ``scipy.special``."""
-        from scipy.special import stdtr
-
-        # the t survival function at |t| is the CDF at -|t|
-        return float(2.0 * stdtr(self.dof, -abs(self.t_stat)))
+        """Two-sided p-value, ``t_tail(dof, t_stat)``."""
+        return t_tail(self.dof, self.t_stat)
 
 
 @dataclass(frozen=True)
@@ -309,10 +302,11 @@ _TINY = 1e-300
 _MAX_TERMS = 1000
 
 
-def _beta_fraction(a: float, b: float, x: float) -> float | None:
+def _beta_fraction(a: float, b: float, x: float) -> float:
     """The continued fraction of I_x(a, b), evaluated by modified Lentz;
-    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) times it.  None if it has not
-    converged after ``_MAX_TERMS`` terms."""
+    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) times it.  NaN if it has not
+    converged after ``_MAX_TERMS`` terms (no t_tail up to dof 1e12 needs
+    more than 350)."""
     c = 1.0
     d = 1.0 - (a + b) * x / (a + 1.0)
     d = 1.0 / (d if abs(d) > _TINY else _TINY)
@@ -329,7 +323,7 @@ def _beta_fraction(a: float, b: float, x: float) -> float | None:
             h *= d * c
         if abs(d * c - 1.0) < 1e-15:
             return h
-    return None
+    return math.nan
 
 
 def _log_beta_half(a: float) -> float:
@@ -342,17 +336,20 @@ def _log_beta_half(a: float) -> float:
             + inv / 8.0 - inv ** 3 / 192.0 - inv ** 5 / 640.0)
 
 
-def t_tail(dof: float, t: float) -> float | None:
-    """Two-sided Student t tail P(|T| > |t|) on ``dof`` degrees of freedom,
-    without scipy.
+def t_tail(dof: float, t: float) -> float:
+    """Two-sided Student t tail P(|T| > |t|) on ``dof`` degrees of freedom.
 
     It is the regularised incomplete beta I_x(dof/2, 1/2) at
-    x = dof / (dof + t^2).  None where it cannot be evaluated (non-finite
-    t, or a fraction that does not converge).
+    x = dof / (dof + t^2).  Like ``scipy.special.stdtr``, it is 0.0 at
+    t = +-inf and NaN at NaN; it is also 0.0 where t^2 overflows (an
+    absolute error below 1e-154).  Over |t| <= 40 its relative error
+    against ``stdtr`` is at most 6.3e-14 up to dof 30, 1.0e-11 up to 1e5,
+    9.6e-11 up to 1e6 and 1.4e-7 up to 1e9; at dof 1 and 2 it matches the
+    closed forms to 1e-14.
     """
     t2 = t * t
     if not math.isfinite(t2):
-        return None
+        return 0.0 if t2 == math.inf else math.nan
     ratio = t2 / dof
     if ratio == 0.0:  # |t| too small for P(|T| > |t|) to differ from 1
         return 1.0
@@ -363,10 +360,8 @@ def t_tail(dof: float, t: float) -> float | None:
     # the fraction in x converges for x < (a + 1) / (a + 5/2); past that,
     # use I_x(a, b) = 1 - I_{1-x}(b, a)
     if one_minus_x > 1.5 / (a + 2.5):
-        fraction = _beta_fraction(a, 0.5, dof / (dof + t2))
-        return None if fraction is None else front * fraction / a
-    fraction = _beta_fraction(0.5, a, one_minus_x)
-    return None if fraction is None else 1.0 - 2.0 * front * fraction
+        return front * _beta_fraction(a, 0.5, dof / (dof + t2)) / a
+    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, one_minus_x)
 
 
 @cache
@@ -380,7 +375,7 @@ def _critical_t(dof: int) -> float:
               + inv * (3.0 * z2 ** 3 + 19.0 * z2 * z2 + 17.0 * z2 - 15.0) / 384.0)))
     for _ in range(20):
         p = t_tail(dof, t)
-        if p is None:
+        if math.isnan(p):
             return math.nan
         # the t density at t; the tail's slope is -2 times it
         density = math.exp(-(a + 0.5) * math.log1p(t * t / dof) - 0.5 * math.log(dof)
@@ -395,31 +390,16 @@ def _critical_t(dof: int) -> float:
 def next_to_drop(candidates: list[Coefficient]) -> Coefficient | None:
     """The predictor backward elimination drops next, or None to stop.
 
-    The rule is the largest p-value, the first in coefficient order on a
-    tie, if it exceeds ``ALPHA``.  The candidates share one dof, so the
-    largest p belongs to the smallest |t|.  Outside ``_T_BAND`` of the
-    critical |t|, with the runner-up's |t| above that band, |t| decides
-    alone.  Otherwise ``t_tail`` decides, and only when its p lies within
-    ``_TAIL_BAND`` of ``ALPHA``, or of the runner-up's p, does ``stdtr``.
+    The candidates share one dof, so the largest p-value belongs to the
+    smallest |t|: that candidate, the first in coefficient order on a tie,
+    goes if its ``p_value`` exceeds ``ALPHA``.  Outside ``_T_BAND`` of the
+    critical |t|, |t| decides alone and no tail is evaluated.
     """
-    if all(math.isfinite(c.t_stat) for c in candidates):
-        first, *rest = sorted(candidates, key=lambda c: abs(c.t_stat))
-        t_crit = _critical_t(first.dof)
-        low, high = t_crit * (1.0 - _T_BAND), t_crit * (1.0 + _T_BAND)
-        if abs(first.t_stat) > high:
-            return None
-        # then p > ALPHA > the runner-up's p / (1 - _TAIL_BAND)
-        if abs(first.t_stat) < low and (not rest or abs(rest[0].t_stat) > high):
-            return first
-        p = t_tail(first.dof, first.t_stat)
-        if p is not None and abs(p - ALPHA) > _TAIL_BAND * ALPHA:
-            if p <= ALPHA:
-                return None
-            p_next = t_tail(rest[0].dof, rest[0].t_stat) if rest else 0.0
-            if p_next is not None and p - p_next > _TAIL_BAND * p:
-                return first
-    worst = max(candidates, key=lambda c: c.p_value)
-    return worst if worst.p_value > ALPHA else None
+    first = min(candidates, key=lambda c: abs(c.t_stat))
+    t_abs, t_crit = abs(first.t_stat), _critical_t(first.dof)
+    if abs(t_abs - t_crit) > _T_BAND * t_crit:
+        return first if t_abs < t_crit else None
+    return first if first.p_value > ALPHA else None
 
 
 def reduce_model_trace(fit: FitResult) -> tuple[FitResult, list[Coefficient]]:

@@ -321,61 +321,85 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
 
 _MODULE_PROBE = """
 import contextlib, io, json, sys
+if json.loads(sys.argv[3]):
+    sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
 from implicitreg.cli import main
 
 roots = set(json.loads(sys.argv[2]))
 loaded = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = main(argv)
-    loaded.append([code, sorted(m for m in sys.modules if m.split('.')[0] in roots)])
+    loaded.append([code, sorted(m for m in sys.modules if m.split('.')[0] in roots),
+                   out.getvalue()])
 print(json.dumps(loaded))
 """
 
 
-def _probe_modules(runs, roots):
-    """Run ``main`` on each argv in turn in one fresh interpreter; after each,
-    its exit code and the loaded modules under the package names ``roots``."""
+def _probe_modules(runs, roots, block_scipy=True):
+    """Run ``main`` on each argv in turn in one fresh interpreter, one that
+    cannot import scipy if ``block_scipy``; after each, its exit code, the
+    loaded modules under the package names ``roots`` and its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs), json.dumps(roots)],
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs), json.dumps(roots),
+                          json.dumps(block_scipy)],
                          env=env, check=True, capture_output=True, text=True, timeout=60).stdout
     return json.loads(out)
 
 
+def test_no_command_loads_scipy(tmp_path):
+    """Every command runs where scipy cannot be imported, fit too: its
+    p-values come from the package's own t tail, and its text and JSON
+    printouts, with and without --reduce, keep their golden bytes."""
+    golden = Path(__file__).parent / "golden"
+    sample = str(golden / "sample.csv")
+    fits = {"fit_reduce": ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample],
+            "fit_quadratic": ["fit", "--model", "y ~ 1 + x + x^2", "--data", sample]}
+    runs = [
+        ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", str(tmp_path / "s.csv")],
+        *(["compare", "--data", sample, "--format", fmt] for fmt in ("markdown", "csv", "json")),
+        *(["boyle", "--format", fmt, "--plot-data-dir", str(tmp_path / "plots")]
+          for fmt in ("text", "json")),
+        ["constancy", "--data", sample],
+        *([*argv, "--format", fmt] for argv in fits.values() for fmt in ("text", "json")),
+    ]
+    results = _probe_modules(runs, [])
+    for argv, (code, _, _) in zip(runs, results):
+        assert code == 0, argv
+    assert [stdout for _, _, stdout in results[-4:]] == [
+        (golden / f"{name}.{ext}").read_text() for name in fits for ext in ("txt", "json")]
+
+
 def test_only_fit_loads_scipy(tmp_path):
-    """compare, boyle, constancy and simulate print no p-value, so they run
-    without scipy; fit prints p-values and loads scipy.special for them."""
-    sample = str(tmp_path / "sample.csv")
-    scipy_free = [
-        ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", sample],
+    """Where scipy is installed, no command loads it, fit included: the name
+    is from when fit's p-values loaded scipy.special.  The blocked test above
+    shows that no command needs scipy; this one, that none imports it when it
+    can, as a fallback would, which would cost start-up time."""
+    sample = str(Path(__file__).parent / "golden" / "sample.csv")
+    runs = [
+        ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", str(tmp_path / "s.csv")],
         *(["compare", "--data", sample, "--format", fmt] for fmt in ("markdown", "csv", "json")),
         ["boyle", "--plot-data-dir", str(tmp_path / "plots")],
         ["constancy", "--data", sample],
+        ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample],
     ]
-    fit = ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample]
-    *before_fit, after_fit = _probe_modules([*scipy_free, fit], ["scipy"])
-    for argv, (code, modules) in zip(scipy_free, before_fit):
+    for argv, (code, modules, _) in zip(runs, _probe_modules(runs, ["scipy"], block_scipy=False)):
         assert (code, modules) == (0, []), argv
-    assert after_fit[0] == 0
-    assert "scipy.special" in after_fit[1]
 
 
 def test_decimal_csv_loads_neither_hashlib_nor_fractions():
     """Only the Boyle checksum needs hashlib and only a fraction field needs
-    fractions (and decimal, which it imports), so compare and constancy on a
-    decimal CSV load none of them.  fit reads no fraction either; its
-    p-values load scipy.special, whose numpy.random import brings hashlib."""
+    fractions (and decimal, which it imports), so compare, constancy and fit
+    on a decimal CSV load none of them."""
     sample = str(Path(__file__).parent / "golden" / "sample.csv")
-    decimal_only = [["compare", "--data", sample, "--format", "json"],
-                    ["constancy", "--data", sample]]
-    fit = ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample]
+    runs = [["compare", "--data", sample, "--format", "json"],
+            ["constancy", "--data", sample],
+            ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample, "--format", "json"]]
     roots = ["hashlib", "_hashlib", "fractions", "decimal", "_decimal"]
-    *before_fit, after_fit = _probe_modules([*decimal_only, fit], roots)
-    for argv, (code, modules) in zip(decimal_only, before_fit):
+    for argv, (code, modules, _) in zip(runs, _probe_modules(runs, roots)):
         assert (code, modules) == (0, []), argv
-    assert after_fit[0] == 0
-    assert not {"fractions", "decimal", "_decimal"} & set(after_fit[1])
 
 
 class TestConstancyCommand:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -327,8 +328,8 @@ def _solve_triangular_reference(spec, data):
 
 
 class TestFitOlsOracle:
-    """fit_ols needs only numpy, and its p-values scipy.special; scipy.stats
-    and scipy.linalg are the reference it must agree with."""
+    """fit_ols needs only numpy and its own t tail; scipy.stats and
+    scipy.linalg are the reference it must agree with."""
 
     @settings(max_examples=150, deadline=None)
     @given(text=st.sampled_from(_ORACLE_SHAPES), data=_samples())
@@ -347,8 +348,11 @@ class TestFitOlsOracle:
         np.testing.assert_allclose(estimates, ref_coefs, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref_coefs).max())
         np.testing.assert_allclose(std_errors, ref_se, rtol=1e-13, atol=0.0)
-        np.testing.assert_array_equal(
-            p_values, 2.0 * stats.t.sf(np.abs(t_stats), fit.residual_dof))
+        # dof <= 30 here; an exact fit's far tail (|t| > 40) agrees to 1.9e-13,
+        # and a subnormal p only to an absolute 1e-303
+        np.testing.assert_allclose(
+            p_values, 2.0 * stats.t.sf(np.abs(t_stats), fit.residual_dof),
+            rtol=max(_tail_rtol(fit.residual_dof), 3e-13), atol=1e-300)
 
 
 def _lstsq_reference(spec, data):
@@ -567,11 +571,11 @@ def _exact_p(coef):
     return float(2.0 * stdtr(coef.dof, -abs(coef.t_stat)))
 
 
-def _exact_decision(candidates):
-    """Elimination by stdtr p-values: the largest, the first on ties, if it
-    exceeds ALPHA."""
-    worst = max(candidates, key=_exact_p)
-    return worst if _exact_p(worst) > ALPHA else None
+def _expected_drop(candidates):
+    """The elimination rule: the smallest |t|, the first on an exact tie,
+    dropped iff its p-value exceeds ALPHA."""
+    first = min(candidates, key=lambda c: abs(c.t_stat))
+    return first if first.p_value > ALPHA else None
 
 
 def _candidates(dof, *t_stats):
@@ -580,7 +584,9 @@ def _candidates(dof, *t_stats):
 
 
 class TestEliminationDecision:
-    """next_to_drop decides with the in-repo t tail; stdtr is the oracle."""
+    """next_to_drop decides by |t| alone outside a band about the critical
+    |t|, and by the printed p-value inside it; both must give the one rule
+    of ``_expected_drop``.  On random points stdtr is an independent oracle."""
 
     @settings(max_examples=400, deadline=None)
     @given(dof=st.integers(1, 300_000), t=st.floats(-40.0, 40.0))
@@ -590,7 +596,9 @@ class TestEliminationDecision:
 
     @settings(max_examples=150, deadline=None)
     @given(dof=st.integers(1, 300_000))
-    def test_threshold_matches_stdtr_on_the_boundary(self, dof):
+    def test_threshold_on_the_boundary_is_the_p_value(self, dof):
+        # stdtr's critical |t| and its neighbours lie inside the band, where
+        # the p-value decides
         t_crit = abs(float(stdtrit(dof, ALPHA / 2)))
         below = above = t_crit
         neighbours = [t_crit]
@@ -600,7 +608,7 @@ class TestEliminationDecision:
         for t in neighbours:
             for signed in (t, -t):
                 (coef,) = _candidates(dof, signed)
-                assert (next_to_drop([coef]) is coef) == (_exact_p(coef) > ALPHA), signed
+                assert next_to_drop([coef]) is _expected_drop([coef]), signed
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -612,12 +620,14 @@ class TestEliminationDecision:
         signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
     )
     def test_near_tied_candidates_drop_the_first_largest_p(self, dof, t, rel, ulps, order, signs):
+        # the largest p belongs to the smallest |t|; candidates an ulp of t
+        # apart may round to one p, and are still ordered by |t|
         near = t * (1.0 + rel)
         for _ in range(abs(ulps)):
             near = float(np.nextafter(near, np.inf if ulps > 0 else 0.0))
         t_stats = [t, near, 2.0 * t + 1.0]
         candidates = _candidates(dof, *(sign * t_stats[i] for sign, i in zip(signs, order)))
-        assert next_to_drop(candidates) is _exact_decision(candidates)
+        assert next_to_drop(candidates) is _expected_drop(candidates)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -629,7 +639,7 @@ class TestEliminationDecision:
         ulps=st.tuples(*[st.integers(-2, 2)] * 3),
         signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
     )
-    def test_decisions_near_the_critical_t_match_stdtr(self, dof, offsets, ulps, signs):
+    def test_decisions_near_the_critical_t_match_the_p_value(self, dof, offsets, ulps, signs):
         # |t| within 1e-5 (relative) of the critical value, on and around the
         # edges of the band outside which |t| decides without t_tail, next to
         # runner-ups near it or far from it
@@ -641,43 +651,81 @@ class TestEliminationDecision:
                 t = float(np.nextafter(t, np.inf if steps > 0 else 0.0))
             t_stats.append(sign * t)
         candidates = _candidates(dof, *t_stats)
-        assert next_to_drop(candidates) is _exact_decision(candidates)
+        assert next_to_drop(candidates) is _expected_drop(candidates)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_symmetric_data_ties_x_and_y(self, seed):
         # with every (a, b) also present as (b, a), x and y get the same
         # coefficient in x*y ~ 1 + x + y, so their |t| tie up to rounding;
-        # with x*y near constant both are mostly insignificant, so one of
-        # the tied pair is dropped
+        # with x*y near constant both are mostly insignificant, so the one
+        # of the pair with the smaller |t| (x on an exact tie) is dropped
         rng = np.random.default_rng(seed)
         a = rng.uniform(1.0, 10.0, 12)
         b = 40.0 / a * rng.uniform(0.8, 1.2, 12)
         data = Dataset("x", "y", np.concatenate([a, b]), np.concatenate([b, a]))
         fit = fit_ols(parse_model("x*y ~ 1 + x + y"), data)
         candidates = [c for c in fit.coefficients if c.term is not None]
-        expected = _exact_decision(candidates)
+        expected = _expected_drop(candidates)
         assert next_to_drop(candidates) is expected
         steps = reduce_model_trace(fit)[1]
         assert (steps[0] if steps else None) == expected
+
+
+# t_tail's worst relative error against stdtr over 0 <= t <= 40, measured on
+# dofs spread over each range (dof, then its bound) and rounded up
+_TAIL_RTOL = ((30, 1e-13), (1e3, 5e-12), (1e5, 1.5e-11), (3e5, 5e-11), (1e6, 1.5e-10),
+              (1e7, 1.5e-9), (1e9, 2e-7))
+
+
+def _tail_rtol(dof):
+    return next(bound for top, bound in _TAIL_RTOL if dof <= top)
 
 
 class TestTTail:
     @pytest.mark.parametrize("dof", [1, 2, 5, 48, 1000, 200_000, 10**9])
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.96, 2.5, 12.0, 40.0])
     def test_matches_stdtr(self, dof, t):
-        assert t_tail(dof, t) == pytest.approx(float(2.0 * stdtr(dof, -t)), rel=1e-6)
+        assert t_tail(dof, t) == pytest.approx(float(2.0 * stdtr(dof, -t)), rel=_tail_rtol(dof))
+
+    @pytest.mark.parametrize("dof", [3, 4, 7, 12, 30, 31, 100, 935, 1000, 1001, 12_345, 100_000,
+                                     277_009, 300_000, 959_963, 10**6, 9_100_760, 10**7,
+                                     10**8, 10**9])
+    def test_accuracy_per_dof_range(self, dof):
+        t = np.linspace(0.0, 40.0, 801)
+        p = np.array([t_tail(dof, v) for v in t.tolist()])
+        # past |t| of about 38 at large dof the tail is subnormal or underflows
+        np.testing.assert_allclose(p, 2.0 * stdtr(dof, -t), rtol=_tail_rtol(dof), atol=1e-300)
+
+    # at dof 1 and 2 the tail has closed forms; stdtr is no oracle there
+    @pytest.mark.parametrize("dof, closed_form, rtol", [
+        (1, lambda t: 2.0 / np.pi * np.arctan2(1.0, t), 5e-15),
+        (2, lambda t: 2.0 / (np.sqrt(2.0 + t * t) * (np.sqrt(2.0 + t * t) + t)), 1.5e-14),
+    ], ids=["dof1", "dof2"])
+    def test_closed_forms(self, dof, closed_form, rtol):
+        t = np.concatenate([np.linspace(0.0, 10.0, 2001), np.logspace(-12.0, 6.0, 2001)])
+        p = [t_tail(dof, v) for v in t.tolist()]
+        np.testing.assert_allclose(p, closed_form(t), rtol=rtol, atol=0.0)
+
+    def test_dof_1_near_zero_is_correctly_rounded(self):
+        # 1 - 2 atan(t) / pi rounds to the nearest double of the true tail
+        # here, 0.99999999526189368...; stdtr rounds it to 1, 4.7e-9 off
+        t = 7.4426e-9
+        assert t_tail(1, t) == 1.0 - 2.0 * math.atan(t) / math.pi
+        assert float(2.0 * stdtr(1, -t)) == 1.0
 
     def test_undecidable_inputs(self):
-        assert t_tail(10, float("nan")) is None
-        assert t_tail(10, float("inf")) is None
+        # stdtr's answers off the finite line, and where t^2 overflows
+        assert math.isnan(t_tail(10, float("nan")))
+        assert t_tail(10, float("inf")) == t_tail(10, float("-inf")) == 0.0
+        assert t_tail(1, 1e200) == 0.0
         assert t_tail(10, 0.0) == 1.0
         # t^2 / dof underflows to 0: the tail is 1 to double precision
         assert t_tail(20836, 2.3e-160) == 1.0
 
-    def test_p_value_is_stdtr_read_lazily(self):
+    def test_p_value_is_the_t_tail(self):
         (coef,) = _candidates(47, -2.0)
-        assert coef.p_value == float(2.0 * stdtr(47, -2.0))
+        assert coef.p_value == t_tail(47, -2.0)
 
 
 def _outcome(result):

@@ -16,11 +16,13 @@ and review the diff.
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from scipy.special import stdtr
 
 from implicitreg.cli import main
 
@@ -84,6 +86,17 @@ def test_golden_set_is_complete(outputs):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_output_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["fit_reduce.json", "fit_quadratic.json"])
+def test_golden_p_values_match_stdtr(name):
+    """The pinned p-values come from the package's own t tail; each lies
+    within 1e-13 (relative) of scipy's on the pinned t statistic."""
+    report = json.loads((GOLDEN_DIR / name).read_text())
+    dof = report["n"] - len(report["coefficients"])
+    for coef in report["coefficients"]:
+        expected = float(2.0 * stdtr(dof, -abs(coef["t_stat"])))
+        assert coef["p_value"] == pytest.approx(expected, rel=1e-13), coef["term"]
 
 
 if __name__ == "__main__":
