@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -24,8 +24,7 @@ from .errors import DataFormatError, InsufficientDataError, IntegrityError
 # inch of mercury) following Fazio's 1992 republication.
 _BOYLE_SHA256 = "f5965311ce7928d00ea85a130d2db1b36efebb907fbf230646574b03273e7d93"
 
-_BOM = b"\xef\xbb\xbf"
-# the bytes of a plain body or line, which numpy's reader takes: ASCII
+# the bytes of a plain body, which numpy's reader takes: ASCII
 # decimals with exponents, field and line separators, spaces and tabs
 _PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
 _NON_SPACE = re.compile(rb"\S")
@@ -81,15 +80,6 @@ class Dataset:
             yield self.x[start:start + _BLOCK_ROWS], self.y[start:start + _BLOCK_ROWS]
 
 
-@cache
-def _fraction():
-    """``fractions.Fraction``, imported on the first fraction read: reading
-    decimals never loads it, and a fraction field pays no import."""
-    from fractions import Fraction
-
-    return Fraction
-
-
 def _parse_field(field: str, line: int) -> float:
     """Parse a decimal literal or mixed fraction ``W N/D`` exactly."""
     token = field.strip()
@@ -102,7 +92,9 @@ def _parse_field(field: str, line: int) -> float:
         if len(parts) == 1 and "/" not in token:
             value = float(token)
         else:
-            Fraction = _fraction()
+            # imported on the first fraction read: reading decimals never loads it
+            from fractions import Fraction
+
             if len(parts) == 1:
                 value = float(Fraction(token))
             else:
@@ -141,17 +133,7 @@ def _text_lines(data: bytes) -> list[str]:
     return text.removeprefix("\ufeff").splitlines()
 
 
-def _one_line(head: bytes) -> str | None:
-    """``head`` decoded, when it is a single line ending at the first LF or
-    CRLF as ``str.splitlines`` counts lines; else None."""
-    try:
-        line = head.decode("utf-8").removesuffix("\r")
-    except UnicodeDecodeError:
-        return None
-    return line if line.splitlines() == [line] else None
-
-
-def _plain_values(data: bytes, start: int = 0) -> np.ndarray | None:
+def _plain_values(data: bytes, start: int) -> np.ndarray | None:
     """The (rows, 2) values of the plain body ``data[start:]``, read by numpy
     in place; None when numpy's reader rejects it or a value is not finite.
 
@@ -174,26 +156,16 @@ def _plain_values(data: bytes, start: int = 0) -> np.ndarray | None:
 
 
 def _exact_values(lines: list[str]) -> np.ndarray:
-    """The (rows, 2) values of data lines numbered from 2; blank lines are
-    skipped.  numpy reads the lines of plain bytes in one call and the rest
-    go field by field; if numpy rejects the plain lines, every line goes
-    field by field, so the first bad line raises."""
-    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=2) if line.strip()]
-    # non-ASCII text encodes to bytes outside the plain alphabet
-    plain = [not line.encode().translate(None, _PLAIN_BYTES) for _, line in numbered]
-    values = np.empty((len(numbered), 2))
-    bulk = _plain_values("\n".join(line for (_, line), p in zip(numbered, plain) if p).encode())
-    if bulk is not None and len(bulk) == sum(plain):
-        values[plain] = bulk
-    else:
-        plain = [False] * len(numbered)
-    for row, (lineno, line) in enumerate(numbered):
-        if not plain[row]:
+    """The (rows, 2) values of data lines numbered from 2, read field by
+    field; blank lines are skipped and the first bad line raises."""
+    values = []
+    for lineno, line in enumerate(lines, start=2):
+        if line.strip():
             fields = line.split(",")
             if len(fields) != 2:
                 raise DataFormatError(f"expected two fields, found {len(fields)}", line=lineno)
-            values[row] = _parse_field(fields[0], lineno), _parse_field(fields[1], lineno)
-    return values
+            values.append((_parse_field(fields[0], lineno), _parse_field(fields[1], lineno)))
+    return np.array(values).reshape(-1, 2)
 
 
 def _labels(header: str) -> tuple[str, str]:
@@ -213,12 +185,11 @@ def read_csv(source) -> Dataset:
     Malformed records raise :class:`DataFormatError` with their line
     number; fewer than 3 data rows raise :class:`InsufficientDataError`.
 
-    A body (the lines after the header) of plain decimals - bytes of
-    ``_PLAIN_BYTES`` only - is read by numpy's C reader.  In every other
-    body, and every body that reader rejects, numpy reads the plain lines
-    and the rest are read field by field, which gives the exact fractions;
-    where numpy rejects the plain lines too, every line is read field by
-    field, which gives the error of the first bad line.
+    A body (the lines after a one-line header) of plain decimals - bytes
+    of ``_PLAIN_BYTES`` only - is read in place by numpy's C reader.  Every
+    other body, and every body that reader rejects, is read line by line
+    and field by field, which gives the exact fractions and the error of
+    the first bad line.
     """
     data = _read_bytes(source)
     end = data.find(b"\n")
@@ -227,10 +198,9 @@ def read_csv(source) -> Dataset:
     head = data[:end]
     # the body is plain when the header holds every byte outside the alphabet
     plain = len(data.translate(None, _PLAIN_BYTES)) == len(head.translate(None, _PLAIN_BYTES))
-    header = _one_line(head.removeprefix(_BOM)) if plain else None
     values = None
-    if header is not None:
-        x_label, y_label = _labels(header)
+    if plain and len(lines := _text_lines(head)) == 1:
+        x_label, y_label = _labels(lines[0])
         values = _plain_values(data, end + 1)
     if values is None:
         lines = _text_lines(data)
@@ -247,17 +217,23 @@ def read_csv(source) -> Dataset:
 
 
 def write_csv(data: Dataset, decimals: int = 6) -> bytes:
-    """Serialize a dataset with fixed decimal places, LF line endings; a
-    label that would not read back as a header field raises ValueError.
+    """Serialize a dataset with fixed decimal places, LF line endings; labels
+    that ``read_csv`` would not read back as they are raise ValueError.
 
     Each row block is one ``%`` template over its interleaved values, so no
     string per row is held; ``%`` prints a float as an f-string does."""
     if not 0 <= decimals <= 17:
         raise ValueError("decimals must be between 0 and 17")
-    for label in (data.x_label, data.y_label):
-        if "," in label or not label.strip() or label.splitlines() != [label]:
-            raise ValueError(f"label {label!r} cannot be a CSV header field")
-    out = [f"{data.x_label},{data.y_label}\n".encode()]
+    header = f"{data.x_label},{data.y_label}"
+    try:
+        # the reader's own rules: one line (no BOM), two fields, nothing stripped
+        same = (_text_lines(header.encode()) == [header]
+                and _labels(header) == (data.x_label, data.y_label))
+    except DataFormatError:
+        same = False
+    if not same:
+        raise ValueError(f"labels {data.x_label!r} and {data.y_label!r} cannot be a CSV header")
+    out = [f"{header}\n".encode()]
     row = f"%.{decimals}f,%.{decimals}f\n"
     for x, y in data.row_blocks():
         out.append((row * x.size % tuple(np.column_stack((x, y)).ravel().tolist())).encode())

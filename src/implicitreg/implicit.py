@@ -97,13 +97,18 @@ def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
     return np.abs(coef) <= _SINGULAR_RTOL * sum(np.abs(addend) for addend in addends)
 
 
-def _solve(fit: FitResult, x: np.ndarray, y: np.ndarray, axis: int,
-           low: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_solves`` on one row block, with ``low`` the power holding the
-    constant coefficient; entries whose denominator is (near) zero are NaN."""
+def _solve(fit: FitResult, x: np.ndarray, y: np.ndarray,
+           axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_solves`` on one row block; entries whose denominator is (near)
+    zero are NaN."""
     # 1/x at x = 0 and singular denominators become NaN below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coefs, addends = _polynomial(fit, x, y, axis)
+        # the power holding the constant coefficient: -1 once a 1/x term that
+        # does not vanish is multiplied through by x, which x^2 would make cubic
+        low = -1 if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all() else 0
+        if low and coefs[2].any():
+            raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
         # a missing power reads as a zero coefficient
         b, c = coefs[low + 1], coefs[low]
         hat = np.where(_vanishes(b, addends[low + 1]), np.nan, -c / b)
@@ -139,20 +144,10 @@ def _solves(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.nd
 
     The equation is at most quadratic in the solved axis; a 1/x term that
     does not vanish is cleared by multiplying through by x.  The x-equation's
-    1/x and x^2 coefficients are minus their estimates on every row, so that
-    choice, and the error for a model with both, are made once per model by
-    the rules a row would apply.
+    1/x and x^2 coefficients are minus their estimates on every row, so every
+    block makes that choice, and raises for a model with both, alike.
     """
-    low = 0
-    if not axis and Term.INV_X in fit.spec.predictors:
-        estimates = dict(zip(fit.spec.coefficient_terms, fit.estimates))
-        inv_x = abs(estimates[Term.INV_X])
-        # _vanishes of a coefficient with one addend, in plain floats
-        if not inv_x <= _SINGULAR_RTOL * inv_x:
-            if estimates.get(Term.X_SQUARED, 0.0) != 0.0:
-                raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
-            low = -1
-    blocks = [_solve(fit, x, y, axis, low) for x, y in data.row_blocks()]
+    blocks = [_solve(fit, x, y, axis) for x, y in data.row_blocks()]
     if len(blocks) == 1:
         return blocks[0]
     hats, masks = zip(*blocks)

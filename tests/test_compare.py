@@ -184,6 +184,29 @@ class TestUnitInvariantReports:
                 assert got.metrics[metric] == expected, (want.model, metric)
 
 
+class TestUnitDependence:
+    """The invariance group is one common scale of both axes: theta_T moves
+    with the ratio of the axes' units, R^2 and the reductions do not."""
+
+    def test_one_axis_scale_moves_theta_t_only(self):
+        boyle = boyle_dataset()
+        for s, want in ((1.0, [92.97, 96.39, 84.30]), (25.4, [94.00, 90.01, 89.99])):
+            # pressure in inches of mercury, then in mm Hg
+            mm = Dataset(boyle.x_label, boyle.y_label, boyle.x, boyle.y * s)
+            rows = {row.model: row for row in build_comparison(mm).rows}
+            assert [round(rows[text].theta_t, 2) for text in BOYLE_MODEL_TEXTS] == want
+        data = generate(SimulationConfig(n=50, sigma=5.0, seed=0))
+
+        def pinned(x, y):
+            return [(row.reduced, row.r_squared.hex()) for row in build_comparison(
+                Dataset(data.x_label, data.y_label, x, y)).rows]
+
+        base = pinned(data.x, data.y)
+        for k in (-3, 4, 10):
+            assert pinned(data.x * 2.0 ** k, data.y) == base, k
+            assert pinned(data.x, data.y * 2.0 ** k) == base, k
+
+
 class TestFailureIsolation:
     """A model that cannot be fit degrades its own row, not the table."""
 

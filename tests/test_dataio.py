@@ -267,9 +267,21 @@ def _alphabet_body(draw):
     return "".join(lines) + draw(st.sampled_from(["", "1,2"]))
 
 
+_SIXTEENTHS = st.integers(-(1 << 20), 1 << 20)
+
+
+def _mixed_sixteenths(k):
+    """k/16 as ``W N/16``, or ``N/16`` where the whole part is 0 (a ``-0``
+    whole part would not carry the sign)."""
+    whole, rest = divmod(abs(k), 16)
+    sign = "-" if k < 0 else ""
+    return f"{sign}{whole} {rest}/16" if whole else f"{sign}{rest}/16"
+
+
 class TestBulkParse:
-    """``read_csv`` hands plain bodies to numpy's reader and must agree with
-    the field-by-field reader on every value and every error."""
+    """``read_csv`` hands a plain body to numpy's reader, in place, and
+    every other body to the field-by-field reader; it must agree with the
+    field-by-field reader on every value and every error."""
 
     @settings(max_examples=25, deadline=None)
     @given(lines=_csv_lines())
@@ -363,17 +375,17 @@ class TestBulkParse:
         assert d.x[12_345] == 29.125
         assert d.y[12_345] == float(Fraction(4, 3))
         assert d.x[12_346] == 12_346.0
-        # only the fraction row (data line 12_345, file line 12_347) is read
-        # field by field; numpy reads the plain rows around it
-        assert parse_field_calls == [12_347, 12_347]
+        # one fraction row (file line 12_347) sends the whole body, both
+        # fields of every line, to the field-by-field reader
+        assert parse_field_calls == [line for line in range(2, 20_002) for _ in "xy"]
 
-    def test_mixed_body_takes_numpy_for_its_plain_lines(self, parse_field_calls):
+    def test_mixed_body_reads_every_line_field_by_field(self, parse_field_calls):
         rows = [f"{i * 0.1!r},{1.0 / (i + 1)!r}" for i in range(3_000)]
         rows[7], rows[2_000] = "29 2/16,1 1/3", "-3 1/7,\t12 "
         mixed = "\n".join(["x,y", *rows]) + "\n"
         got = _outcome(_read_csv_arrays, mixed)
-        # only the fields of the two fraction rows (file lines 9 and 2_002)
-        assert parse_field_calls == [9, 9, 2_002, 2_002]
+        # the plain lines around the fraction rows (file lines 9 and 2_002) too
+        assert parse_field_calls == [line for line in range(2, 3_002) for _ in "xy"]
         assert got == _outcome(_reference_read, mixed)
         # the same values written as decimals are the same bits
         rows[7], rows[2_000] = f"29.125,{4 / 3!r}", f"{-22 / 7!r},12"
@@ -440,12 +452,32 @@ class TestBulkParse:
     def test_boyle_file_takes_exact_reader(self, parse_field_calls):
         raw = resources.files("implicitreg").joinpath("data/boyle.csv").read_bytes()
         d = boyle_dataset()
-        # every row but the plain 38,37 on line 7, which numpy reads
-        assert len(parse_field_calls) == 2 * (d.n - 1) == 48
-        assert 7 not in parse_field_calls
+        # every field, the plain 38,37 on line 7 included
+        assert parse_field_calls == [line for line in range(2, 27) for _ in "xy"]
+        assert len(parse_field_calls) == 2 * d.n == 50
         for line, x, y in zip(raw.decode().splitlines()[1:], d.x, d.y):
             want = [float(sum(map(Fraction, f.split()))) for f in line.split(",")]
             assert [x, y] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(_SIXTEENTHS, _SIXTEENTHS), min_size=3, max_size=40),
+           data=st.data())
+    def test_one_mixed_fraction_row_reads_the_bits_of_its_decimals(self, rows, data):
+        """k/16 is exact in binary, so numpy's reader on the decimals and the
+        field-by-field reader on a body with one row as W N/D agree bit for bit."""
+        decimal = ["a,b", *(f"{x / 16!r},{y / 16!r}" for x, y in rows)]
+        mixed = list(decimal)
+        at = data.draw(st.integers(0, len(rows) - 1), label="row")
+        mixed[at + 1] = ",".join(map(_mixed_sixteenths, rows[at]))
+        want = _outcome(_read_csv_arrays, "\n".join(decimal))
+        assert want == _outcome(_read_csv_arrays, "\n".join(mixed))
+        assert want == _outcome(_reference_read, "\n".join(decimal))
+
+
+
+# any text, with the characters the reader splits on, strips or drops
+_ANY_LABEL = st.text(st.one_of(st.sampled_from(" \t,\r\n\x0b\x1c\x85\u2028\ufeff"),
+                               st.characters()), max_size=6)
 
 
 class TestWriteCsv:
@@ -479,14 +511,31 @@ class TestWriteCsv:
         assert len(out.decode().splitlines()) == 26
 
 
-    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "", " "])
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "", " ",
+                                       " a ", "a\t", "\ufeffa"])
     def test_label_that_is_no_header_field_raises(self, label):
-        # read_csv would reject the header these labels write
+        # read_csv would reject the header these labels write, or strip them
         d = Dataset(label, "y", [1, 2, 3], [4, 5, 6])
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             write_csv(d)
-        with pytest.raises(ValueError, match=re.escape(repr(label))):
-            write_csv(Dataset("x", label, [1, 2, 3], [4, 5, 6]))
+        d = Dataset("x", label, [1, 2, 3], [4, 5, 6])
+        if label.startswith("\ufeff"):
+            # only a byte-order mark at the start of the file is dropped
+            assert read_csv(write_csv(d)).y_label == label
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(label))):
+                write_csv(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.tuples(_ANY_LABEL, _ANY_LABEL))
+    def test_labels_read_back_or_raise(self, labels):
+        d = Dataset(*labels, [1, 2, 3], [4, 5, 6])
+        try:
+            out = write_csv(d)
+        except ValueError:
+            return
+        back = read_csv(out)
+        assert (back.x_label, back.y_label) == labels
 
     @settings(max_examples=300, deadline=None)
     @given(block=st.integers(1, 5), decimals=st.integers(0, 17), data=st.data())
@@ -530,11 +579,13 @@ _WRITER_FLOATS = st.one_of(
                      1e300, -1e300, 0.5, -2.5, 0.125]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-# "%" and "{" must reach the file as they are
+# "%" and "{" must reach the file as they are; labels read_csv strips, splits
+# or drops a leading byte-order mark from cannot be written
 _WRITER_LABELS = st.one_of(
     st.sampled_from(["x", "%", "%s", "%d%%", "{", "{0}", "%(x)s {y}"]),
     st.text(min_size=1, max_size=8).filter(
-        lambda s: "," not in s and s.strip() and s.splitlines() == [s]),
+        lambda s: "," not in s and s.strip() == s and s.splitlines() == [s]
+        and not s.startswith("\ufeff")),
 )
 
 
