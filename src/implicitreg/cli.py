@@ -47,11 +47,13 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
 
 
 def _vars_arg(text: str) -> list[str]:
@@ -75,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate an inverse-law sample")
-    p_sim.add_argument("--n", type=_positive_int, default=50)
+    p_sim.add_argument("--n", type=_int_at_least(1), default=50)
     p_sim.add_argument("--sigma", type=_nonneg_float, default=1.0)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--out", type=Path, default=None,
                        help="write the sample as CSV")
 

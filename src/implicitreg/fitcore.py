@@ -11,7 +11,7 @@ its own norm is declared collinear.
 
 Nothing here imports scipy.  A two-sided p-value is the Student t tail
 ``t_tail`` below, computed when it is read; backward elimination drops on
-that same p, and reads it only where |t| alone cannot decide.
+that same p.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +36,6 @@ _PERFECT_FIT_RTOL = 1e-26
 _BASIS = (Term.ONE, Term.X, Term.Y, Term.XY, Term.X_SQUARED, Term.INV_X)
 # backward elimination drops a predictor whose p-value exceeds this
 ALPHA = 0.05
-# relative, about the critical |t|: there p's elasticity in |t|, 2 |t| density / ALPHA,
-# is 0.996 at dof 1 and 4.58 as dof grows, so past it p lies 0.99e-5 (relative)
-# or more from ALPHA, far beyond t_tail's own error, and |t| decides alone
-_T_BAND = 1e-5
-_Z = 1.959963984540054  # the standard normal quantile at 1 - ALPHA / 2
 
 
 @dataclass(frozen=True)
@@ -364,41 +359,15 @@ def t_tail(dof: float, t: float) -> float:
     return 1.0 - 2.0 * front * _beta_fraction(0.5, a, one_minus_x)
 
 
-@cache
-def _critical_t(dof: int) -> float:
-    """The |t| whose ``t_tail`` is ALPHA, or NaN where it does not settle: Newton
-    steps from the Cornish-Fisher expansion in 1/dof, off by about 1e-6 at dof
-    30, where one step settles.  The tail is convex and decreasing in |t|, so
-    iterates rise to the root after a first step, which may halve |t| at most."""
-    z2, inv, a = _Z * _Z, 1.0 / dof, 0.5 * dof
-    t = _Z * (1.0 + inv * ((z2 + 1.0) / 4.0 + inv * ((5.0 * z2 * z2 + 16.0 * z2 + 3.0) / 96.0
-              + inv * (3.0 * z2 ** 3 + 19.0 * z2 * z2 + 17.0 * z2 - 15.0) / 384.0)))
-    for _ in range(20):
-        p = t_tail(dof, t)
-        if math.isnan(p):
-            return math.nan
-        # the t density at t; the tail's slope is -2 times it
-        density = math.exp(-(a + 0.5) * math.log1p(t * t / dof) - 0.5 * math.log(dof)
-                           - _log_beta_half(a))
-        step = (p - ALPHA) / (2.0 * density)
-        t = max(t + step, 0.5 * t)
-        if abs(step) <= 1e-6 * t:
-            return t
-    return math.nan
-
-
 def next_to_drop(candidates: list[Coefficient]) -> Coefficient | None:
     """The predictor backward elimination drops next, or None to stop.
 
     The candidates share one dof, so the largest p-value belongs to the
     smallest |t|: that candidate, the first in coefficient order on a tie,
-    goes if its ``p_value`` exceeds ``ALPHA``.  Outside ``_T_BAND`` of the
-    critical |t|, |t| decides alone and no tail is evaluated.
+    goes if its ``p_value`` exceeds ``ALPHA``, so each decision evaluates
+    one tail.
     """
     first = min(candidates, key=lambda c: abs(c.t_stat))
-    t_abs, t_crit = abs(first.t_stat), _critical_t(first.dof)
-    if abs(t_abs - t_crit) > _T_BAND * t_crit:
-        return first if t_abs < t_crit else None
     return first if first.p_value > ALPHA else None
 
 

@@ -33,6 +33,8 @@ class SimulationConfig:
             raise ValueError("n must be at least 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def generate(config: SimulationConfig) -> Dataset:

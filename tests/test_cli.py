@@ -57,6 +57,14 @@ class TestSimulateCommand:
             main(["simulate", "--sigma", "-1"])
         assert excinfo.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--seed", "-1"])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "--seed: must be at least 0" in stderr
+        assert "Traceback" not in stderr
+
     def test_zero_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--n", "0"])

@@ -13,6 +13,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n=10, sigma=-1.0, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            SimulationConfig(n=10, sigma=1.0, seed=-1)
+
     def test_rejects_non_finite_sigma(self):
         with pytest.raises(ValueError):
             SimulationConfig(n=10, sigma=float("inf"), seed=1)
