@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +22,15 @@ from .errors import DegenerateTriangleError, ImplicitRegressionError, Insufficie
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_model_trace,
                       self_weighting_mean)
 from .formula import format_model, parse_model
-from .implicit import Prediction, predict
+from .implicit import SOLVE_ERRSTATE, Prediction, predict, solve_block
 from .metrics import (
     RankDirection,
     joint_square_sums,
     rank_models,
     relative_height,
+    row_square_sums,
     separation_angle,
+    square_sums,
     standard_error,
 )
 
@@ -128,22 +131,82 @@ def _metric_values(fit: FitResult, data: Dataset, pred: Prediction) -> tuple:
     """A row's metrics and diagnostics in ``ModelRow``'s field order, None
     where undefined (degenerate triangle or too few defined solves).  An axis
     whose defined solves are the joint sums' rows takes its SSE from them."""
-    theta = height = None
     sums = _or_none(joint_square_sums, data, pred)
+    axis_sse, n_defs = [], []
+    for axis, (obs, est, defined) in enumerate(((data.y, pred.y_hat, pred.y_defined),
+                                                (data.x, pred.x_hat, pred.x_defined))):
+        n_defs.append(int(np.count_nonzero(defined)))
+        if sums is not None and n_defs[-1] == sums.n:
+            axis_sse.append(sums.axis_sse[axis])
+        else:
+            axis_sse.append(float(((obs[defined] - est[defined]) ** 2).sum()))
+    return _row_values(fit, sums, axis_sse, n_defs, (pred.undefined_count_y,
+                       pred.undefined_count_x, pred.complex_count_x))
+
+
+def _row_values(fit: FitResult, sums, axis_sse, n_defs, diagnostics) -> tuple:
+    """``_metric_values`` from the square sums (None when undefined), each
+    axis's SSE over its ``n_defs`` defined solves, and the diagnostics."""
+    theta = height = None
     if sums is not None:
         theta = _or_none(separation_angle, sums)
         height = _or_none(relative_height, sums)
-    se = []
-    for axis, (obs, est, defined) in enumerate(((data.y, pred.y_hat, pred.y_defined),
-                                                (data.x, pred.x_hat, pred.x_defined))):
-        n_def = int(np.count_nonzero(defined))
-        if sums is not None and n_def == sums.n:
-            sse = sums.axis_sse[axis]
-        else:
-            sse = float(((obs[defined] - est[defined]) ** 2).sum())
-        se.append(_or_none(standard_error, sse, n_def, fit.spec.n_coefficients))
-    return (fit.r_squared, *se, theta, height, pred.undefined_count_y,
-            pred.undefined_count_x, pred.complex_count_x)
+    se = [_or_none(standard_error, sse, n_def, fit.spec.n_coefficients)
+          for sse, n_def in zip(axis_sse, n_defs)]
+    return (fit.r_squared, *se, theta, height, *diagnostics)
+
+
+def _swept_values(fits: list, data: Dataset) -> list:
+    """Per fit, the ``_metric_values`` of its solves, or its error: an error
+    in ``fits`` stays, and a fit whose solve raises takes that error.
+
+    One pass over the row blocks solves every fit with ``solve_block``,
+    under one ``np.errstate`` per block: first for y, into the rows of a
+    (fits, rows) buffer that ``row_square_sums`` reduces into each fit's
+    SSE_y and SSM_y, then for x into the same buffer.  The sums and the
+    complex x-solves add up over the blocks, so on data of more than one
+    block a square sum is a sum of block sums.  An undefined solve is NaN
+    and makes its fit's SSE NaN; such a fit is solved and summed again by
+    ``predict`` and ``_metric_values``, which drop its rows pairwise.
+    """
+    values = list(fits)
+    live = [i for i, fit in enumerate(fits) if not isinstance(fit, ImplicitRegressionError)]
+    if not live:
+        return values
+    # per axis (y, x) and live fit
+    sse, ssm = np.zeros((2, len(live))), np.zeros((2, len(live)))
+    complex_x = np.zeros(len(live), dtype=np.intp)
+    for x, y in data.row_blocks():
+        est = np.empty((len(live), x.size))
+        with np.errstate(**SOLVE_ERRSTATE):
+            for a, (obs, (mean, _, _)) in enumerate(zip((y, x), data.axis_sums)):
+                for row, i in enumerate(live):
+                    if values[i] is fits[i]:
+                        try:
+                            est[row], complex_mask = solve_block(fits[i], x, y, 1 - a)
+                            complex_x[row] += np.count_nonzero(complex_mask)
+                            continue
+                        except ImplicitRegressionError as exc:
+                            values[i] = exc
+                    est[row] = 0.0  # a failed fit's sums are never read
+                block_sse, block_ssm = row_square_sums(obs, est, mean)
+                sse[a] += block_sse
+                ssm[a] += block_ssm
+    for row, i in enumerate(live):
+        fit = fits[i]
+        if values[i] is not fit:
+            continue
+        axis_sse = sse[:, row].tolist()
+        try:
+            if any(map(math.isnan, axis_sse)):
+                values[i] = _metric_values(fit, data, predict(fit, data))
+            else:
+                sums = _or_none(square_sums, data, axis_sse, ssm[:, row].tolist())
+                values[i] = _row_values(fit, sums, axis_sse, (data.n, data.n),
+                                        (0, 0, int(complex_x[row])))
+        except ImplicitRegressionError as exc:
+            values[i] = exc
+    return values
 
 
 def _rank_rows(rows: list[ModelRow]) -> None:
@@ -158,6 +221,19 @@ def _rank_rows(rows: list[ModelRow]) -> None:
                 rows[i].ranks[metric] = rank
 
 
+def _comparison_fits(data: Dataset) -> list[FitResult | ImplicitRegressionError]:
+    """The listed models fitted to ``data``, the rotations after backward
+    elimination; a model that cannot be fit holds its error instead."""
+    fits = BasisQR(data).fits(_COMPARISON_SPECS)
+    for idx in range(_N_ROTATIONS):
+        if not isinstance(fits[idx], ImplicitRegressionError):
+            try:
+                fits[idx] = reduce_model_trace(fits[idx])[0]
+            except ImplicitRegressionError as exc:
+                fits[idx] = exc
+    return fits
+
+
 def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport:
     """Fit the frozen model list and assemble the ranked comparison.
 
@@ -165,21 +241,16 @@ def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport
     row with None metrics and its ``error`` message, ranked around; only
     when every model fails is the first model's error raised.
     """
+    fits = _comparison_fits(data)
     rows, errors = [], []
-    fits = BasisQR(data).fits(_COMPARISON_SPECS)
-    for idx, (text, fit) in enumerate(zip(COMPARISON_MODEL_TEXTS, fits)):
-        try:
-            if isinstance(fit, ImplicitRegressionError):
-                raise fit
-            if idx < _N_ROTATIONS:
-                fit = reduce_model_trace(fit)[0]
+    for text, fit, values in zip(COMPARISON_MODEL_TEXTS, fits, _swept_values(fits, data)):
+        if isinstance(values, ImplicitRegressionError):
+            rows.append(ModelRow(model=text, error=str(values)))
+            errors.append(values)
+        else:
             # every listed text is canonical, so a fit named otherwise was reduced
             fitted = format_model(fit.spec)
-            rows.append(ModelRow(text, None if fitted == text else fitted,
-                                 *_metric_values(fit, data, predict(fit, data))))
-        except ImplicitRegressionError as exc:
-            rows.append(ModelRow(model=text, error=str(exc)))
-            errors.append(exc)
+            rows.append(ModelRow(text, None if fitted == text else fitted, *values))
     if len(errors) == len(rows):
         raise errors[0]
     _rank_rows(rows)

@@ -221,7 +221,8 @@ def write_csv(data: Dataset, decimals: int = 6) -> bytes:
     that ``read_csv`` would not read back as they are raise ValueError.
 
     Each row block is one ``%`` template over its interleaved values, so no
-    string per row is held; ``%`` prints a float as an f-string does."""
+    string per row is held; ``%`` prints a float as an f-string does.  The
+    blocks are written into one buffer, which becomes the result."""
     if not 0 <= decimals <= 17:
         raise ValueError("decimals must be between 0 and 17")
     header = f"{data.x_label},{data.y_label}"
@@ -233,11 +234,12 @@ def write_csv(data: Dataset, decimals: int = 6) -> bytes:
         same = False
     if not same:
         raise ValueError(f"labels {data.x_label!r} and {data.y_label!r} cannot be a CSV header")
-    out = [f"{header}\n".encode()]
+    out = io.BytesIO()
+    out.write(f"{header}\n".encode())
     row = f"%.{decimals}f,%.{decimals}f\n"
     for x, y in data.row_blocks():
-        out.append((row * x.size % tuple(np.column_stack((x, y)).ravel().tolist())).encode())
-    return b"".join(out)
+        out.write((row * x.size % tuple(np.column_stack((x, y)).ravel().tolist())).encode())
+    return out.getvalue()
 
 
 def boyle_dataset() -> Dataset:

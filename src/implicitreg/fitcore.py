@@ -143,9 +143,11 @@ class BasisQR:
     the first time a fit uses that response and centering.  R is built
     from the dataset's ``row_blocks``, the blocks the solves and the CSV
     writer walk too; each is reduced to its own R before the stacked block
-    Rs are factored once more, so Z itself is never held.  Those residual
-    and square sums stay whole-array.  When any x = 0 the 1/x column is
-    left out and only fits that use it fail.
+    Rs are factored once more, so Z itself is never held.  A fit's
+    residual and response sums stay whole-array; the square sums of its
+    solves in ``compare`` are summed block by block, in the one sweep that
+    solves every model.  When any x = 0 the 1/x column is left out and only
+    fits that use it fail.
     """
 
     def __init__(self, data: Dataset):
@@ -223,14 +225,16 @@ class BasisQR:
         if key not in self._response_sums:
             self._response_sums.update(_sum_response(spec.response, resp, key[1]))
         sum_sq, sst = self._response_sums[key]
-        # 1 - SSE/SST; with SST = 0, 1 for an exact fit and 0 otherwise
-        r_squared = (1.0 if sse == 0.0 else 0.0) if sst <= 0.0 else 1.0 - sse / sst
+        # an SSE or SST at most this is rounding of the response's own size
+        floor = _PERFECT_FIT_RTOL * sum_sq
+        # 1 - SSE/SST: 1 for a fit exact up to rounding, and 0 for any
+        # other fit of a response that is constant up to rounding
+        r_squared = 1.0 if sse <= floor else 0.0 if sst <= floor else 1.0 - sse / sst
 
-        # Floor the residual scale at the rounding level of the response's
-        # own size (at the least positive float for an all-zero response),
-        # so that exact fits produce finite (huge) t statistics instead of
-        # 0/0, whatever the data's units.
-        sigma2 = max(sse, _PERFECT_FIT_RTOL * sum_sq, sys.float_info.min) / dof
+        # Floor the residual scale there (at the least positive float for an
+        # all-zero response), so that exact fits produce finite (huge) t
+        # statistics instead of 0/0, whatever the data's units.
+        sigma2 = max(sse, floor, sys.float_info.min) / dof
         return FitResult(spec, data.n, tuple(coefs.tolist()), sse, r_squared, dof,
                          self, R, sigma2)
 

@@ -24,6 +24,9 @@ from .fitcore import FitResult
 from .formula import TERM_POWERS, Term, times_power
 
 _SINGULAR_RTOL = 1e-12
+# the floating-point conditions a solve meets by design, each of which
+# leaves a non-finite entry that becomes NaN
+SOLVE_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -97,42 +100,40 @@ def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
     return np.abs(coef) <= _SINGULAR_RTOL * sum(np.abs(addend) for addend in addends)
 
 
-def _solve(fit: FitResult, x: np.ndarray, y: np.ndarray,
-           axis: int) -> tuple[np.ndarray, np.ndarray]:
+def solve_block(fit: FitResult, x: np.ndarray, y: np.ndarray,
+                axis: int) -> tuple[np.ndarray, np.ndarray]:
     """``_solves`` on one row block; entries whose denominator is (near)
-    zero are NaN."""
-    # 1/x at x = 0 and singular denominators become NaN below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coefs, addends = _polynomial(fit, x, y, axis)
-        # the power holding the constant coefficient: -1 once a 1/x term that
-        # does not vanish is multiplied through by x, which x^2 would make cubic
-        low = -1 if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all() else 0
-        if low and coefs[2].any():
-            raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
-        # a missing power reads as a zero coefficient
-        b, c = coefs[low + 1], coefs[low]
-        hat = np.where(_vanishes(b, addends[low + 1]), np.nan, -c / b)
-        complex_mask = np.zeros(x.size, dtype=bool)
-        # only an x-solve can be quadratic: x^2, or x after the multiply
-        a = coefs.get(low + 2)
-        affine = None if a is None else _vanishes(a, addends[low + 2])
-        if affine is not None and not affine.all():
-            # q = -(b + sign(b) sqrt(disc)) / 2, sign(+-0) = +1; one pass per step
-            disc = b * b - 4.0 * a * c
-            complex_mask = ~affine & (disc < 0.0)
-            sq = np.sqrt(disc)
-            np.negative(sq, out=sq, where=b < 0.0)
-            q = -(b + sq) / 2.0
-            r1, r2 = q / a, c / q
-            zero = q == 0.0
-            r1[zero] = r2[zero] = 0.0
-            d1, d2 = np.abs(r1 - x), np.abs(r2 - x)
-            # the root nearest the observed x; an exact tie takes the smaller
-            smaller = np.where(r2 < r1, r2, r1)
-            nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
-            nearest[complex_mask] = -b[complex_mask] / (2.0 * a[complex_mask])
-            nearest[affine] = hat[affine]
-            hat = nearest
+    zero are NaN.  Run it under ``np.errstate(**SOLVE_ERRSTATE)``."""
+    coefs, addends = _polynomial(fit, x, y, axis)
+    # the power holding the constant coefficient: -1 once a 1/x term that
+    # does not vanish is multiplied through by x, which x^2 would make cubic
+    low = -1 if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all() else 0
+    if low and coefs[2].any():
+        raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
+    # a missing power reads as a zero coefficient
+    b, c = coefs[low + 1], coefs[low]
+    hat = np.where(_vanishes(b, addends[low + 1]), np.nan, -c / b)
+    complex_mask = np.zeros(x.size, dtype=bool)
+    # only an x-solve can be quadratic: x^2, or x after the multiply
+    a = coefs.get(low + 2)
+    affine = None if a is None else _vanishes(a, addends[low + 2])
+    if affine is not None and not affine.all():
+        # q = -(b + sign(b) sqrt(disc)) / 2, sign(+-0) = +1; one pass per step
+        disc = b * b - 4.0 * a * c
+        complex_mask = ~affine & (disc < 0.0)
+        sq = np.sqrt(disc)
+        np.negative(sq, out=sq, where=b < 0.0)
+        q = -(b + sq) / 2.0
+        r1, r2 = q / a, c / q
+        zero = q == 0.0
+        r1[zero] = r2[zero] = 0.0
+        d1, d2 = np.abs(r1 - x), np.abs(r2 - x)
+        # the root nearest the observed x; an exact tie takes the smaller
+        smaller = np.where(r2 < r1, r2, r1)
+        nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
+        nearest[complex_mask] = -b[complex_mask] / (2.0 * a[complex_mask])
+        nearest[affine] = hat[affine]
+        hat = nearest
     hat[~np.isfinite(hat)] = np.nan
     return hat, complex_mask
 
@@ -146,8 +147,15 @@ def _solves(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.nd
     does not vanish is cleared by multiplying through by x.  The x-equation's
     1/x and x^2 coefficients are minus their estimates on every row, so every
     block makes that choice, and raises for a model with both, alike.
+
+    ``build_comparison`` comes here, through ``predict``, only for a model
+    with an undefined solve.  It solves the others in one sweep, calling
+    ``solve_block`` per row block for every model and both axes and adding
+    up the block's square sums, so on data of more than one block only
+    their last bits can differ from sums over the whole arrays.
     """
-    blocks = [_solve(fit, x, y, axis) for x, y in data.row_blocks()]
+    with np.errstate(**SOLVE_ERRSTATE):
+        blocks = [solve_block(fit, x, y, axis) for x, y in data.row_blocks()]
     if len(blocks) == 1:
         return blocks[0]
     hats, masks = zip(*blocks)

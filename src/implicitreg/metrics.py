@@ -56,33 +56,60 @@ class SquareSums:
         return self.sse <= _PERFECT_FIT_RTOL * self.sst_uncentered
 
 
+def row_square_sums(obs: np.ndarray, est: np.ndarray,
+                    mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the solves ``est`` (k, rows) of one axis against that
+    axis's observations ``obs``: (SSE, SSM), the sums of (obs - est)^2 and
+    of (est - mean)^2.
+
+    The squares are taken in place, and ``est`` is overwritten.  Each row
+    is summed as the 1-d array of its own values would be, so a row holds
+    the bits of that model's sums.
+    """
+    dev = est - mean
+    np.square(dev, out=dev)
+    ssm = dev.sum(axis=1)
+    np.subtract(obs, est, out=est)
+    np.square(est, out=est)
+    return est.sum(axis=1), ssm
+
+
+def _three_rows(data: Dataset) -> Dataset:
+    """``data``, which must have the 3 rows a triangle's square sums need."""
+    if data.n < 3:
+        raise InsufficientDataError(
+            f"need at least 3 observations with defined solves, have {data.n}"
+        )
+    return data
+
+
+def square_sums(data: Dataset, axis_sse, axis_ssm) -> SquareSums:
+    """The square sums of solves defined on every row of ``data``, from each
+    axis's (y, then x) SSE and SSM and the dataset's own sums."""
+    (_, sst_y, sum_sq_y), (_, sst_x, sum_sq_x) = _three_rows(data).axis_sums
+    return SquareSums(axis_ssm[0] + axis_ssm[1], axis_sse[0] + axis_sse[1], sst_y + sst_x,
+                      data.n, sum_sq_y + sum_sq_x, tuple(axis_sse))
+
+
 def joint_square_sums(data: Dataset, pred: Prediction) -> SquareSums:
     """Square sums of a prediction against its dataset, the x and y
-    coordinates stacked.
+    coordinates stacked: the one-model case of ``row_square_sums``.
 
     Observations where either solve is undefined are dropped pairwise, and
     means are taken over the included observations; the observations' own
     sums are the ``axis_sums`` of the dataset of those observations.
     """
     mask = pred.y_defined & pred.x_defined
-    n_used = int(np.count_nonzero(mask))
-    if n_used < 3:
-        raise InsufficientDataError(
-            f"need at least 3 observations with defined solves, have {n_used}"
-        )
-    y_hat, x_hat = pred.y_hat, pred.x_hat
-    if n_used < data.n:
+    if not mask.all():
         data = Dataset(data.x_label, data.y_label, data.x[mask], data.y[mask])
-        y_hat, x_hat = y_hat[mask], x_hat[mask]
-    ssm = sse = sst = sst_uncentered = 0.0
-    axis_sse = []
-    for o, e, (mean, o_sst, o_sum_sq) in zip((data.y, data.x), (y_hat, x_hat), data.axis_sums):
-        axis_sse.append(float(((o - e) ** 2).sum()))
-        sse += axis_sse[-1]
-        ssm += float(((e - mean) ** 2).sum())
-        sst += o_sst
-        sst_uncentered += o_sum_sq
-    return SquareSums(ssm, sse, sst, n_used, sst_uncentered, tuple(axis_sse))
+    axis_sse, axis_ssm = [], []
+    for obs, est, (mean, _, _) in zip((data.y, data.x), (pred.y_hat, pred.x_hat),
+                                      _three_rows(data).axis_sums):
+        # est[mask] is a copy, which the squares overwrite
+        sse, ssm = row_square_sums(obs, est[mask][np.newaxis], mean)
+        axis_sse.append(float(sse[0]))
+        axis_ssm.append(float(ssm[0]))
+    return square_sums(data, axis_sse, axis_ssm)
 
 
 def separation_angle(s: SquareSums) -> float:

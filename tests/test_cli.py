@@ -196,14 +196,14 @@ class TestCompareCommand:
     def test_warnings_follow_row_order(self, tmp_path, capsys, monkeypatch):
         # the 1/x fit fails at x = 0, and the solves of the x rotation (as
         # reduced) and of 1 ~ x*y are made to fail, one before it and one after
-        predict = compare.predict
+        solve_block = compare.solve_block
 
-        def predict_failing_two(fit, data):
+        def solve_failing_two(fit, x, y, axis):
             if fit.spec.response is Term.X or str(fit.spec) == "1 ~ x*y":
                 raise DegenerateDataError("no solve")
-            return predict(fit, data)
+            return solve_block(fit, x, y, axis)
 
-        monkeypatch.setattr(compare, "predict", predict_failing_two)
+        monkeypatch.setattr(compare, "solve_block", solve_failing_two)
         path = tmp_path / "zero_x.csv"
         path.write_text("x,y\n0,5.1\n1,3.9\n2,3.2\n3,2.1\n4,0.8\n5,0.1\n")
         code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))

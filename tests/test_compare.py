@@ -1,7 +1,10 @@
 import json
+import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,11 +24,16 @@ from implicitreg import (
     render_json,
     render_markdown,
 )
-from implicitreg import compare, dataio
+from implicitreg import compare, dataio, implicit
 from implicitreg.compare import (BOYLE_MODEL_TEXTS, _METRIC_DIRECTIONS, boyle_plot_data,
                                  report_to_dict)
-from implicitreg.errors import DegenerateDataError, ImplicitRegressionError
+from implicitreg.errors import (DegenerateDataError, DegenerateTriangleError,
+                                ImplicitRegressionError, InsufficientDataError)
+from implicitreg.fitcore import BasisQR, reduce_model_trace
 from implicitreg.formula import format_model, parse_model
+from implicitreg.implicit import predict
+from implicitreg.metrics import (joint_square_sums, relative_height, separation_angle,
+                                 standard_error)
 
 GOLDEN_SAMPLE = Path(__file__).resolve().parent / "golden" / "sample.csv"
 
@@ -104,6 +112,128 @@ def test_traced_peak_is_at_most_eight_n_row_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * data.x.nbytes
+
+
+def _oracle_values(fit, data):
+    """A comparison row's metrics and diagnostics composed per model:
+    ``predict``, then ``joint_square_sums``, ``standard_error`` (each axis
+    summed over its own defined solves), ``separation_angle`` and
+    ``relative_height``; None where a step raises."""
+    pred = predict(fit, data)
+
+    def or_none(fn, *args):
+        try:
+            return fn(*args)
+        except (InsufficientDataError, DegenerateTriangleError):
+            return None
+
+    sums = or_none(joint_square_sums, data, pred)
+    se = []
+    for obs, est, defined in ((data.y, pred.y_hat, pred.y_defined),
+                              (data.x, pred.x_hat, pred.x_defined)):
+        sse = float(((obs[defined] - est[defined]) ** 2).sum())
+        se.append(or_none(standard_error, sse, int(np.count_nonzero(defined)),
+                          fit.spec.n_coefficients))
+    return {"r_squared": fit.r_squared, "se_y": se[0], "se_x": se[1],
+            "theta_t": sums and or_none(separation_angle, sums),
+            "height": sums and or_none(relative_height, sums),
+            "undefined_y": pred.undefined_count_y, "undefined_x": pred.undefined_count_x,
+            "complex_x": pred.complex_count_x}
+
+
+def _oracle_row(idx, data):
+    """The oracle's (reduced text, values) of listed model ``idx``, or its
+    error message."""
+    try:
+        fit = BasisQR(data).fit(compare._COMPARISON_SPECS[idx])
+        if idx < compare._N_ROTATIONS:
+            fit = reduce_model_trace(fit)[0]
+        values = _oracle_values(fit, data)
+    except ImplicitRegressionError as exc:
+        return str(exc)
+    fitted = format_model(fit.spec)
+    return None if fitted == COMPARISON_MODEL_TEXTS[idx] else fitted, values
+
+
+def _hex(values):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in values.items()}
+
+
+class TestRowSweep:
+    """``build_comparison`` solves and sums every model in one pass over the
+    row blocks; each row must be what the per-model route gives it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 60), sigma=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+           seed=st.integers(0, 10_000), zeros=st.sets(st.integers(0, 59), max_size=3),
+           salt=st.integers(0, 1_000), raising=st.sets(st.sampled_from(
+               COMPARISON_MODEL_TEXTS[compare._N_ROTATIONS:]), max_size=2))
+    def test_each_row_is_its_per_model_composition(self, n, sigma, seed, zeros, salt,
+                                                    raising):
+        # x = 0 leaves the 1/x fit an error row and 1 ~ x*y undefined
+        # y-solves; each (fit, axis) also drops some of its solves to NaN at
+        # a rate drawn from its salted name, and the raising models' solves
+        # raise, both in the sweep and in predict
+        sample = generate(SimulationConfig(n=n, sigma=sigma, seed=seed))
+        x = sample.x.copy()
+        x[[i for i in zeros if i < n]] = 0.0
+        data = Dataset("x", "y", x, sample.y)
+        solve_block = implicit.solve_block
+
+        def solve_injected(fit, x, y, axis):
+            if str(fit.spec) in raising:
+                raise DegenerateDataError(f"no solve of {fit.spec}")
+            hat, complex_mask = solve_block(fit, x, y, axis)
+            rng = random.Random(f"{salt} {fit.spec} {axis}")
+            rate = rng.choice([0.0, 0.0, 0.1, 1.0])
+            hat[[i for i in range(hat.size) if rng.random() < rate]] = np.nan
+            return hat, complex_mask
+
+        with (mock.patch.object(implicit, "solve_block", solve_injected),
+              mock.patch.object(compare, "solve_block", solve_injected)):
+            expected = [_oracle_row(idx, data) for idx in range(len(COMPARISON_MODEL_TEXTS))]
+            try:
+                rows = build_comparison(data).rows
+            except ImplicitRegressionError as exc:
+                assert all(isinstance(want, str) for want in expected)
+                assert str(exc) == expected[0]
+                return
+        for row, want in zip(rows, expected):
+            if isinstance(want, str):
+                assert row.error == want, row.model
+                continue
+            assert row.error is None, row.model
+            got = {**row.metrics, **row.diagnostics}
+            assert (row.reduced, _hex(got)) == (want[0], _hex(want[1])), row.model
+
+    @pytest.mark.parametrize("source", ["seed", "sample", "sample_x0", "boyle"])
+    def test_seven_row_blocks_match_one_block(self, monkeypatch, source):
+        if source == "seed":
+            datasets = [generate(SimulationConfig(n=50, sigma=5.0, seed=s)) for s in range(8)]
+        elif source == "boyle":
+            datasets = [boyle_dataset()]
+        else:
+            data = read_csv(GOLDEN_SAMPLE)
+            if source == "sample_x0":
+                data = Dataset("x", "y", np.concatenate([[0.0], data.x[1:]]), data.y)
+            datasets = [data]
+        fits = [compare._comparison_fits(data) for data in datasets]
+        whole = [(build_comparison(data), compare._swept_values(f, data))
+                 for data, f in zip(datasets, fits)]
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 7)
+        for data, f, (report, values) in zip(datasets, fits, whole):
+            for got, want in zip(build_comparison(data).rows, report.rows):
+                assert (got.reduced, got.ranks, got.diagnostics, got.error) == (
+                    want.reduced, want.ranks, want.diagnostics, want.error), want.model
+            # the same fits swept in blocks: each square sum is a sum of
+            # block sums, which moves only its last bits
+            for got, want in zip(compare._swept_values(f, data), values):
+                if isinstance(want, ImplicitRegressionError):
+                    assert str(got) == str(want)
+                    continue
+                assert got[5:] == want[5:]  # the diagnostics
+                assert got[:5] == tuple(None if v is None else pytest.approx(v, rel=1e-12,
+                                        abs=0.0) for v in want[:5])
 
 
 class TestPerfectFits:
@@ -252,14 +382,14 @@ class TestFailureIsolation:
 
     def test_a_failed_solve_keeps_its_row_in_place(self, sigma5_report, monkeypatch):
         failing = parse_model(self.MID_LIST)
-        predict = compare.predict
+        solve_block = compare.solve_block
 
-        def predict_failing_one(fit, data):
+        def solve_failing_one(fit, x, y, axis):
             if fit.spec == failing:
                 raise DegenerateDataError("every solve hit a singular denominator")
-            return predict(fit, data)
+            return solve_block(fit, x, y, axis)
 
-        monkeypatch.setattr(compare, "predict", predict_failing_one)
+        monkeypatch.setattr(compare, "solve_block", solve_failing_one)
         report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)),
                                   seed=12345)
         assert tuple(r.model for r in report.rows) == COMPARISON_MODEL_TEXTS
@@ -287,7 +417,7 @@ class TestFailureIsolation:
         # does the first model when first_fails_at is "fit"
         raised = []
 
-        def predict_failing(fit, data):
+        def solve_failing(fit, x, y, axis):
             raised.append(DegenerateDataError(f"no solve of {fit.spec}"))
             raise raised[-1]
 
@@ -300,7 +430,7 @@ class TestFailureIsolation:
                 raise raised[-1]
             return fit(basis, spec)
 
-        monkeypatch.setattr(compare, "predict", predict_failing)
+        monkeypatch.setattr(compare, "solve_block", solve_failing)
         monkeypatch.setattr(compare.BasisQR, "fit", fit_failing_first)
         data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])

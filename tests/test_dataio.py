@@ -554,7 +554,9 @@ class TestWriteCsv:
         assert hashlib.sha256(write_csv(d, decimals=10)).hexdigest() == \
             "8142e3752bbdc806ccd6be01bba379138d7343ddafc83bec9625eca85295993a"
 
-    def test_traced_peak_is_at_most_two_and_a_half_times_the_output(self):
+    def test_traced_peak_is_at_most_1_7_times_the_output(self):
+        # the one buffer the blocks are written into, which becomes the
+        # result, and one block's text (measured 1.62)
         d = generate(SimulationConfig(n=3 * dataio._BLOCK_ROWS + 1, sigma=5.0, seed=3))
         tracemalloc.start()
         try:
@@ -562,7 +564,7 @@ class TestWriteCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * len(out)
+        assert peak <= 1.7 * len(out)
 
 
 def _f_string_csv(data, decimals):

@@ -183,6 +183,23 @@ class TestFitOls:
         fit = fit_ols(parse_model("y ~ 1"), data)
         assert fit.r_squared == pytest.approx(constancy_index(data.y), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [-200, -60, -1, 0, 1, 60, 200])
+    @pytest.mark.parametrize("level", [2.0, 0.1])
+    def test_fits_exact_up_to_rounding_on_a_constant_response(self, level, k):
+        # on x = 1..5 these fits leave an SSE of order 1e-31 (times the
+        # scale squared) against an SST of 0 or below rounding: R^2 is 1,
+        # and compare ranks them ahead of 1 ~ x*y
+        s = 2.0 ** k
+        data = Dataset("x", "y", [s * v for v in range(1, 6)], [s * level] * 5)
+        texts = ("y ~ 1 + 1/x", "y ~ 1 + x + x^2")
+        basis = BasisQR(data)
+        for text in ("y ~ 1 + x", *texts):
+            assert basis.fit(parse_model(text)).r_squared == 1.0, text
+        rows = {row.model: row for row in build_comparison(data).rows}
+        for text in texts:
+            assert rows[text].r_squared == 1.0
+            assert rows[text].ranks["r_squared"] < rows["1 ~ x*y"].ranks["r_squared"]
+
 
 class TestSelfWeightingMean:
     def test_constant_data(self):
@@ -541,7 +558,8 @@ class TestResponseSums:
             kept = basis._response_sums[term, centered]
             assert [v.hex() for v in kept] == [v.hex() for v in expected], (term, centered)
             sum_sq, sst = expected
-            r_squared = (1.0 if fit.sse == 0.0 else 0.0) if sst <= 0.0 else 1.0 - fit.sse / sst
+            floor = fitcore._PERFECT_FIT_RTOL * sum_sq
+            r_squared = (1.0 if fit.sse <= floor else 0.0) if sst <= floor else 1.0 - fit.sse / sst
             assert fit.r_squared.hex() == r_squared.hex()
 
     def test_each_response_and_centering_is_summed_once(self, monkeypatch):

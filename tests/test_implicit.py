@@ -437,8 +437,9 @@ class TestQuadraticXSolve:
         # a term's addends are just the coefficient, so a and b vanish at +-0
         coefs = {0: c, 1: b, 2: a}
         addends = {power: [coef] for power, coef in coefs.items()}
-        with mock.patch.object(implicit, "_polynomial", return_value=(coefs, addends)):
-            hat, complex_mask = implicit._solve(None, x, x, axis=0)
+        with (mock.patch.object(implicit, "_polynomial", return_value=(coefs, addends)),
+              np.errstate(**implicit.SOLVE_ERRSTATE)):
+            hat, complex_mask = implicit.solve_block(None, x, x, axis=0)
         with np.errstate(all="ignore"):
             want, want_complex = _reference_quadratic_solve(a, b, c, x)
         assert hat.view(np.int64).tolist() == want.view(np.int64).tolist()
