@@ -5,8 +5,9 @@ csv, markdown), ``fit --reduce`` (text, json), ``fit`` of the quadratic
 model (text, json) and ``constancy`` on the seed-7, sigma-5, n=50 sample
 written by ``simulate --out``, with ``simulate``'s own stdout; of
 ``compare`` (all three formats) on that sample with its first x set to 0,
-where the 1/x model becomes an ``n/a`` row; and of ``boyle`` (text, json
-and the six ``--plot-data-dir`` files).  A refactor must leave them
+where the 1/x model becomes an ``n/a`` row, and of ``fit`` of ``1 ~ x*y``
+(text, json) there, whose y-solve at x = 0 is undefined; and of ``boyle``
+(text, json and the six ``--plot-data-dir`` files).  A refactor must leave them
 unchanged.  When an output is meant to change, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +31,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SAMPLE_ARGS = ("--n", "50", "--sigma", "5", "--seed", "7")
 FIT_ARGS = ("fit", "--model", "1 ~ x + y + x*y", "--reduce")
 QUADRATIC_ARGS = ("fit", "--model", "y ~ 1 + x + x^2")
+X0_FIT_ARGS = ("fit", "--model", "1 ~ x*y")
 
 
 def _stdout_of(*argv) -> bytes:
@@ -60,6 +62,8 @@ def render_outputs(workdir: Path) -> dict[str, bytes]:
     outputs["fit_quadratic.txt"] = _stdout_of(*QUADRATIC_ARGS, "--data", str(sample))
     outputs["fit_quadratic.json"] = _stdout_of(
         *QUADRATIC_ARGS, "--data", str(sample), "--format", "json")
+    outputs["fit_x0.txt"] = _stdout_of(*X0_FIT_ARGS, "--data", str(x_zero))
+    outputs["fit_x0.json"] = _stdout_of(*X0_FIT_ARGS, "--data", str(x_zero), "--format", "json")
     outputs["constancy.txt"] = _stdout_of("constancy", "--data", str(sample))
     outputs["boyle.txt"] = _stdout_of("boyle")
     outputs["boyle.json"] = _stdout_of(
