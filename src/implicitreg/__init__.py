@@ -14,7 +14,6 @@ from .compare import (
     boyle_plot_data,
     boyle_summary,
     build_comparison,
-    model_metrics,
     render_csv,
     render_json,
     render_markdown,
@@ -45,7 +44,6 @@ from .implicit import Prediction, predict, predict_y
 from .metrics import (
     RankDirection,
     SquareSums,
-    joint_square_sums,
     rank_models,
     relative_height,
     separation_angle,
@@ -88,8 +86,6 @@ __all__ = [
     "fit_ols",
     "format_model",
     "generate",
-    "joint_square_sums",
-    "model_metrics",
     "parse_model",
     "predict",
     "predict_y",

@@ -20,7 +20,7 @@ from .compare import (
     boyle_summary,
     boyle_summary_to_dict,
     build_comparison,
-    model_metrics,
+    fitted_rows,
     render_csv,
     render_json,
     render_markdown,
@@ -29,7 +29,6 @@ from .dataio import read_csv, write_csv
 from .errors import ImplicitRegressionError, ParseError
 from .fitcore import ALPHA, constancy_index, fit_ols, reduce_model_trace, self_weighting_mean
 from .formula import format_model, parse_model
-from .implicit import predict
 from .simulate import SimulationConfig, generate
 
 
@@ -124,8 +123,7 @@ def _cmd_fit(args) -> int:
     trace = []
     if args.reduce:
         fit, trace = reduce_model_trace(fit)
-    pred = predict(fit, data)
-    row = model_metrics(fit, data, pred)
+    (row,) = fitted_rows([fit], data)
 
     if args.format == "json":
         payload = {

@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset, boyle_dataset
-from .errors import DegenerateTriangleError, ImplicitRegressionError, InsufficientDataError
+from .errors import (DegenerateDataError, DegenerateTriangleError, ImplicitRegressionError,
+                     InsufficientDataError)
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_model_trace,
                       self_weighting_mean)
 from .formula import format_model, parse_model
-from .implicit import SOLVE_ERRSTATE, Prediction, predict, solve_block
+from .implicit import SOLVE_ERRSTATE, predict_y, solve_block
 from .metrics import (
     RankDirection,
-    joint_square_sums,
+    pairwise_square_sums,
     rank_models,
     relative_height,
     row_square_sums,
@@ -70,11 +71,11 @@ HEIGHT_VARIANT = "projection"
 
 @dataclass(frozen=True)
 class ModelRow:
-    """One fitted model's report line, from ``model_metrics`` to every renderer.
+    """One fitted model's report line, from the row sweep to every renderer.
 
     ``theta_t`` and ``height`` are None when the triangle is degenerate
     (perfect or null fit); standard errors are None when too few solves
-    are defined.  ``model_metrics`` names a row by the spec it fitted and
+    are defined.  ``fitted_rows`` names a row by the spec it fitted and
     leaves it unranked; ``build_comparison`` names it by its listed text,
     keeps the fitted text in ``reduced`` where backward elimination changed
     it, and fills ``ranks``.  A model ``build_comparison`` could not fit or
@@ -122,43 +123,41 @@ def _or_none(fn, *args):
         return None
 
 
-def model_metrics(fit: FitResult, data: Dataset, pred: Prediction) -> ModelRow:
-    """The report row of one fitted model, named by its own spec and unranked."""
-    return ModelRow(format_model(fit.spec), None, *_metric_values(fit, data, pred))
-
-
-def _metric_values(fit: FitResult, data: Dataset, pred: Prediction) -> tuple:
+def _row_values(fit: FitResult, sums, axis_sse, n_defs, n: int, complex_x: int) -> tuple:
     """A row's metrics and diagnostics in ``ModelRow``'s field order, None
-    where undefined (degenerate triangle or too few defined solves).  An axis
-    whose defined solves are the joint sums' rows takes its SSE from them."""
-    sums = _or_none(joint_square_sums, data, pred)
-    axis_sse, n_defs = [], []
-    for axis, (obs, est, defined) in enumerate(((data.y, pred.y_hat, pred.y_defined),
-                                                (data.x, pred.x_hat, pred.x_defined))):
-        n_defs.append(int(np.count_nonzero(defined)))
-        if sums is not None and n_defs[-1] == sums.n:
-            axis_sse.append(sums.axis_sse[axis])
-        else:
-            axis_sse.append(float(((obs[defined] - est[defined]) ** 2).sum()))
-    return _row_values(fit, sums, axis_sse, n_defs, (pred.undefined_count_y,
-                       pred.undefined_count_x, pred.complex_count_x))
-
-
-def _row_values(fit: FitResult, sums, axis_sse, n_defs, diagnostics) -> tuple:
-    """``_metric_values`` from the square sums (None when undefined), each
-    axis's SSE over its ``n_defs`` defined solves, and the diagnostics."""
+    where undefined, from the square sums (or None), each axis's SSE over
+    its ``n_defs`` of the ``n`` solves, and the count of complex x-solves."""
     theta = height = None
     if sums is not None:
         theta = _or_none(separation_angle, sums)
         height = _or_none(relative_height, sums)
     se = [_or_none(standard_error, sse, n_def, fit.spec.n_coefficients)
           for sse, n_def in zip(axis_sse, n_defs)]
-    return (fit.r_squared, *se, theta, height, *diagnostics)
+    return (fit.r_squared, *se, theta, height, n - n_defs[0], n - n_defs[1], complex_x)
+
+
+def _pairwise_sums(fit: FitResult, data: Dataset) -> tuple:
+    """``pairwise_square_sums`` of a fit with undefined (NaN) solves, from two
+    more passes over the row blocks for it alone (one block is solved once);
+    raises ``DegenerateDataError`` when every solve is undefined."""
+    blocks = list(data.row_blocks())
+
+    def solved():
+        for x, y in blocks:
+            with np.errstate(**SOLVE_ERRSTATE):
+                hats = [solve_block(fit, x, y, axis)[0] for axis in (1, 0)]
+            yield tuple(zip((y, x), hats))
+
+    passes = [list(solved())] * 2 if len(blocks) == 1 else [solved(), solved()]
+    n_defs, axis_sse, sums = pairwise_square_sums(passes)
+    if not any(n_defs):
+        raise DegenerateDataError(f"every solve of {fit.spec} hit a singular denominator")
+    return n_defs, axis_sse, sums
 
 
 def _swept_values(fits: list, data: Dataset) -> list:
-    """Per fit, the ``_metric_values`` of its solves, or its error: an error
-    in ``fits`` stays, and a fit whose solve raises takes that error.
+    """Per fit, its row's ``_row_values``, or its error: an error in
+    ``fits`` stays, and a fit whose solve raises takes that error.
 
     One pass over the row blocks solves every fit with ``solve_block``,
     under one ``np.errstate`` per block: first for y, into the rows of a
@@ -166,8 +165,8 @@ def _swept_values(fits: list, data: Dataset) -> list:
     SSE_y and SSM_y, then for x into the same buffer.  The sums and the
     complex x-solves add up over the blocks, so on data of more than one
     block a square sum is a sum of block sums.  An undefined solve is NaN
-    and makes its fit's SSE NaN; such a fit is solved and summed again by
-    ``predict`` and ``_metric_values``, which drop its rows pairwise.
+    and makes its fit's SSE NaN; such a fit's rows are dropped pairwise by
+    ``_pairwise_sums``.
     """
     values = list(fits)
     live = [i for i, fit in enumerate(fits) if not isinstance(fit, ImplicitRegressionError)]
@@ -196,17 +195,26 @@ def _swept_values(fits: list, data: Dataset) -> list:
         fit = fits[i]
         if values[i] is not fit:
             continue
-        axis_sse = sse[:, row].tolist()
+        axis_sse, n_defs = sse[:, row].tolist(), (data.n, data.n)
         try:
             if any(map(math.isnan, axis_sse)):
-                values[i] = _metric_values(fit, data, predict(fit, data))
+                n_defs, axis_sse, sums = _pairwise_sums(fit, data)
             else:
-                sums = _or_none(square_sums, data, axis_sse, ssm[:, row].tolist())
-                values[i] = _row_values(fit, sums, axis_sse, (data.n, data.n),
-                                        (0, 0, int(complex_x[row])))
+                sums = _or_none(square_sums, data.n, data.axis_sums, axis_sse,
+                                ssm[:, row].tolist())
+            values[i] = _row_values(fit, sums, axis_sse, n_defs, data.n, int(complex_x[row]))
         except ImplicitRegressionError as exc:
             values[i] = exc
     return values
+
+
+def fitted_rows(fits: list, data: Dataset) -> list[ModelRow]:
+    """The unranked rows of ``fits``, each named by the spec it fitted; the
+    first fit that is an error, or whose solve raises, raises."""
+    values = _swept_values(fits, data)
+    for error in (v for v in values if isinstance(v, ImplicitRegressionError)):
+        raise error
+    return [ModelRow(format_model(fit.spec), None, *v) for fit, v in zip(fits, values)]
 
 
 def _rank_rows(rows: list[ModelRow]) -> None:
@@ -353,10 +361,10 @@ class BoyleSummary:
     constancy_product: float
     product_estimate: float  # self-weighting mean of volume*pressure
     rows: tuple[ModelRow, ...]
-    # the data and the solves behind each row; boyle_plot_data draws its
-    # overlays from them
+    # the data and the fit behind each row; boyle_plot_data solves them for
+    # its overlays
     data: Dataset = field(repr=False, compare=False)
-    predictions: tuple[Prediction, ...] = field(repr=False, compare=False)
+    fits: tuple[FitResult, ...] = field(repr=False, compare=False)
 
 
 def boyle_summary() -> BoyleSummary:
@@ -364,12 +372,8 @@ def boyle_summary() -> BoyleSummary:
     data = boyle_dataset()
     product = data.x * data.y
     basis = BasisQR(data)
-    rows, predictions = [], []
-    for spec in _BOYLE_SPECS:
-        fit = basis.fit(spec)
-        pred = predict(fit, data)
-        rows.append(model_metrics(fit, data, pred))
-        predictions.append(pred)
+    fits = [basis.fit(spec) for spec in _BOYLE_SPECS]
+    rows = fitted_rows(fits, data)
     return BoyleSummary(
         n=data.n,
         constancy_volume=constancy_index(data.x),
@@ -378,7 +382,7 @@ def boyle_summary() -> BoyleSummary:
         product_estimate=self_weighting_mean(product),
         rows=tuple(rows),
         data=data,
-        predictions=tuple(predictions),
+        fits=tuple(fits),
     )
 
 
@@ -406,15 +410,15 @@ _BOYLE_FILE_TAGS = dict(zip(BOYLE_MODEL_TEXTS, ("nonresponse", "quadratic", "inv
 def boyle_plot_data(summary: BoyleSummary) -> dict[str, str]:
     """Plot-ready CSV payloads keyed by filename.
 
-    Per model: (x, y, y_hat) overlay triplets, taken from the predictions
-    of ``summary``.  Per variable (volume, pressure, product): histogram
-    bins.
+    Per model: (x, y, y_hat) overlay triplets, from the y-solves of the
+    fits of ``summary``.  Per variable (volume, pressure, product):
+    histogram bins.
     """
     data = summary.data
     files: dict[str, str] = {}
-    for row, pred in zip(summary.rows, summary.predictions):
+    for row, fit in zip(summary.rows, summary.fits):
         lines = [f"{data.x_label},{data.y_label},estimated_{data.y_label}"]
-        for x, y, yh in zip(data.x, data.y, pred.y_hat):
+        for x, y, yh in zip(data.x, data.y, predict_y(fit, data)):
             yh_txt = "" if not np.isfinite(yh) else f"{yh:.6f}"
             lines.append(f"{x:.6f},{y:.6f},{yh_txt}")
         files[f"overlay_{_BOYLE_FILE_TAGS[row.model]}.csv"] = "\n".join(lines) + "\n"

@@ -85,15 +85,21 @@ class FitResult:
     residual_dof: int
     # the factorised dataset the fit came from; backward elimination refits on it
     basis: BasisQR | None = field(default=None, repr=False, compare=False)
-    # the R of the model's columns and the floored residual variance
+    # the R of the model's columns, the floored residual variance and the
+    # norms of the model's columns
     _r: np.ndarray | None = field(default=None, repr=False, compare=False)
     _sigma2: float = field(default=0.0, repr=False, compare=False)
+    _norms: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def coefficients(self) -> tuple[Coefficient, ...]:
         """The estimates with their classical standard errors and t statistics."""
-        r_inv = np.linalg.inv(self._r)
-        std_errors = np.sqrt((self._sigma2 * (r_inv @ r_inv.T)).diagonal())
+        # R's columns divided by powers of two above their norms, so that
+        # neither its inverse nor the covariance overflows; the division is
+        # exact, and each SE is scaled back
+        scale = np.ldexp(1.0, np.frexp(self._norms)[1])
+        r_inv = np.linalg.inv(self._r / scale)
+        std_errors = np.sqrt((self._sigma2 * (r_inv @ r_inv.T)).diagonal()) / scale
         t_stats = np.asarray(self.estimates) / std_errors
         dofs = [self.residual_dof] * len(self.estimates)
         return tuple(map(Coefficient, self.spec.coefficient_terms, self.estimates,
@@ -145,9 +151,9 @@ class BasisQR:
     writer walk too; each is reduced to its own R before the stacked block
     Rs are factored once more, so Z itself is never held.  A fit's
     residual and response sums stay whole-array; the square sums of its
-    solves in ``compare`` are summed block by block, in the one sweep that
-    solves every model.  When any x = 0 the 1/x column is left out and only
-    fits that use it fail.
+    solves are summed block by block, in the row sweep of ``compare`` that
+    every report's rows come from.  When any x = 0 the 1/x column is left
+    out and only fits that use it fail.
     """
 
     def __init__(self, data: Dataset):
@@ -158,8 +164,9 @@ class BasisQR:
         blocks = [np.linalg.qr(np.column_stack([eval_term(term, x, y) for term in self.terms]),
                                mode="r") for x, y in data.row_blocks()]
         self.r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
-        # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q
-        self.column_norms = np.linalg.norm(self.r, axis=0)
+        # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q; hypot takes
+        # it without squaring an entry, so it neither underflows nor overflows
+        self.column_norms = np.hypot.reduce(self.r, axis=0, initial=0.0)
         self._response_sums: dict = {}  # (term, centered) -> (sum_sq, sst)
 
     def fit(self, spec: ModelSpec) -> FitResult:
@@ -236,7 +243,7 @@ class BasisQR:
         # statistics instead of 0/0, whatever the data's units.
         sigma2 = max(sse, floor, sys.float_info.min) / dof
         return FitResult(spec, data.n, tuple(coefs.tolist()), sse, r_squared, dof,
-                         self, R, sigma2)
+                         self, R, sigma2, col_norms)
 
 
 def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:

@@ -54,18 +54,6 @@ class Prediction:
             defined.flags.writeable = False
             object.__setattr__(self, f"{axis}_defined", defined)
 
-    @property
-    def undefined_count_y(self) -> int:
-        return self.y_defined.size - int(np.count_nonzero(self.y_defined))
-
-    @property
-    def undefined_count_x(self) -> int:
-        return self.x_defined.size - int(np.count_nonzero(self.x_defined))
-
-    @property
-    def complex_count_x(self) -> int:
-        return int(np.count_nonzero(self.x_complex))
-
 
 def _polynomial(fit: FitResult, x: np.ndarray, y: np.ndarray, axis: int) -> tuple[dict, dict]:
     """The fitted equation over one row block (x, y) as a polynomial in x
@@ -102,8 +90,16 @@ def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
 
 def solve_block(fit: FitResult, x: np.ndarray, y: np.ndarray,
                 axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_solves`` on one row block; entries whose denominator is (near)
-    zero are NaN.  Run it under ``np.errstate(**SOLVE_ERRSTATE)``."""
+    """Solve the fitted equation for x (``axis=0``) at each observed y, or
+    for y (``axis=1``) at each observed x, on one row block (x, y); returns
+    (solves, complex_mask), with NaN where the denominator is (near) zero.
+    Run it under ``np.errstate(**SOLVE_ERRSTATE)``.
+
+    The equation is at most quadratic in the solved axis; a 1/x term that
+    does not vanish is cleared by multiplying through by x.  The x-equation's
+    1/x and x^2 coefficients are minus their estimates on every row, so every
+    block makes that choice, and raises for a model with both, alike.
+    """
     coefs, addends = _polynomial(fit, x, y, axis)
     # the power holding the constant coefficient: -1 once a 1/x term that
     # does not vanish is multiplied through by x, which x^2 would make cubic
@@ -138,39 +134,22 @@ def solve_block(fit: FitResult, x: np.ndarray, y: np.ndarray,
     return hat, complex_mask
 
 
-def _solves(fit: FitResult, data: Dataset, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the fitted equation for x (``axis=0``) at each observed y, or
-    for y (``axis=1``) at each observed x, one row block at a time; returns
-    (solves, complex_mask), a single block's arrays as they are.
+def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
+    """Solve the fitted equation for y at each observed x; NaN where singular.
 
-    The equation is at most quadratic in the solved axis; a 1/x term that
-    does not vanish is cleared by multiplying through by x.  The x-equation's
-    1/x and x^2 coefficients are minus their estimates on every row, so every
-    block makes that choice, and raises for a model with both, alike.
-
-    ``build_comparison`` comes here, through ``predict``, only for a model
-    with an undefined solve.  It solves the others in one sweep, calling
-    ``solve_block`` per row block for every model and both axes and adding
-    up the block's square sums, so on data of more than one block only
-    their last bits can differ from sums over the whole arrays.
+    ``predict_y`` and ``predict`` solve all of ``data``'s rows at once; no
+    report row comes here, as the row sweep in ``compare`` solves block by
+    block.
     """
     with np.errstate(**SOLVE_ERRSTATE):
-        blocks = [solve_block(fit, x, y, axis) for x, y in data.row_blocks()]
-    if len(blocks) == 1:
-        return blocks[0]
-    hats, masks = zip(*blocks)
-    return np.concatenate(hats), np.concatenate(masks)
-
-
-def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
-    """Solve the fitted equation for y at each observed x; NaN where singular."""
-    return _solves(fit, data, axis=1)[0]
+        return solve_block(fit, data.x, data.y, axis=1)[0]
 
 
 def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for both axes; raises if every solve is singular."""
     y_hat = predict_y(fit, data)
-    x_hat, complex_mask = _solves(fit, data, axis=0)
+    with np.errstate(**SOLVE_ERRSTATE):
+        x_hat, complex_mask = solve_block(fit, data.x, data.y, axis=0)
     pred = Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
     if not (pred.y_defined.any() or pred.x_defined.any()):
         raise DegenerateDataError(

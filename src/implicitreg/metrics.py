@@ -23,10 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dataio import Dataset
 from .errors import DegenerateTriangleError, InsufficientDataError
 from .fitcore import _PERFECT_FIT_RTOL
-from .implicit import Prediction
 
 _COS_CLAMP_TOL = 1e-9
 # ranks tie within this fraction of the column's largest magnitude
@@ -39,7 +37,7 @@ class SquareSums:
 
     ``sst_uncentered`` is the observations' own sum of squares about zero,
     the scale below which an SSE counts as rounding (see ``is_perfect``);
-    left at 0, only an exact SSE = 0 does.  ``axis_sse`` is (SSE_y, SSE_x).
+    left at 0, only an exact SSE = 0 does.
     """
 
     ssm: float
@@ -47,7 +45,6 @@ class SquareSums:
     sst: float
     n: int
     sst_uncentered: float = 0.0
-    axis_sse: tuple[float, ...] = ()
 
     @property
     def is_perfect(self) -> bool:
@@ -74,42 +71,53 @@ def row_square_sums(obs: np.ndarray, est: np.ndarray,
     return est.sum(axis=1), ssm
 
 
-def _three_rows(data: Dataset) -> Dataset:
-    """``data``, which must have the 3 rows a triangle's square sums need."""
-    if data.n < 3:
+def square_sums(n: int, axis_sums, axis_sse, axis_ssm) -> SquareSums:
+    """The square sums of solves over ``n`` rows, from each axis's (y, then
+    x) SSE and SSM and its ``Dataset.axis_sums`` over those rows."""
+    if n < 3:
         raise InsufficientDataError(
-            f"need at least 3 observations with defined solves, have {data.n}"
+            f"need at least 3 observations with defined solves, have {n}"
         )
-    return data
-
-
-def square_sums(data: Dataset, axis_sse, axis_ssm) -> SquareSums:
-    """The square sums of solves defined on every row of ``data``, from each
-    axis's (y, then x) SSE and SSM and the dataset's own sums."""
-    (_, sst_y, sum_sq_y), (_, sst_x, sum_sq_x) = _three_rows(data).axis_sums
+    (_, sst_y, sum_sq_y), (_, sst_x, sum_sq_x) = axis_sums
     return SquareSums(axis_ssm[0] + axis_ssm[1], axis_sse[0] + axis_sse[1], sst_y + sst_x,
-                      data.n, sum_sq_y + sum_sq_x, tuple(axis_sse))
+                      n, sum_sq_y + sum_sq_x)
 
 
-def joint_square_sums(data: Dataset, pred: Prediction) -> SquareSums:
-    """Square sums of a prediction against its dataset, the x and y
-    coordinates stacked: the one-model case of ``row_square_sums``.
+def pairwise_square_sums(passes) -> tuple[list[int], list[float], SquareSums | None]:
+    """Per axis the count of defined solves and their SSE, and the
+    ``square_sums`` of the rows where both solves are defined (None below
+    3 rows), from solves with undefined (NaN) entries.
 
-    Observations where either solve is undefined are dropped pairwise, and
-    means are taken over the included observations; the observations' own
-    sums are the ``axis_sums`` of the dataset of those observations.
+    ``passes`` is two iterables over the same row blocks, each block the
+    (observations, solves) of y and then of x.  The first pass counts each
+    axis's defined solves and sums their SSE, and sums the observations of
+    the pairwise rows for their means; the second sums the squares about
+    those means.  On one block a
+    sum keeps the bits of its whole-array expression over the compacted
+    rows; on more it is a sum of block sums.
     """
-    mask = pred.y_defined & pred.x_defined
-    if not mask.all():
-        data = Dataset(data.x_label, data.y_label, data.x[mask], data.y[mask])
-    axis_sse, axis_ssm = [], []
-    for obs, est, (mean, _, _) in zip((data.y, data.x), (pred.y_hat, pred.x_hat),
-                                      _three_rows(data).axis_sums):
-        # est[mask] is a copy, which the squares overwrite
-        sse, ssm = row_square_sums(obs, est[mask][np.newaxis], mean)
-        axis_sse.append(float(sse[0]))
-        axis_ssm.append(float(ssm[0]))
-    return square_sums(data, axis_sse, axis_ssm)
+    n, n_def, own_sse, pair_sum = 0, [0, 0], [0.0, 0.0], [0.0, 0.0]
+    for block in passes[0]:
+        defined = [np.isfinite(est) for _, est in block]
+        pair = defined[0] & defined[1]
+        n += int(np.count_nonzero(pair))
+        for a, ((obs, est), own) in enumerate(zip(block, defined)):
+            n_def[a] += int(np.count_nonzero(own))
+            own_sse[a] += float(((obs[own] - est[own]) ** 2).sum())
+            pair_sum[a] += float(obs[pair].sum())
+    if n < 3:
+        return n_def, own_sse, None
+    means = [total / n for total in pair_sum]
+    sums = np.zeros((4, 2))  # SSE, SSM, SST and sum of squares, per axis
+    for block in passes[1]:
+        pair = np.isfinite(block[0][1]) & np.isfinite(block[1][1])
+        for a, ((obs, est), mean) in enumerate(zip(block, means)):
+            obs = obs[pair]
+            # est[pair] is a copy, which the squares overwrite
+            (sse,), (ssm,) = row_square_sums(obs, est[pair][np.newaxis], mean)
+            sums[:, a] += sse, ssm, ((obs - mean) ** 2).sum(), obs @ obs
+    sse, ssm, sst, sum_sq = sums.tolist()
+    return n_def, own_sse, square_sums(n, list(zip(means, sst, sum_sq)), sse, ssm)
 
 
 def separation_angle(s: SquareSums) -> float:

@@ -153,6 +153,24 @@ class TestFitCommand:
             assert token in stdout
 
 
+def _no_defined_solve(fit, x, y, axis):
+    return np.full(x.size, np.nan), np.zeros(x.size, dtype=bool)
+
+
+@pytest.mark.parametrize("argv", [("fit", "--model", "1 ~ x*y"), ("boyle",)],
+                         ids=["fit", "boyle"])
+def test_a_model_with_no_defined_solve_fails_the_command(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    # fit and boyle take their rows from the row sweep, which raises
+    # predict's error for the first such model
+    monkeypatch.setattr(compare, "solve_block", _no_defined_solve)
+    data = ("--data", str(sim_csv(tmp_path))) if argv[0] == "fit" else ()
+    code, stdout, stderr = run_cli(capsys, *argv, *data)
+    model = argv[2] if argv[0] == "fit" else compare.BOYLE_MODEL_TEXTS[0]
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: every solve of {model} hit a singular denominator\n"
+
+
 class TestCompareCommand:
     def test_markdown_default(self, tmp_path, capsys):
         data = sim_csv(tmp_path)

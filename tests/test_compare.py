@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -32,8 +33,7 @@ from implicitreg.errors import (DegenerateDataError, DegenerateTriangleError,
 from implicitreg.fitcore import BasisQR, reduce_model_trace
 from implicitreg.formula import format_model, parse_model
 from implicitreg.implicit import predict
-from implicitreg.metrics import (joint_square_sums, relative_height, separation_angle,
-                                 standard_error)
+from implicitreg.metrics import SquareSums, relative_height, separation_angle, standard_error
 
 GOLDEN_SAMPLE = Path(__file__).resolve().parent / "golden" / "sample.csv"
 
@@ -90,13 +90,26 @@ class TestBuildComparison:
         assert a == b
 
 
-def test_tiny_scale_sample_compares_without_a_traceback():
-    # at 1e-90 the product SSM * SSE of the 1/x row underflows to 0
+@pytest.mark.parametrize("scale", [1e-80, 1e-84, 1e-90, 2.0 ** 248],
+                         ids=["1e-80", "1e-84", "1e-90", "2^248"])
+def test_tiny_scale_sample_compares_without_a_traceback(scale):
+    # column norms square no entry of R, and standard errors come from R's
+    # columns scaled by powers of two: squared plainly, the norms underflow
+    # from 1e-84 and overflow at 2^248 (collinear error rows), and the
+    # covariance of the y and x rotations overflows at 1e-80 (a term
+    # wrongly dropped).  Not so for
+    # x*y ~ 1 + x + y, which still reduces to x*y ~ 1 at 1e-80 and below:
+    # the square sums of its response x*y go subnormal there
     data = generate(SimulationConfig(n=30, sigma=5.0, seed=0))
-    report = build_comparison(Dataset("x", "y", data.x * 1e-90, data.y * 1e-90))
-    inverse = {row.model: row for row in report.rows}["y ~ 1 + 1/x"]
-    reference = {row.model: row for row in build_comparison(data).rows}["y ~ 1 + 1/x"]
-    assert inverse.theta_t == pytest.approx(reference.theta_t, rel=1e-9)
+    reference = {row.model: row for row in build_comparison(data).rows}
+    report = build_comparison(Dataset("x", "y", data.x * scale, data.y * scale))
+    rows = {row.model: row for row in report.rows}
+    assert [row.model for row in report.rows if row.error is not None] == []
+    for text in ("y ~ 1 + x + x*y", "x ~ 1 + y + x*y"):
+        assert rows[text].reduced == reference[text].reduced, text
+    # at 1e-90 the product SSM * SSE of the 1/x row underflows to 0
+    inverse = rows["y ~ 1 + 1/x"]
+    assert inverse.theta_t == pytest.approx(reference["y ~ 1 + 1/x"].theta_t, rel=1e-9)
 
 
 def test_traced_peak_is_at_most_eight_n_row_arrays():
@@ -116,9 +129,11 @@ def test_traced_peak_is_at_most_eight_n_row_arrays():
 
 def _oracle_values(fit, data):
     """A comparison row's metrics and diagnostics composed per model:
-    ``predict``, then ``joint_square_sums``, ``standard_error`` (each axis
-    summed over its own defined solves), ``separation_angle`` and
-    ``relative_height``; None where a step raises."""
+    ``predict``; the x and y square sums stacked over the rows where both
+    solves are defined, each sum taken on those rows compacted, about their
+    own means; ``standard_error`` (each axis summed over its own defined
+    solves), ``separation_angle`` and ``relative_height``; None where a
+    step raises or the triangle has fewer than 3 rows."""
     pred = predict(fit, data)
 
     def or_none(fn, *args):
@@ -127,7 +142,17 @@ def _oracle_values(fit, data):
         except (InsufficientDataError, DegenerateTriangleError):
             return None
 
-    sums = or_none(joint_square_sums, data, pred)
+    pair = pred.y_defined & pred.x_defined
+    sums = None
+    if np.count_nonzero(pair) >= 3:
+        ssm = sse = sst = sum_sq = 0.0
+        for obs, est in ((data.y[pair], pred.y_hat[pair]), (data.x[pair], pred.x_hat[pair])):
+            mean = obs.mean()
+            ssm += float(((est - mean) ** 2).sum())
+            sse += float(((obs - est) ** 2).sum())
+            sst += float(((obs - mean) ** 2).sum())
+            sum_sq += float(obs @ obs)
+        sums = SquareSums(ssm, sse, sst, int(np.count_nonzero(pair)), sum_sq)
     se = []
     for obs, est, defined in ((data.y, pred.y_hat, pred.y_defined),
                               (data.x, pred.x_hat, pred.x_defined)):
@@ -137,8 +162,9 @@ def _oracle_values(fit, data):
     return {"r_squared": fit.r_squared, "se_y": se[0], "se_x": se[1],
             "theta_t": sums and or_none(separation_angle, sums),
             "height": sums and or_none(relative_height, sums),
-            "undefined_y": pred.undefined_count_y, "undefined_x": pred.undefined_count_x,
-            "complex_x": pred.complex_count_x}
+            "undefined_y": int(np.count_nonzero(~pred.y_defined)),
+            "undefined_x": int(np.count_nonzero(~pred.x_defined)),
+            "complex_x": int(np.count_nonzero(pred.x_complex))}
 
 
 def _oracle_row(idx, data):
@@ -159,38 +185,53 @@ def _hex(values):
     return {k: v.hex() if isinstance(v, float) else v for k, v in values.items()}
 
 
+def _sample_with_zeros(n, sigma, seed, zeros):
+    sample = generate(SimulationConfig(n=n, sigma=sigma, seed=seed))
+    x = sample.x.copy()
+    x[[i for i in zeros if i < n]] = 0.0
+    return Dataset("x", "y", x, sample.y)
+
+
+@contextmanager
+def _injected_solves(salt, raising):
+    """Each (fit, axis) drops some of its solves to NaN at a rate drawn from
+    its salted name, and the solves of the models in ``raising`` raise, both
+    in the sweep and in ``predict``."""
+    solve_block = implicit.solve_block
+
+    def solve_injected(fit, x, y, axis):
+        if str(fit.spec) in raising:
+            raise DegenerateDataError(f"no solve of {fit.spec}")
+        hat, complex_mask = solve_block(fit, x, y, axis)
+        rng = random.Random(f"{salt} {fit.spec} {axis}")
+        rate = rng.choice([0.0, 0.0, 0.1, 1.0])
+        hat[[i for i in range(hat.size) if rng.random() < rate]] = np.nan
+        return hat, complex_mask
+
+    with (mock.patch.object(implicit, "solve_block", solve_injected),
+          mock.patch.object(compare, "solve_block", solve_injected)):
+        yield
+
+
+_SAMPLES = dict(n=st.integers(3, 60), sigma=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+                seed=st.integers(0, 10_000), zeros=st.sets(st.integers(0, 59), max_size=3),
+                salt=st.integers(0, 1_000))
+
+
 class TestRowSweep:
-    """``build_comparison`` solves and sums every model in one pass over the
-    row blocks; each row must be what the per-model route gives it."""
+    """Every report's rows come from one pass over the row blocks that solves
+    and sums all its models; each row must be what the per-model route
+    gives it."""
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(3, 60), sigma=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
-           seed=st.integers(0, 10_000), zeros=st.sets(st.integers(0, 59), max_size=3),
-           salt=st.integers(0, 1_000), raising=st.sets(st.sampled_from(
-               COMPARISON_MODEL_TEXTS[compare._N_ROTATIONS:]), max_size=2))
+    @given(**_SAMPLES, raising=st.sets(st.sampled_from(
+        COMPARISON_MODEL_TEXTS[compare._N_ROTATIONS:]), max_size=2))
     def test_each_row_is_its_per_model_composition(self, n, sigma, seed, zeros, salt,
                                                     raising):
         # x = 0 leaves the 1/x fit an error row and 1 ~ x*y undefined
-        # y-solves; each (fit, axis) also drops some of its solves to NaN at
-        # a rate drawn from its salted name, and the raising models' solves
-        # raise, both in the sweep and in predict
-        sample = generate(SimulationConfig(n=n, sigma=sigma, seed=seed))
-        x = sample.x.copy()
-        x[[i for i in zeros if i < n]] = 0.0
-        data = Dataset("x", "y", x, sample.y)
-        solve_block = implicit.solve_block
-
-        def solve_injected(fit, x, y, axis):
-            if str(fit.spec) in raising:
-                raise DegenerateDataError(f"no solve of {fit.spec}")
-            hat, complex_mask = solve_block(fit, x, y, axis)
-            rng = random.Random(f"{salt} {fit.spec} {axis}")
-            rate = rng.choice([0.0, 0.0, 0.1, 1.0])
-            hat[[i for i in range(hat.size) if rng.random() < rate]] = np.nan
-            return hat, complex_mask
-
-        with (mock.patch.object(implicit, "solve_block", solve_injected),
-              mock.patch.object(compare, "solve_block", solve_injected)):
+        # y-solves, besides the injected ones
+        data = _sample_with_zeros(n, sigma, seed, zeros)
+        with _injected_solves(salt, raising):
             expected = [_oracle_row(idx, data) for idx in range(len(COMPARISON_MODEL_TEXTS))]
             try:
                 rows = build_comparison(data).rows
@@ -206,10 +247,40 @@ class TestRowSweep:
             got = {**row.metrics, **row.diagnostics}
             assert (row.reduced, _hex(got)) == (want[0], _hex(want[1])), row.model
 
-    @pytest.mark.parametrize("source", ["seed", "sample", "sample_x0", "boyle"])
+    @settings(max_examples=100, deadline=None)
+    @given(**_SAMPLES, texts=st.sampled_from([BOYLE_MODEL_TEXTS, *(
+        (text,) for text in COMPARISON_MODEL_TEXTS)]), raising=st.booleans())
+    def test_one_and_three_model_sweeps(self, n, sigma, seed, zeros, salt, texts, raising):
+        # the sweeps of fit (one model) and boyle (three): unranked rows
+        # named by their fitted specs, or the first model's error raised
+        data = _sample_with_zeros(n, sigma, seed, zeros)
+        fits = BasisQR(data).fits([parse_model(text) for text in texts])
+        with _injected_solves(salt, set(texts[-1:]) if raising else set()):
+            expected = []
+            for fit in fits:
+                try:
+                    expected.append(str(fit) if isinstance(fit, ImplicitRegressionError)
+                                    else _oracle_values(fit, data))
+                except ImplicitRegressionError as exc:
+                    expected.append(str(exc))
+            try:
+                rows = compare.fitted_rows(fits, data)
+            except ImplicitRegressionError as exc:
+                assert str(exc) == next(want for want in expected if isinstance(want, str))
+                return
+        for row, fit, want in zip(rows, fits, expected):
+            assert row.model == format_model(fit.spec)
+            assert row.ranks == {}
+            assert _hex({**row.metrics, **row.diagnostics}) == _hex(want), row.model
+
+    @pytest.mark.parametrize("source", ["seed", "seed_x0", "sample", "sample_x0", "boyle"])
     def test_seven_row_blocks_match_one_block(self, monkeypatch, source):
         if source == "seed":
             datasets = [generate(SimulationConfig(n=50, sigma=5.0, seed=s)) for s in range(8)]
+        elif source == "seed_x0":
+            # x = 0 in three of the eight blocks: 1 ~ x*y has undefined
+            # y-solves there, and its rows are dropped pairwise block by block
+            datasets = [_sample_with_zeros(50, 5.0, s, {3, 20, 48}) for s in range(4)]
         elif source == "boyle":
             datasets = [boyle_dataset()]
         else:
@@ -220,6 +291,8 @@ class TestRowSweep:
         fits = [compare._comparison_fits(data) for data in datasets]
         whole = [(build_comparison(data), compare._swept_values(f, data))
                  for data, f in zip(datasets, fits)]
+        if source.endswith("_x0"):  # 1 ~ x*y takes the pairwise passes
+            assert all(report.rows[-1].undefined_y for report, _ in whole)
         monkeypatch.setattr(dataio, "_BLOCK_ROWS", 7)
         for data, f, (report, values) in zip(datasets, fits, whole):
             for got, want in zip(build_comparison(data).rows, report.rows):

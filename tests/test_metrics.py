@@ -18,18 +18,17 @@ from implicitreg import (
     boyle_dataset,
     fit_ols,
     generate,
-    joint_square_sums,
-    model_metrics,
     predict,
     read_csv,
     rank_models,
     relative_height,
     separation_angle,
 )
+from implicitreg.compare import _row_values
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.formula import parse_model
 from implicitreg.implicit import Prediction
-from implicitreg.metrics import _RANK_TIE_TOL, standard_error
+from implicitreg.metrics import _RANK_TIE_TOL, pairwise_square_sums, standard_error
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,11 +42,21 @@ def prediction_from_arrays(y_hat, x_hat):
     )
 
 
+def joint_square_sums(data, pred, block_rows=None):
+    """``pairwise_square_sums`` of a prediction against its dataset, in
+    blocks of ``block_rows`` rows (one block by default): per axis the
+    count of defined solves and their SSE, and the square sums."""
+    step = block_rows or max(data.n, 1)
+    blocks = [((data.y[i:i + step], pred.y_hat[i:i + step]),
+               (data.x[i:i + step], pred.x_hat[i:i + step])) for i in range(0, data.n, step)]
+    return pairwise_square_sums([blocks, blocks])
+
+
 class TestJointSquareSums:
     def test_perfect_fit(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
         pred = prediction_from_arrays(data.y.copy(), data.x.copy())
-        s = joint_square_sums(data, pred)
+        _, _, s = joint_square_sums(data, pred)
         assert s.sse == pytest.approx(0.0, abs=1e-12)
         assert s.ssm == pytest.approx(s.sst, rel=1e-12)
         assert s.n == 4
@@ -57,7 +66,7 @@ class TestJointSquareSums:
         pred = prediction_from_arrays(
             np.full(4, data.y.mean()), np.full(4, data.x.mean())
         )
-        s = joint_square_sums(data, pred)
+        _, _, s = joint_square_sums(data, pred)
         assert s.ssm == pytest.approx(0.0, abs=1e-12)
         assert s.sse == pytest.approx(s.sst, rel=1e-12)
 
@@ -69,8 +78,9 @@ class TestJointSquareSums:
         )
         y_hat = [5.0, np.nan, 8.0, 9.0, 11.0, 12.0]
         x_hat = [1.0, 2.0, np.nan, 4.0, 5.0, 6.0]
-        s = joint_square_sums(data, prediction_from_arrays(y_hat, x_hat))
+        n_def, axis_sse, s = joint_square_sums(data, prediction_from_arrays(y_hat, x_hat))
         assert s.n == 4  # rows 1 and 2 each miss one solve
+        assert n_def == [5, 5]  # each axis keeps its own defined solves
         # sums must match a direct computation over the four intact rows
         keep = np.array([0, 3, 4, 5])
         x, y = data.x[keep], data.y[keep]
@@ -82,8 +92,24 @@ class TestJointSquareSums:
     def test_insufficient_defined_rows(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0], [5.0, 6.0, 8.0])
         pred = prediction_from_arrays([5.0, np.nan, 8.0], [1.0, 2.0, 3.0])
-        with pytest.raises(InsufficientDataError):
-            joint_square_sums(data, pred)
+        # no triangle on 2 rows, but each axis's SSE still counts
+        assert joint_square_sums(data, pred) == ([2, 3], [0.0, 0.0], None)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5])
+    def test_blocks_add_up_to_one_block(self, block_rows):
+        data = generate(SimulationConfig(n=12, sigma=5.0, seed=4))
+        fit = fit_ols(parse_model("y ~ 1 + x + x^2"), data)
+        pred = predict(fit, data)
+        y_hat, x_hat = pred.y_hat.copy(), pred.x_hat.copy()
+        y_hat[[0, 6]] = x_hat[[6, 11]] = np.nan
+        pred = Prediction(y_hat, x_hat, pred.x_complex)
+        n_def, axis_sse, s = joint_square_sums(data, pred)
+        got = joint_square_sums(data, pred, block_rows)
+        assert got[0] == n_def == [10, 10]
+        assert got[1] == pytest.approx(axis_sse, rel=1e-12)
+        assert got[2].n == s.n == 9
+        for name in ("ssm", "sse", "sst", "sst_uncentered"):
+            assert getattr(got[2], name) == pytest.approx(getattr(s, name), rel=1e-12), name
 
 
 def _oracle_square_sums(data, pred):
@@ -118,26 +144,27 @@ def _bits(values):
 
 
 def assert_sums_match_the_oracles(fit, data, pred):
-    s = joint_square_sums(data, pred)
+    n_def, axis_sse, s = joint_square_sums(data, pred)
     assert _bits([s.ssm, s.sse, s.sst, s.n, s.sst_uncentered]) == \
         _bits(_oracle_square_sums(data, pred))
-    row = model_metrics(fit, data, pred)
+    _, se_y, se_x, *_ = _row_values(fit, s, axis_sse, n_def, data.n, 0)
     k = fit.spec.n_coefficients
-    assert _bits([row.se_y, row.se_x]) == _bits([
+    assert _bits([se_y, se_x]) == _bits([
         _oracle_se(data.y, pred.y_hat, pred.y_defined, k),
         _oracle_se(data.x, pred.x_hat, pred.x_defined, k),
     ])
 
 
 class TestSharedSums:
-    """The dataset's kept sums and the SSE shared by an axis's SE give the
-    bits of the sums taken per call, on full and on masked rows."""
+    """On one block, the pairwise sums and each axis's SSE over its own
+    defined solves give the bits of the sums taken per call, on full and on
+    masked rows."""
 
     @given(seed=st.integers(0, 30), text=st.sampled_from(COMPARISON_MODEL_TEXTS),
            undefined_y=st.sets(st.integers(0, 19), max_size=6),
            undefined_x=st.sets(st.integers(0, 19), max_size=6))
-    # y and x undefined on different rows: each axis's mask differs from
-    # the pairwise one, so neither SE may take the joint SSE
+    # y and x undefined on different rows: each axis's own rows differ from
+    # the pairwise ones, so neither SE may take the pairwise SSE
     @example(seed=0, text="y ~ 1 + x + x*y", undefined_y={1}, undefined_x={2})
     @example(seed=0, text="1 ~ x + y + x*y", undefined_y={1, 5}, undefined_x={5})
     @example(seed=0, text="y ~ 1 + x + x^2", undefined_y={3, 4}, undefined_x={3, 4})
