@@ -67,14 +67,16 @@ class FitResult:
     standard errors and t statistics when first read, as elimination and
     ``fit``'s printout do; no other fit pays for inverting its R.
 
-    ``sse`` is the residual sum of squares in the response.  ``r_squared``
-    is 1 - SSE/SST with SST about the response mean for a model with an
-    intercept and at least one predictor, and about zero otherwise.  The
-    non-response form has no intercept, so its R^2 is uncentered.  So is
-    that of an intercept-only model (e.g. a rotation reduced to a
-    constant): its centered R^2 is zero by construction, while the
-    uncentered one measures the constancy of the response, which is what
-    the comparison is after.
+    ``sse`` is the residual sum of squares in the response, read off the
+    dataset's R as the squared norm of the response's column of R less
+    the model's columns times the estimates.  ``r_squared`` is 1 - SSE/SST
+    with SST about the response mean for a model with an intercept and at
+    least one predictor, and about zero otherwise.  The non-response form
+    has no intercept, so its R^2 is uncentered.  So is that of an
+    intercept-only model (e.g. a rotation reduced to a constant): its
+    centered R^2 is zero by construction, while the uncentered one
+    measures the constancy of the response, which is what the comparison
+    is after.
     """
 
     spec: ModelSpec
@@ -126,38 +128,26 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return coefs
 
 
-def _sum_response(term: Term, resp: np.ndarray, centered: bool) -> dict:
-    """(sum_sq, sst) of the response column ``resp`` of ``term``, keyed by
-    (term, centered).  The uncentered SST is sum_sq itself; the one about
-    the column's mean is summed only when ``centered``."""
-    sum_sq = float((resp ** 2).sum())
-    sums = {(term, False): (sum_sq, sum_sq)}
-    if centered:
-        resp_mean = float(resp.mean())
-        sums[term, True] = (sum_sq, float(((resp - resp_mean) ** 2).sum()))
-    return sums
-
-
 class BasisQR:
     """One dataset's basis matrix Z = [1, x, y, xy, x^2, 1/x], kept as the
     R factor of its QR decomposition.
 
     Every design and every response of the grammar is a column of Z, so
     each fit, and each refit of backward elimination, is a least-squares
-    problem on at most 6 x 4 columns of R; the n data rows are touched
-    again only for a fit's residuals, and for its response's square sums
-    the first time a fit uses that response and centering.  R is built
-    from the dataset's ``row_blocks``, the blocks the solves and the CSV
-    writer walk too; each is reduced to its own R before the stacked block
-    Rs are factored once more, so Z itself is never held.  A fit's
-    residual and response sums stay whole-array; the square sums of its
-    solves are summed block by block, in the row sweep of ``compare`` that
-    every report's rows come from.  When any x = 0 the 1/x column is left
-    out and only fits that use it fail.
+    problem on at most 6 x 4 columns of R.  A fit reads nothing but R: its
+    SSE and its response's sums are norms of columns of R and of their
+    combinations, since ||Z a|| = ||R a||, so no fit or refit passes over
+    the n data rows.  R is built from the dataset's ``row_blocks``, the
+    blocks the solves and the CSV writer walk too; each is reduced to its
+    own R before the stacked block Rs are factored once more, so Z itself
+    is never held.  The square sums of a fit's solves are summed block by
+    block, in the row sweep of ``compare`` that every report's rows come
+    from.  When any x = 0 the 1/x column is left out and only fits that
+    use it fail.
     """
 
     def __init__(self, data: Dataset):
-        self.data = data
+        self.n = data.n
         self.terms = _BASIS if not np.any(data.x == 0.0) else _BASIS[:-1]
         # an empty dataset still gets its (empty) R; each fit then reports
         # too few observations
@@ -167,7 +157,6 @@ class BasisQR:
         # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q; hypot takes
         # it without squaring an entry, so it neither underflows nor overflows
         self.column_norms = np.hypot.reduce(self.r, axis=0, initial=0.0)
-        self._response_sums: dict = {}  # (term, centered) -> (sum_sq, sst)
 
     def fit(self, spec: ModelSpec) -> FitResult:
         """Fit ``spec`` by least squares; see ``fit_ols``."""
@@ -185,9 +174,9 @@ class BasisQR:
             terms = [Term.ONE if t is None else t for t in spec.coefficient_terms]
             if Term.INV_X in terms and Term.INV_X not in self.terms:
                 results.append(DomainError("1/x is undefined at x = 0"))
-            elif self.data.n <= len(terms):
+            elif self.n <= len(terms):
                 results.append(InsufficientDataError(f"need more than {len(terms)} "
-                               f"observations to fit {spec}, have {self.data.n}"))
+                               f"observations to fit {spec}, have {self.n}"))
             else:
                 widths.setdefault(len(terms), []).append(len(results))
                 results.append([self.terms.index(t) for t in terms])
@@ -218,20 +207,16 @@ class BasisQR:
                 + ", ".join(bad)
             )
 
-        data = self.data
-        terms = [self.terms[j] for j in cols]
-        coefs = _back_substitute(R, q.T @ self.r[:, self.terms.index(spec.response)])
-        resp = eval_term(spec.response, data.x, data.y)
-        fitted = coefs[0] * eval_term(terms[0], data.x, data.y)
-        for c, term in zip(coefs[1:], terms[1:]):
-            fitted += c * eval_term(term, data.x, data.y)
-        residuals = resp - fitted
+        resp = self.r[:, self.terms.index(spec.response)]
+        coefs = _back_substitute(R, q.T @ resp)
+        # ||Z a|| = ||R a|| for every a, so each sum is read off R; Z's first
+        # column is 1, so R's rows below the first hold the response about
+        # its mean
+        residuals = resp - self.r[:, cols] @ coefs
         sse = float(residuals @ residuals)
-        dof = data.n - len(cols)
-        key = (spec.response, spec.intercept and bool(spec.predictors))
-        if key not in self._response_sums:
-            self._response_sums.update(_sum_response(spec.response, resp, key[1]))
-        sum_sq, sst = self._response_sums[key]
+        sum_sq = float(resp @ resp)
+        sst = float(resp[1:] @ resp[1:]) if spec.intercept and spec.predictors else sum_sq
+        dof = self.n - len(cols)
         # an SSE or SST at most this is rounding of the response's own size
         floor = _PERFECT_FIT_RTOL * sum_sq
         # 1 - SSE/SST: 1 for a fit exact up to rounding, and 0 for any
@@ -242,7 +227,7 @@ class BasisQR:
         # all-zero response), so that exact fits produce finite (huge) t
         # statistics instead of 0/0, whatever the data's units.
         sigma2 = max(sse, floor, sys.float_info.min) / dof
-        return FitResult(spec, data.n, tuple(coefs.tolist()), sse, r_squared, dof,
+        return FitResult(spec, self.n, tuple(coefs.tolist()), sse, r_squared, dof,
                          self, R, sigma2, col_norms)
 
 

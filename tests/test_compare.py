@@ -113,8 +113,9 @@ def test_tiny_scale_sample_compares_without_a_traceback(scale):
 
 
 def test_traced_peak_is_at_most_eight_n_row_arrays():
-    # four row blocks: the solves hold block-sized temporaries, the residual
-    # and square sums whole-array ones
+    # four row blocks: the factorisation and the solves hold block-sized
+    # temporaries, and the peak is the row sweep's; a fit's sums are dot
+    # products on R and hold no row array
     n = 3 * dataio._BLOCK_ROWS + 1
     data = generate(SimulationConfig(n=n, sigma=5.0, seed=3))
     build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=3)))  # warm caches

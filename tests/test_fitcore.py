@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.special import stdtr, stdtrit
@@ -37,6 +39,7 @@ from implicitreg.fitcore import (ALPHA, BasisQR, Coefficient, next_to_drop, redu
                                  t_tail)
 from implicitreg.formula import eval_term, parse_model
 from implicitreg.simulate import SimulationConfig, generate
+from exact_oracle import ExactFit, exact_fit
 from test_implicit import _GRAMMAR_SHAPES
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -520,8 +523,31 @@ class TestBasisQR:
         assert steps and shapes and all(shape[-2] <= 6 for shape in shapes)
 
 
+# a fit of each response term and centering the grammar admits
+_RESPONSE_FITS = ("1 ~ x", "x ~ 1", "x ~ 1 + y", "y ~ 1", "y ~ 1 + x", "x*y ~ 1", "x*y ~ 1 + x")
+# x = 0 leaves the 1/x column out of R; y = 0 zeroes rows of y and x*y
+_X0_Y0 = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 5.0, 0.0, 7.0],
+                 [4.0, 0.0, 1.5, 0.0, 2.0, 3.0, 0.25])
+
+
+def _data_space_sums(fit, data):
+    """A fit's SSE, SST and response sum of squares summed over the data
+    rows: the residuals' dot product, and the response's squares about its
+    mean (for an intercept and a predictor) or about zero.  Last, the
+    rounding either side's residuals carry: 1e-14 of the norm of the
+    per-row sums of |terms| they cancel from, about 45 ulps."""
+    X, resp = model_design(fit.spec, data)
+    terms = X * np.array(fit.estimates)
+    residuals = resp - terms.sum(axis=1)
+    sum_sq = float(resp @ resp)
+    centered = fit.spec.intercept and fit.spec.predictors
+    sst = float((resp - resp.mean()) @ (resp - resp.mean())) if centered else sum_sq
+    rounding = 1e-14 * float(np.linalg.norm(np.abs(resp) + np.abs(terms).sum(axis=1)))
+    return float(residuals @ residuals), sst, sum_sq, rounding
+
+
 def _per_fit_response_sums(resp, centered):
-    """A fit's response sums, summed afresh for that fit."""
+    """A fit's response sums, summed afresh over the data rows."""
     sum_sq = float((resp ** 2).sum())
     if centered:
         resp_mean = float(resp.mean())
@@ -529,60 +555,104 @@ def _per_fit_response_sums(resp, centered):
     return sum_sq, sum_sq
 
 
-# a fit of each response term and centering the grammar admits
-_RESPONSE_FITS = {
-    (Term.ONE, False): "1 ~ x",
-    (Term.X, False): "x ~ 1",
-    (Term.X, True): "x ~ 1 + y",
-    (Term.Y, False): "y ~ 1",
-    (Term.Y, True): "y ~ 1 + x",
-    (Term.XY, False): "x*y ~ 1",
-    (Term.XY, True): "x*y ~ 1 + x",
-}
-
-
 class TestResponseSums:
+    """A fit's response sums are norms of the response's column of R:
+    they agree with the sums over the data rows, and no fit's R^2 depends
+    on the fits made before it."""
+
     @pytest.mark.parametrize("data", [
         boyle_dataset(),
         generate(SimulationConfig(n=50, sigma=5.0, seed=3)),
-        Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 5.0, 0.0, 7.0],
-                [4.0, 0.0, 1.5, 0.0, 2.0, 3.0, 0.25]),
+        _X0_Y0,
     ], ids=["boyle", "simulated", "x0_y0"])
     @pytest.mark.parametrize("centered_first", [True, False])
     def test_kept_sums_are_the_per_fit_sums(self, data, centered_first):
-        keys = sorted(_RESPONSE_FITS, key=lambda k: (k[0].value, k[1] != centered_first))
+        specs = [parse_model(text) for text in _RESPONSE_FITS]
+        centering = {spec: spec.intercept and bool(spec.predictors) for spec in specs}
+        specs.sort(key=lambda s: (s.response.value, centering[s] != centered_first))
         basis = BasisQR(data)
-        for term, centered in keys:
-            fit = basis.fit(parse_model(_RESPONSE_FITS[term, centered]))
-            expected = _per_fit_response_sums(eval_term(term, data.x, data.y), centered)
-            kept = basis._response_sums[term, centered]
-            assert [v.hex() for v in kept] == [v.hex() for v in expected], (term, centered)
-            sum_sq, sst = expected
+        for spec in specs:
+            centered = centering[spec]
+            fit = basis.fit(spec)
+            # Z's first column is 1, so R's rows below the first hold the
+            # response about its mean
+            col = basis.r[:, basis.terms.index(spec.response)]
+            sum_sq = float(col @ col)
+            sst = float(col[1:] @ col[1:]) if centered else sum_sq
+            expected = _per_fit_response_sums(eval_term(spec.response, data.x, data.y), centered)
+            assert (sum_sq, sst) == pytest.approx(expected, rel=1e-12), spec
             floor = fitcore._PERFECT_FIT_RTOL * sum_sq
-            r_squared = (1.0 if fit.sse <= floor else 0.0) if sst <= floor else 1.0 - fit.sse / sst
-            assert fit.r_squared.hex() == r_squared.hex()
+            r_squared = 1.0 if fit.sse <= floor else 0.0 if sst <= floor else 1.0 - fit.sse / sst
+            assert fit.r_squared.hex() == r_squared.hex(), spec
+            assert fit.r_squared.hex() == BasisQR(data).fit(spec).r_squared.hex(), spec
 
-    def test_each_response_and_centering_is_summed_once(self, monkeypatch):
-        summed, fits = [], []
-        sum_response, basis_solve = fitcore._sum_response, BasisQR._solve
 
-        def spy_sum(term, resp, centered):
-            summed.append((term, centered))
-            return sum_response(term, resp, centered)
+class TestFitsReadOnlyR:
+    """A fit's SSE and R^2 are norms of columns of the dataset's R: no fit
+    or refit passes over the data rows."""
 
-        def spy_solve(self, spec, *args):
-            fits.append(spec)
-            return basis_solve(self, spec, *args)
+    def test_no_fit_or_refit_evaluates_a_term(self, monkeypatch):
+        calls = []
+        evaluate = fitcore.eval_term
 
-        monkeypatch.setattr(fitcore, "_sum_response", spy_sum)
-        monkeypatch.setattr(BasisQR, "_solve", spy_solve)
+        def counting_eval(term, x, y):
+            calls.append(term)
+            return evaluate(term, x, y)
+
+        monkeypatch.setattr(fitcore, "eval_term", counting_eval)
+        basis = BasisQR(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)))
+        assert calls
+        calls.clear()
+        fits = basis.fits([parse_model(text) for text in COMPARISON_MODEL_TEXTS])
         # at this seed the rotations reduce to y ~ 1 + x, x ~ 1 + y and x*y ~ 1
-        report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)))
-        assert [row.reduced for row in report.rows[:3]] == ["y ~ 1 + x", "x ~ 1 + y", "x*y ~ 1"]
-        assert summed == [(Term.Y, True), (Term.X, True), (Term.XY, True), (Term.ONE, False)]
-        # every refit, the uncentered x*y ~ 1 too, reused the sums of its
-        # rotation's first fit
-        assert len(fits) > len(COMPARISON_MODEL_TEXTS)
+        reduced = [reduce_model_trace(fit)[0].spec for fit in fits[:3]]
+        assert list(map(str, reduced)) == ["y ~ 1 + x", "x ~ 1 + y", "x*y ~ 1"]
+        assert calls == []
+
+    @pytest.mark.parametrize("block_rows", [None, 7], ids=["one_block", "blocks_of_7"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=_samples())
+    @example(data=boyle_dataset())
+    @example(data=generate(SimulationConfig(n=50, sigma=5.0, seed=3)))
+    @example(data=_X0_Y0)
+    def test_sse_and_r_squared_are_the_data_space_sums(self, block_rows, data):
+        with mock.patch.object(dataio, "_BLOCK_ROWS", block_rows or dataio._BLOCK_ROWS):
+            basis = BasisQR(data)
+        texts = _RESPONSE_FITS + COMPARISON_MODEL_TEXTS
+        for text, fit in zip(texts, basis.fits([parse_model(text) for text in texts])):
+            if isinstance(fit, ImplicitRegressionError):
+                continue
+            sse, sst, sum_sq, rounding = _data_space_sums(fit, data)
+            floor = fitcore._PERFECT_FIT_RTOL * sum_sq
+            r_squared = 1.0 if sse <= floor else 0.0 if sst <= floor else 1.0 - sse / sst
+            # 1e-12 relative, except where the SSE is at the residuals'
+            # rounding (a fit exact up to rounding); R^2's own subtraction
+            # rounds by an ulp of 1
+            sse_atol = 2.0 * rounding * math.sqrt(sse) + rounding ** 2
+            assert fit.sse == pytest.approx(sse, rel=1e-12, abs=sse_atol), text
+            assert fit.r_squared == pytest.approx(
+                r_squared, rel=1e-12, abs=sse_atol / sst + 2.3e-16), text
+
+
+class TestExactOracle:
+    """Float fits against exact least squares in fractions
+    (``exact_oracle.exact_fit``)."""
+
+    def test_the_oracle_fits_exact_data_exactly(self):
+        data = Dataset("x", "y", [1.0, 2.0, 3.0, 5.0], [3.0, 5.0, 7.0, 11.0])
+        exact = exact_fit(parse_model("y ~ 1 + x"), data)
+        assert exact == ExactFit((1, 2), 0, 1)
+        exact = exact_fit(parse_model("x*y ~ 1 + x"), data)
+        assert exact.estimates == (Fraction(-100, 7), Fraction(93, 7))
+
+    @pytest.mark.parametrize("data", [boyle_dataset(), read_csv(GOLDEN_DIR / "sample.csv")],
+                             ids=["boyle", "sample"])
+    def test_comparison_fits_are_within_rounding_of_exact(self, data):
+        fits = BasisQR(data).fits([parse_model(text) for text in COMPARISON_MODEL_TEXTS])
+        for text, fit in zip(COMPARISON_MODEL_TEXTS, fits):
+            exact = exact_fit(fit.spec, data)
+            assert abs(Fraction(fit.sse) - exact.sse) <= Fraction(1e-13) * exact.sse, text
+            assert abs(Fraction(fit.r_squared) - exact.r_squared) <= Fraction(1e-14), text
 
 
 def _exact_p(coef):
