@@ -20,7 +20,7 @@ import numpy as np
 from .dataio import Dataset, boyle_dataset
 from .errors import (DegenerateDataError, DegenerateTriangleError, ImplicitRegressionError,
                      InsufficientDataError)
-from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_model_trace,
+from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_models,
                       self_weighting_mean)
 from .formula import format_model, parse_model
 from .implicit import SOLVE_ERRSTATE, predict_y, solve_block
@@ -230,15 +230,11 @@ def _rank_rows(rows: list[ModelRow]) -> None:
 
 
 def _comparison_fits(data: Dataset) -> list[FitResult | ImplicitRegressionError]:
-    """The listed models fitted to ``data``, the rotations after backward
-    elimination; a model that cannot be fit holds its error instead."""
+    """The listed models fitted to ``data`` in one ``BasisQR.fits`` call, the
+    rotations after lockstep backward elimination (``reduce_models``); a
+    model that cannot be fit holds its error instead."""
     fits = BasisQR(data).fits(_COMPARISON_SPECS)
-    for idx in range(_N_ROTATIONS):
-        if not isinstance(fits[idx], ImplicitRegressionError):
-            try:
-                fits[idx] = reduce_model_trace(fits[idx])[0]
-            except ImplicitRegressionError as exc:
-                fits[idx] = exc
+    fits[:_N_ROTATIONS] = [reduced for reduced, _ in reduce_models(fits[:_N_ROTATIONS])]
     return fits
 
 
@@ -371,8 +367,7 @@ def boyle_summary() -> BoyleSummary:
     """Constancy indices and model geometry for the bundled Boyle data."""
     data = boyle_dataset()
     product = data.x * data.y
-    basis = BasisQR(data)
-    fits = [basis.fit(spec) for spec in _BOYLE_SPECS]
+    fits = BasisQR(data).fits(_BOYLE_SPECS)
     rows = fitted_rows(fits, data)
     return BoyleSummary(
         n=data.n,

@@ -4,14 +4,15 @@ Fitting goes through QR decompositions rather than the normal equations:
 the interaction column x*y can be three orders of magnitude larger than x
 or y, and the orthogonal factorization keeps the conditioning manageable.
 A dataset is factored once, as the R of its six basis columns, and each
-model is then solved from the QR of its own columns of that R.  That
-small QR drives a deterministic rank check: a column whose residual norm
-after projection onto the model's preceding columns falls below 1e-10 of
-its own norm is declared collinear.
+model is then solved from the QR of its own columns of that R: the models
+of one ``BasisQR.fits`` call, or of one lockstep elimination step
+(``reduce_models``), share one zero-padded stacked QR.  That small QR
+drives a deterministic rank check: a column whose residual norm after
+projection onto the model's preceding columns falls below 1e-10 of its
+own norm is declared collinear.
 
 Nothing here imports scipy.  A two-sided p-value is the Student t tail
-``t_tail`` below, computed when it is read; backward elimination drops on
-that same p.
+``t_tail`` below, computed when it is read; backward elimination drops on it.
 """
 
 from __future__ import annotations
@@ -166,10 +167,11 @@ class BasisQR:
         return result
 
     def fits(self, specs) -> list[FitResult | ImplicitRegressionError]:
-        """Fit each spec, with one stacked QR per design width; a spec that
-        cannot be fit gets the error ``fit`` would raise in its place."""
+        """Fit each spec with one QR of their columns of R, stacked and
+        zero-padded to the widest design; a spec that cannot be fit gets the
+        error ``fit`` would raise in its place.  A zero column adds nothing to
+        the reflections, so each member's q[:, :p] and R[:p, :p] are its own QR."""
         results: list = []  # per spec: its columns of R until it is fit, or its error
-        widths: dict[int, list[int]] = {}
         for spec in specs:
             terms = [Term.ONE if t is None else t for t in spec.coefficient_terms]
             if Term.INV_X in terms and Term.INV_X not in self.terms:
@@ -178,13 +180,16 @@ class BasisQR:
                 results.append(InsufficientDataError(f"need more than {len(terms)} "
                                f"observations to fit {spec}, have {self.n}"))
             else:
-                widths.setdefault(len(terms), []).append(len(results))
                 results.append([self.terms.index(t) for t in terms])
-        for members in widths.values():
-            qs, rs = np.linalg.qr(np.stack([self.r[:, results[i]] for i in members]))
-            for i, q, R in zip(members, qs, rs):
+        members = [i for i, cols in enumerate(results) if isinstance(cols, list)]
+        if members:
+            stack = np.zeros((len(members), len(self.r), max(len(results[i]) for i in members)))
+            for k, i in enumerate(members):
+                stack[k, :, :len(results[i])] = self.r[:, results[i]]
+            for i, q, R in zip(members, *np.linalg.qr(stack)):
+                p = len(results[i])
                 try:
-                    results[i] = self._solve(specs[i], results[i], q, R)
+                    results[i] = self._solve(specs[i], results[i], q[:, :p], R[:p, :p])
                 except SingularDesignError as exc:
                     results[i] = exc
         return results
@@ -367,23 +372,38 @@ def next_to_drop(candidates: list[Coefficient]) -> Coefficient | None:
     return first if first.p_value > ALPHA else None
 
 
-def reduce_model_trace(fit: FitResult) -> tuple[FitResult, list[Coefficient]]:
-    """Backward elimination with the dropped coefficients recorded.
+def reduce_models(fits: list) -> list[tuple]:
+    """Backward elimination of ``fits``, which share one ``BasisQR``, in
+    lockstep: per fit, its reduced fit (or the error of the fit or of a
+    refit) and the coefficients dropped, each as it stood in the fit it left.
 
-    Repeatedly removes the predictor with the largest p-value above
-    ``ALPHA`` and refits on the factorisation ``fit`` came from.  The
-    intercept is never removed, so a model with an intercept may reduce all
-    the way to the constant model; a no-intercept model keeps at least one
-    predictor.  Each step records the coefficient dropped, as it stood in
-    the fit it was dropped from.
+    Each step drops from every fit still reducing the predictor
+    ``next_to_drop`` picks, and refits all the drops in one ``BasisQR.fits``
+    call.  The intercept is never removed, so a model with an intercept may
+    reduce to the constant model; a no-intercept model keeps at least one
+    predictor.
     """
-    current, steps = fit, []
-    while len(current.spec.predictors) > (0 if current.spec.intercept else 1):
-        spec = current.spec
-        worst = next_to_drop([c for c in current.coefficients if c.term is not None])
-        if worst is None:
-            break
-        new_predictors = tuple(t for t in spec.predictors if t is not worst.term)
-        steps.append(worst)
-        current = fit.basis.fit(ModelSpec(spec.response, new_predictors, spec.intercept))
-    return current, steps
+    current, steps = list(fits), [[] for _ in fits]
+    live = [i for i, fit in enumerate(fits) if isinstance(fit, FitResult)]
+    while live:
+        drops = {}
+        for i in live:
+            spec = (fit := current[i]).spec
+            if len(spec.predictors) > (0 if spec.intercept else 1):
+                worst = next_to_drop([c for c in fit.coefficients if c.term is not None])
+                if worst is not None:
+                    steps[i].append(worst)
+                    drops[i] = ModelSpec(spec.response, tuple(
+                        t for t in spec.predictors if t is not worst.term), spec.intercept)
+        for i, refit in zip(drops, fit.basis.fits(list(drops.values()))):  # the one basis
+            current[i] = refit
+        live = [i for i in drops if isinstance(current[i], FitResult)]
+    return list(zip(current, steps))
+
+
+def reduce_model_trace(fit: FitResult) -> tuple[FitResult, list[Coefficient]]:
+    """``reduce_models`` of the one fit ``fit``; a refit that fails raises."""
+    ((reduced, steps),) = reduce_models([fit])
+    if isinstance(reduced, ImplicitRegressionError):
+        raise reduced
+    return reduced, steps

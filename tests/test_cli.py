@@ -288,11 +288,11 @@ class TestBoyleCommand:
 
     def test_plot_data_dir_fits_each_model_once(self, tmp_path, capsys, monkeypatch):
         fitted = []
-        fit = compare.BasisQR.fit
+        fits = compare.BasisQR.fits
 
-        def counting_fit(basis, spec):
-            fitted.append(spec)
-            return fit(basis, spec)
+        def counting_fits(basis, specs):
+            fitted.append(list(specs))
+            return fits(basis, specs)
 
         loads = []
         boyle_dataset = compare.boyle_dataset
@@ -301,11 +301,12 @@ class TestBoyleCommand:
             loads.append(1)
             return boyle_dataset()
 
-        monkeypatch.setattr(compare.BasisQR, "fit", counting_fit)
+        monkeypatch.setattr(compare.BasisQR, "fits", counting_fits)
         monkeypatch.setattr(compare, "boyle_dataset", counting_load)
         code, _, _ = run_cli(capsys, "boyle", "--plot-data-dir", str(tmp_path / "plots"))
         assert code == 0
-        assert len(fitted) == 3
+        # the three models in one call
+        assert [len(specs) for specs in fitted] == [3]
         # the overlays and histograms reuse the data the summary fitted
         assert len(loads) == 1
 

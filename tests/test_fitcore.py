@@ -31,12 +31,12 @@ from implicitreg import (
     read_csv,
     self_weighting_mean,
 )
-from implicitreg import dataio, fitcore
+from implicitreg import compare, dataio, fitcore
 from implicitreg.cli import main
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.compare import BOYLE_MODEL_TEXTS, COMPARISON_MODEL_TEXTS
 from implicitreg.fitcore import (ALPHA, BasisQR, Coefficient, next_to_drop, reduce_model_trace,
-                                 t_tail)
+                                 reduce_models, t_tail)
 from implicitreg.formula import eval_term, parse_model
 from implicitreg.simulate import SimulationConfig, generate
 from exact_oracle import ExactFit, exact_fit
@@ -415,6 +415,19 @@ def _oracle_elimination(spec, data):
     return spec, dropped
 
 
+def _recording_qr(monkeypatch):
+    """Record the shape of every ``np.linalg.qr`` input; returns the list."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return shapes
+
+
 class TestBasisQR:
     """One factorisation per dataset drives every fit and refit; independent
     oracles solve each model's own design."""
@@ -495,23 +508,15 @@ class TestBasisQR:
                     _oracle_elimination(spec, data), (seed, text)
 
     def test_no_fit_or_refit_factors_the_n_rows(self, monkeypatch):
-        shapes = []
-        qr = np.linalg.qr
-
-        def recording_qr(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        shapes = _recording_qr(monkeypatch)
         n = 200_000
         build_comparison(generate(SimulationConfig(n=n, sigma=5.0, seed=1)))
-        # the row blocks, then their stacked Rs; every other QR is a stack of
-        # models' columns of R, one per design width: three for seven models
+        # the row blocks, then their stacked Rs; every other QR is one
+        # zero-padded stack of models' columns of R: the seven first fits,
+        # and at 2e5 rows no elimination step (every |t| exceeds 300)
         blocks = [dataio._BLOCK_ROWS] * (n // dataio._BLOCK_ROWS) + [n % dataio._BLOCK_ROWS]
         assert [shape[0] for shape in shapes if len(shape) == 2] == blocks + [6 * len(blocks)]
-        stacks = sorted((cols, k) for k, rows, cols in shapes[len(blocks) + 1:] if rows == 6)
-        assert stacks == [(1, 1), (2, 1), (3, 5)]
-        assert len(shapes) == len(blocks) + 1 + len(stacks)
+        assert shapes[len(blocks) + 1:] == [(7, 6, 3)]
 
         # a refit reuses the factorisation it was reduced from
         rng = np.random.default_rng(0)
@@ -520,7 +525,35 @@ class TestBasisQR:
         fit = fit_ols(parse_model("y ~ 1 + x + x^2"), data)
         shapes.clear()
         steps = reduce_model_trace(fit)[1]
-        assert steps and shapes and all(shape[-2] <= 6 for shape in shapes)
+        assert steps and shapes == [(1, 6, 2 - step) for step in range(len(steps))]
+
+    def test_one_stack_per_fits_call_and_per_elimination_step(self, monkeypatch):
+        # on the golden sample: the seven first fits are one (7, 6, 3) stack,
+        # then each lockstep step one stack of the rotations it refits,
+        # padded to the widest of them
+        data = read_csv(GOLDEN_DIR / "sample.csv")
+        basis = BasisQR(data)
+        alone = [len(reduce_model_trace(basis.fit(parse_model(text)))[1])
+                 for text in COMPARISON_MODEL_TEXTS[:3]]
+        expected = [(7, 6, 3)]
+        for step in range(max(alone)):
+            # each rotation still dropping refits with 3 - (step + 1) columns
+            expected.append((sum(drops > step for drops in alone), 6, 2 - step))
+        assert sum(alone) == 4 and len(expected) >= 3
+        shapes = _recording_qr(monkeypatch)
+        compare._comparison_fits(data)
+        # the sample is one row block, factored once
+        assert shapes == [(data.n, 6)] + expected
+
+    def test_no_qr_without_a_fittable_spec(self, monkeypatch):
+        data = Dataset("x", "y", [0.0, 1.0, 2.0], [5.1, 3.9, 3.2])
+        basis = BasisQR(data)
+        shapes = _recording_qr(monkeypatch)
+        assert basis.fits([]) == []
+        results = basis.fits([parse_model(text) for text in ("y ~ 1 + 1/x", "y ~ 1 + x + x^2")])
+        assert [type(result) for result in results] == [DomainError, InsufficientDataError]
+        assert reduce_models(results) == [(result, []) for result in results]
+        assert shapes == []
 
 
 # a fit of each response term and centering the grammar admits
@@ -653,6 +686,19 @@ class TestExactOracle:
             exact = exact_fit(fit.spec, data)
             assert abs(Fraction(fit.sse) - exact.sse) <= Fraction(1e-13) * exact.sse, text
             assert abs(Fraction(fit.r_squared) - exact.r_squared) <= Fraction(1e-14), text
+
+    @pytest.mark.parametrize("data, reduced", [
+        (boyle_dataset(), 0), (read_csv(GOLDEN_DIR / "sample.csv"), 3)], ids=["boyle", "sample"])
+    def test_reduced_rotations_are_within_rounding_of_exact(self, data, reduced):
+        # where elimination ends: on the sample, refits out of the lockstep's
+        # stacked QRs; Boyle's rotations keep every term
+        fits = compare._comparison_fits(data)[:3]
+        assert sum(fit.spec != parse_model(text)
+                   for text, fit in zip(COMPARISON_MODEL_TEXTS, fits)) == reduced
+        for fit in fits:
+            exact = exact_fit(fit.spec, data)
+            assert abs(Fraction(fit.sse) - exact.sse) <= Fraction(1e-13) * exact.sse, fit.spec
+            assert abs(Fraction(fit.r_squared) - exact.r_squared) <= Fraction(1e-14), fit.spec
 
 
 def _exact_p(coef):
@@ -832,22 +878,27 @@ def _one_spec_outcome(data, spec):
         return _outcome(exc)
 
 
+_GROUPED_FIT_DATASETS = [
+    generate(SimulationConfig(n=50, sigma=5.0, seed=3)),
+    generate(SimulationConfig(n=50, sigma=1.0, seed=8)),
+    boyle_dataset(),
+    # y = 2x: every design holding both x and y is rank deficient
+    Dataset("x", "y", np.arange(1.0, 11.0), 2.0 * np.arange(1.0, 11.0)),
+    # x = 0: every design holding 1/x fails its domain check
+    Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5], [5.1, 3.9, 3.2, 2.1, 0.8, 0.1, 1.3]),
+    # n = 4: every design of four or more columns has too few rows
+    Dataset("x", "y", [1.0, 2.0, 3.0, 4.5], [3.0, 1.0, 4.0, 1.5]),
+]
+_GROUPED_FIT_IDS = ["sigma5", "sigma1", "boyle", "collinear", "x0", "n4"]
+
+
 class TestGroupedFit:
-    """``BasisQR.fits`` factors every design width with one stacked QR; each
-    member is the one-spec fit bit for bit, and one that cannot be fit fails
+    """``BasisQR.fits`` factors its specs with one zero-padded stacked QR,
+    and lockstep elimination refits each step's drops with one; each member
+    is the one-spec fit bit for bit, and one that cannot be fit fails
     alone."""
 
-    @pytest.mark.parametrize("data", [
-        generate(SimulationConfig(n=50, sigma=5.0, seed=3)),
-        generate(SimulationConfig(n=50, sigma=1.0, seed=8)),
-        boyle_dataset(),
-        # y = 2x: every design holding both x and y is rank deficient
-        Dataset("x", "y", np.arange(1.0, 11.0), 2.0 * np.arange(1.0, 11.0)),
-        # x = 0: every design holding 1/x fails its domain check
-        Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5], [5.1, 3.9, 3.2, 2.1, 0.8, 0.1, 1.3]),
-        # n = 4: every design of four or more columns has too few rows
-        Dataset("x", "y", [1.0, 2.0, 3.0, 4.5], [3.0, 1.0, 4.0, 1.5]),
-    ], ids=["sigma5", "sigma1", "boyle", "collinear", "x0", "n4"])
+    @pytest.mark.parametrize("data", _GROUPED_FIT_DATASETS, ids=_GROUPED_FIT_IDS)
     def test_every_grammar_shape_in_mixed_lists_is_its_one_spec_fit(self, data):
         specs = [parse_model(text) for text in _GRAMMAR_SHAPES]
         assert len(specs) == 124
@@ -876,34 +927,57 @@ class TestGroupedFit:
             for text, result in zip(texts[::2] + texts[3:], results[::2] + results[3:]):
                 assert _outcome(result) == _one_spec_outcome(data, parse_model(text))
 
-    def test_one_qr_per_design_width(self, monkeypatch):
-        shapes = []
-        qr = np.linalg.qr
-
-        def recording_qr(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
-
+    def test_one_qr_per_call(self, monkeypatch):
         basis = BasisQR(generate(SimulationConfig(n=50, sigma=5.0, seed=1)))
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        shapes = _recording_qr(monkeypatch)
         basis.fits([parse_model(text) for text in COMPARISON_MODEL_TEXTS])
-        assert sorted(shapes) == [(1, 6, 1), (1, 6, 2), (5, 6, 3)]
+        # five 3-column designs, one 2-column and one 1-column, padded to 3
+        assert shapes == [(7, 6, 3)]
 
     @settings(max_examples=50, deadline=None)
-    @given(data=_samples(), size=st.integers(1, 4))
-    def test_stacked_qr_is_each_members_qr(self, data, size):
+    @given(data=_samples(), widths=st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    def test_stacked_qr_is_each_members_qr(self, data, widths):
         # what the grouped fit relies on: LAPACK factors each matrix of a
-        # stack as it factors that matrix alone
+        # stack as it factors that matrix alone, and a member zero-padded to
+        # the widest has its own Q, R and R^-1 as the leading block
         r = BasisQR(data).r
-        rng = np.random.default_rng(size)
-        for p in range(1, 5):
-            stack = np.stack([r[:, np.sort(rng.choice(r.shape[1], p, replace=False))]
-                              for _ in range(size)])
-            qs, rs = np.linalg.qr(stack)
-            for member, q, R in zip(stack, qs, rs):
-                q1, r1 = np.linalg.qr(member)
-                assert q.tobytes() == q1.tobytes() and R.tobytes() == r1.tobytes()
-                assert np.linalg.inv(R).tobytes() == np.linalg.inv(r1).tobytes()
+        rng = np.random.default_rng(widths)
+        members = [r[:, np.sort(rng.choice(r.shape[1], p, replace=False))] for p in widths]
+        stack = np.zeros((len(widths), len(r), max(widths)))
+        for padded, member in zip(stack, members):
+            padded[:, :member.shape[1]] = member
+        qs, rs = np.linalg.qr(stack)
+        for member, q, R in zip(members, qs, rs):
+            p = member.shape[1]
+            q1, r1 = np.linalg.qr(member)
+            assert q[:, :p].tobytes() == q1.tobytes() and R[:p, :p].tobytes() == r1.tobytes()
+            assert np.linalg.inv(R[:p, :p]).tobytes() == np.linalg.inv(r1).tobytes()
+            # the padding stays zero
+            assert not R[:p, p:].any()
+
+    @pytest.mark.parametrize("n, sigma", [(None, None)] + list(itertools.product(
+        (20, 50), (1.0, 5.0, 20.0))))
+    def test_lockstep_elimination_is_each_rotations_own(self, n, sigma):
+        # each model eliminated in lockstep must be that model eliminated
+        # alone, hex for hex, on the datasets above and on seeds 0-199 at each
+        # n and sigma: the three rotations as compare runs them, and all seven
+        # listed models, whose refits mix widths and so come from padded stacks
+        datasets = _GROUPED_FIT_DATASETS if n is None else [
+            generate(SimulationConfig(n=n, sigma=sigma, seed=seed)) for seed in range(200)]
+        specs = [parse_model(text) for text in COMPARISON_MODEL_TEXTS]
+        for data in datasets:
+            alone = [_reduction(*reduce_models(BasisQR(data).fits([spec]))[0]) for spec in specs]
+            for k in (3, 7):
+                together = reduce_models(BasisQR(data).fits(specs[:k]))
+                assert [_reduction(*result) for result in together] == alone[:k], data
+
+
+def _reduction(reduced, steps):
+    """A reduction's end fit (its spec, estimates, SSE and R^2, or its
+    error) and every step's term, t and p, as hex."""
+    end = (type(reduced), str(reduced)) if isinstance(reduced, Exception) else (
+        reduced.spec, [v.hex() for v in (*reduced.estimates, reduced.sse, reduced.r_squared)])
+    return end, [(c.term, c.t_stat.hex(), c.p_value.hex()) for c in steps]
 
 
 def _counting_inv(monkeypatch):
