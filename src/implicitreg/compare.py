@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset, boyle_dataset
-from .errors import (DegenerateDataError, DegenerateTriangleError, ImplicitRegressionError,
-                     InsufficientDataError)
+from .errors import DegenerateTriangleError, ImplicitRegressionError, InsufficientDataError
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_models,
                       self_weighting_mean)
 from .formula import format_model, parse_model
-from .implicit import SOLVE_ERRSTATE, predict_y, solve_block
+from .implicit import SOLVE_ERRSTATE, predict, predict_y, solve_block
 from .metrics import (
     RankDirection,
     pairwise_square_sums,
@@ -136,25 +135,6 @@ def _row_values(fit: FitResult, sums, axis_sse, n_defs, n: int, complex_x: int) 
     return (fit.r_squared, *se, theta, height, n - n_defs[0], n - n_defs[1], complex_x)
 
 
-def _pairwise_sums(fit: FitResult, data: Dataset) -> tuple:
-    """``pairwise_square_sums`` of a fit with undefined (NaN) solves, from two
-    more passes over the row blocks for it alone (one block is solved once);
-    raises ``DegenerateDataError`` when every solve is undefined."""
-    blocks = list(data.row_blocks())
-
-    def solved():
-        for x, y in blocks:
-            with np.errstate(**SOLVE_ERRSTATE):
-                hats = [solve_block(fit, x, y, axis)[0] for axis in (1, 0)]
-            yield tuple(zip((y, x), hats))
-
-    passes = [list(solved())] * 2 if len(blocks) == 1 else [solved(), solved()]
-    n_defs, axis_sse, sums = pairwise_square_sums(passes)
-    if not any(n_defs):
-        raise DegenerateDataError(f"every solve of {fit.spec} hit a singular denominator")
-    return n_defs, axis_sse, sums
-
-
 def _swept_values(fits: list, data: Dataset) -> list:
     """Per fit, its row's ``_row_values``, or its error: an error in
     ``fits`` stays, and a fit whose solve raises takes that error.
@@ -165,8 +145,9 @@ def _swept_values(fits: list, data: Dataset) -> list:
     SSE_y and SSM_y, then for x into the same buffer.  The sums and the
     complex x-solves add up over the blocks, so on data of more than one
     block a square sum is a sum of block sums.  An undefined solve is NaN
-    and makes its fit's SSE NaN; such a fit's rows are dropped pairwise by
-    ``_pairwise_sums``.
+    and makes its fit's SSE NaN; such a fit is solved again by ``predict``
+    over all rows at once, which raises where no solve is defined, and
+    ``pairwise_square_sums`` drops its rows pairwise.
     """
     values = list(fits)
     live = [i for i, fit in enumerate(fits) if not isinstance(fit, ImplicitRegressionError)]
@@ -198,7 +179,7 @@ def _swept_values(fits: list, data: Dataset) -> list:
         axis_sse, n_defs = sse[:, row].tolist(), (data.n, data.n)
         try:
             if any(map(math.isnan, axis_sse)):
-                n_defs, axis_sse, sums = _pairwise_sums(fit, data)
+                n_defs, axis_sse, sums = pairwise_square_sums(data, predict(fit, data))
             else:
                 sums = _or_none(square_sums, data.n, data.axis_sums, axis_sse,
                                 ssm[:, row].tolist())

@@ -2,8 +2,9 @@
 
 The reader accepts two-column CSV with a mandatory header.  Fields are
 decimal literals or mixed fractions in the historical style ``W N/D``
-(e.g. ``29 2/16``); fractions are converted with rational arithmetic so
-no precision is lost before the final division.
+(e.g. ``29 2/16``), a signed integer W whose sign covers the unsigned
+fraction N/D (``-0 1/2`` is -0.5); fractions are converted with rational
+arithmetic so no precision is lost before the final division.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _BOYLE_SHA256 = "f5965311ce7928d00ea85a130d2db1b36efebb907fbf230646574b03273e7d9
 # decimals with exponents, field and line separators, spaces and tabs
 _PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
 _NON_SPACE = re.compile(rb"\S")
+# a mixed number W N/D: a signed integer whole part, then an unsigned fraction
+_MIXED = re.compile(r"([+-]?)(\d+)\s+(\d+)/(\d+)")
 # rows per block of the factorisation, the solves and the writer, read only
 # through Dataset.row_blocks(): 1.5 MiB of the six basis columns at a time
 _BLOCK_ROWS = 1 << 15
@@ -98,13 +101,14 @@ def _parse_field(field: str, line: int) -> float:
             if len(parts) == 1:
                 value = float(Fraction(token))
             else:
-                whole = Fraction(parts[0])
-                frac = Fraction(parts[1])
-                if "/" not in parts[1]:
-                    raise ValueError("second part of a mixed number must be N/D")
-                # a negative whole part pulls the fraction in the same direction
-                value = float(whole - frac if whole < 0 else whole + frac)
-    except (ValueError, ZeroDivisionError) as exc:
+                mixed = _MIXED.fullmatch(token)
+                if mixed is None:
+                    raise ValueError("a mixed number is a signed integer and an unsigned N/D")
+                sign, whole, num, den = mixed.groups()
+                # the sign covers the fraction too, and a -0 whole part keeps it
+                value = float(int(whole) + Fraction(int(num), int(den)))
+                value = -value if sign == "-" else value
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DataFormatError(f"cannot parse value {token!r}: {exc}", line=line) from None
     if not np.isfinite(value):
         raise DataFormatError(f"non-finite value {token!r}", line=line)

@@ -23,8 +23,10 @@ from enum import Enum
 
 import numpy as np
 
+from .dataio import Dataset
 from .errors import DegenerateTriangleError, InsufficientDataError
 from .fitcore import _PERFECT_FIT_RTOL
+from .implicit import Prediction
 
 _COS_CLAMP_TOL = 1e-9
 # ranks tie within this fraction of the column's largest magnitude
@@ -83,41 +85,23 @@ def square_sums(n: int, axis_sums, axis_sse, axis_ssm) -> SquareSums:
                       n, sum_sq_y + sum_sq_x)
 
 
-def pairwise_square_sums(passes) -> tuple[list[int], list[float], SquareSums | None]:
-    """Per axis the count of defined solves and their SSE, and the
-    ``square_sums`` of the rows where both solves are defined (None below
-    3 rows), from solves with undefined (NaN) entries.
-
-    ``passes`` is two iterables over the same row blocks, each block the
-    (observations, solves) of y and then of x.  The first pass counts each
-    axis's defined solves and sums their SSE, and sums the observations of
-    the pairwise rows for their means; the second sums the squares about
-    those means.  On one block a
-    sum keeps the bits of its whole-array expression over the compacted
-    rows; on more it is a sum of block sums.
-    """
-    n, n_def, own_sse, pair_sum = 0, [0, 0], [0.0, 0.0], [0.0, 0.0]
-    for block in passes[0]:
-        defined = [np.isfinite(est) for _, est in block]
-        pair = defined[0] & defined[1]
-        n += int(np.count_nonzero(pair))
-        for a, ((obs, est), own) in enumerate(zip(block, defined)):
-            n_def[a] += int(np.count_nonzero(own))
-            own_sse[a] += float(((obs[own] - est[own]) ** 2).sum())
-            pair_sum[a] += float(obs[pair].sum())
-    if n < 3:
-        return n_def, own_sse, None
-    means = [total / n for total in pair_sum]
-    sums = np.zeros((4, 2))  # SSE, SSM, SST and sum of squares, per axis
-    for block in passes[1]:
-        pair = np.isfinite(block[0][1]) & np.isfinite(block[1][1])
-        for a, ((obs, est), mean) in enumerate(zip(block, means)):
-            obs = obs[pair]
-            # est[pair] is a copy, which the squares overwrite
-            (sse,), (ssm,) = row_square_sums(obs, est[pair][np.newaxis], mean)
-            sums[:, a] += sse, ssm, ((obs - mean) ** 2).sum(), obs @ obs
-    sse, ssm, sst, sum_sq = sums.tolist()
-    return n_def, own_sse, square_sums(n, list(zip(means, sst, sum_sq)), sse, ssm)
+def pairwise_square_sums(data: Dataset, pred: Prediction) -> tuple[list, list, SquareSums | None]:
+    """Per axis (y, then x) the count of ``pred``'s defined solves and their
+    SSE, and the ``square_sums`` of the rows where both solves are defined
+    (None below 3 rows), each sum the whole-array expression over those
+    rows compacted."""
+    axes = ((data.y, pred.y_hat, pred.y_defined), (data.x, pred.x_hat, pred.x_defined))
+    n_defs = [int(np.count_nonzero(own)) for _, _, own in axes]
+    axis_sse = [float(((obs[own] - est[own]) ** 2).sum()) for obs, est, own in axes]
+    pair = pred.y_defined & pred.x_defined
+    rows = Dataset(data.x_label, data.y_label, data.x[pair], data.y[pair])
+    if rows.n < 3:
+        return n_defs, axis_sse, None
+    # est[pair] is a copy, which the squares overwrite
+    sums = [row_square_sums(obs, est[pair][np.newaxis], mean)
+            for (_, est, _), obs, (mean, _, _) in zip(axes, (rows.y, rows.x), rows.axis_sums)]
+    sse, ssm = np.concatenate(sums, axis=1).tolist()  # rows SSE and SSM, columns y and x
+    return n_defs, axis_sse, square_sums(rows.n, rows.axis_sums, sse, ssm)
 
 
 def separation_angle(s: SquareSums) -> float:

@@ -169,8 +169,7 @@ def test_criterion_6_pythagoras_and_law_of_cosines():
                 s_y = _y_only_square_sums(data, pred)
                 assert separation_angle(s_y) == pytest.approx(90.0, abs=1e-6)
                 collected.append(s_y)
-                block = [((data.y, pred.y_hat), (data.x, pred.x_hat))]
-                collected.append(pairwise_square_sums([block, block])[2])
+                collected.append(pairwise_square_sums(data, pred)[2])
         for s in collected:
             angle = np.radians(separation_angle(s))
             rebuilt = s.ssm + s.sse - 2.0 * np.sqrt(s.ssm * s.sse) * np.cos(angle)

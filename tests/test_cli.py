@@ -9,7 +9,7 @@ import pytest
 
 import implicitreg
 from implicitreg import DegenerateDataError, SimulationConfig, Term, generate, write_csv
-from implicitreg import compare
+from implicitreg import compare, implicit
 from implicitreg.cli import main
 
 
@@ -161,9 +161,10 @@ def _no_defined_solve(fit, x, y, axis):
                          ids=["fit", "boyle"])
 def test_a_model_with_no_defined_solve_fails_the_command(tmp_path, capsys, monkeypatch,
                                                          argv):
-    # fit and boyle take their rows from the row sweep, which raises
-    # predict's error for the first such model
+    # fit and boyle take their rows from the row sweep, which solves such a
+    # model again with predict and raises predict's error for the first one
     monkeypatch.setattr(compare, "solve_block", _no_defined_solve)
+    monkeypatch.setattr(implicit, "solve_block", _no_defined_solve)
     data = ("--data", str(sim_csv(tmp_path))) if argv[0] == "fit" else ()
     code, stdout, stderr = run_cli(capsys, *argv, *data)
     model = argv[2] if argv[0] == "fit" else compare.BOYLE_MODEL_TEXTS[0]

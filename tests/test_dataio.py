@@ -105,6 +105,23 @@ class TestReadCsv:
             read_csv(b"x,y\n1,2\n3,4,5\n6,7\n")
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("-0 1/2", -0.5), ("+0 1/2", 0.5), ("-0 0/2", -0.0), ("-1 1/2", -1.5),
+        ("+2 1/4", 2.25), ("3\t 1/8", 3.125), ("-29 2/16", -29.125),
+    ])
+    def test_mixed_number_sign_covers_its_fraction(self, field, value):
+        d = read_csv(f"x,y\n1,{field}\n2,3\n4,5\n".encode())
+        assert d.y[0].hex() == value.hex()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("field", [
+        "1 -1/2", "-1 -1/2", "1 +1/2", "1.5 1/2", "1e0 1/2", "- 1/2", "1 1.5", "1 1/2.5",
+    ])
+    def test_mixed_number_is_a_signed_integer_and_an_unsigned_fraction(self, field):
+        with pytest.raises(DataFormatError) as excinfo:
+            read_csv(f"x,y\n1,2\n3,{field}\n4,5\n".encode())
+        assert str(excinfo.value) == (f"line 3: cannot parse value {field!r}: "
+                                      "a mixed number is a signed integer and an unsigned N/D")
+
     def test_fraction_has_no_float_intermediate(self):
         d = read_csv(b"x,y\n0 1/3,1\n2 1/7,2\n1,3\n")
         assert d.x[0] == float(Fraction(1, 3))
@@ -152,7 +169,9 @@ class TestReadCsv:
         (b"x,\n1,2\n3,4\n5,6\n", 1, "header labels must be non-empty"),
         (b"x,y\n1,2\n1 2 3/4,3\n5,6\n",
          3, "cannot parse value '1 2 3/4': too many components"),
-    ], ids=["empty", "empty-label", "three-part-field"])
+        (b"x,y\n1,2\n3,4\n2" + b"0" * 400 + b"/3,6\n",
+         4, f"cannot parse value '2{'0' * 400}/3': integer division result too large for a float"),
+    ], ids=["empty", "empty-label", "three-part-field", "huge-fraction"])
     def test_rejected_input_names_its_line(self, payload, line, message):
         with pytest.raises(DataFormatError) as excinfo:
             read_csv(payload)
@@ -271,11 +290,9 @@ _SIXTEENTHS = st.integers(-(1 << 20), 1 << 20)
 
 
 def _mixed_sixteenths(k):
-    """k/16 as ``W N/16``, or ``N/16`` where the whole part is 0 (a ``-0``
-    whole part would not carry the sign)."""
+    """k/16 as ``W N/16``, the sign on W (``-0 N/16`` where |k| < 16)."""
     whole, rest = divmod(abs(k), 16)
-    sign = "-" if k < 0 else ""
-    return f"{sign}{whole} {rest}/16" if whole else f"{sign}{rest}/16"
+    return f"{'-' if k < 0 else ''}{whole} {rest}/16"
 
 
 class TestBulkParse:

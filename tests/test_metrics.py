@@ -42,21 +42,11 @@ def prediction_from_arrays(y_hat, x_hat):
     )
 
 
-def joint_square_sums(data, pred, block_rows=None):
-    """``pairwise_square_sums`` of a prediction against its dataset, in
-    blocks of ``block_rows`` rows (one block by default): per axis the
-    count of defined solves and their SSE, and the square sums."""
-    step = block_rows or max(data.n, 1)
-    blocks = [((data.y[i:i + step], pred.y_hat[i:i + step]),
-               (data.x[i:i + step], pred.x_hat[i:i + step])) for i in range(0, data.n, step)]
-    return pairwise_square_sums([blocks, blocks])
-
-
 class TestJointSquareSums:
     def test_perfect_fit(self):
         data = Dataset("x", "y", [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 8.0, 9.0])
         pred = prediction_from_arrays(data.y.copy(), data.x.copy())
-        _, _, s = joint_square_sums(data, pred)
+        _, _, s = pairwise_square_sums(data, pred)
         assert s.sse == pytest.approx(0.0, abs=1e-12)
         assert s.ssm == pytest.approx(s.sst, rel=1e-12)
         assert s.n == 4
@@ -66,7 +56,7 @@ class TestJointSquareSums:
         pred = prediction_from_arrays(
             np.full(4, data.y.mean()), np.full(4, data.x.mean())
         )
-        _, _, s = joint_square_sums(data, pred)
+        _, _, s = pairwise_square_sums(data, pred)
         assert s.ssm == pytest.approx(0.0, abs=1e-12)
         assert s.sse == pytest.approx(s.sst, rel=1e-12)
 
@@ -78,7 +68,7 @@ class TestJointSquareSums:
         )
         y_hat = [5.0, np.nan, 8.0, 9.0, 11.0, 12.0]
         x_hat = [1.0, 2.0, np.nan, 4.0, 5.0, 6.0]
-        n_def, axis_sse, s = joint_square_sums(data, prediction_from_arrays(y_hat, x_hat))
+        n_def, axis_sse, s = pairwise_square_sums(data, prediction_from_arrays(y_hat, x_hat))
         assert s.n == 4  # rows 1 and 2 each miss one solve
         assert n_def == [5, 5]  # each axis keeps its own defined solves
         # sums must match a direct computation over the four intact rows
@@ -93,27 +83,11 @@ class TestJointSquareSums:
         data = Dataset("x", "y", [1.0, 2.0, 3.0], [5.0, 6.0, 8.0])
         pred = prediction_from_arrays([5.0, np.nan, 8.0], [1.0, 2.0, 3.0])
         # no triangle on 2 rows, but each axis's SSE still counts
-        assert joint_square_sums(data, pred) == ([2, 3], [0.0, 0.0], None)
-
-    @pytest.mark.parametrize("block_rows", [1, 2, 5])
-    def test_blocks_add_up_to_one_block(self, block_rows):
-        data = generate(SimulationConfig(n=12, sigma=5.0, seed=4))
-        fit = fit_ols(parse_model("y ~ 1 + x + x^2"), data)
-        pred = predict(fit, data)
-        y_hat, x_hat = pred.y_hat.copy(), pred.x_hat.copy()
-        y_hat[[0, 6]] = x_hat[[6, 11]] = np.nan
-        pred = Prediction(y_hat, x_hat, pred.x_complex)
-        n_def, axis_sse, s = joint_square_sums(data, pred)
-        got = joint_square_sums(data, pred, block_rows)
-        assert got[0] == n_def == [10, 10]
-        assert got[1] == pytest.approx(axis_sse, rel=1e-12)
-        assert got[2].n == s.n == 9
-        for name in ("ssm", "sse", "sst", "sst_uncentered"):
-            assert getattr(got[2], name) == pytest.approx(getattr(s, name), rel=1e-12), name
+        assert pairwise_square_sums(data, pred) == ([2, 3], [0.0, 0.0], None)
 
 
 def _oracle_square_sums(data, pred):
-    """``joint_square_sums`` with every sum taken in the call, over the
+    """``pairwise_square_sums`` with every sum taken in the call, over the
     pairwise mask: (ssm, sse, sst, n, sst_uncentered)."""
     mask = pred.y_defined & pred.x_defined
     n_used = int(np.count_nonzero(mask))
@@ -144,7 +118,7 @@ def _bits(values):
 
 
 def assert_sums_match_the_oracles(fit, data, pred):
-    n_def, axis_sse, s = joint_square_sums(data, pred)
+    n_def, axis_sse, s = pairwise_square_sums(data, pred)
     assert _bits([s.ssm, s.sse, s.sst, s.n, s.sst_uncentered]) == \
         _bits(_oracle_square_sums(data, pred))
     _, se_y, se_x, *_ = _row_values(fit, s, axis_sse, n_def, data.n, 0)
@@ -156,9 +130,8 @@ def assert_sums_match_the_oracles(fit, data, pred):
 
 
 class TestSharedSums:
-    """On one block, the pairwise sums and each axis's SSE over its own
-    defined solves give the bits of the sums taken per call, on full and on
-    masked rows."""
+    """The pairwise sums and each axis's SSE over its own defined solves give
+    the bits of the sums taken per call, on full and on masked rows."""
 
     @given(seed=st.integers(0, 30), text=st.sampled_from(COMPARISON_MODEL_TEXTS),
            undefined_y=st.sets(st.integers(0, 19), max_size=6),
