@@ -40,7 +40,7 @@ from .fitcore import (
     self_weighting_mean,
 )
 from .formula import ModelSpec, Term, eval_term, format_model, parse_model
-from .implicit import Prediction, predict, predict_y
+from .implicit import Prediction, predict
 from .metrics import (
     RankDirection,
     SquareSums,
@@ -88,7 +88,6 @@ __all__ = [
     "generate",
     "parse_model",
     "predict",
-    "predict_y",
     "rank_models",
     "read_csv",
     "reduce_model_trace",

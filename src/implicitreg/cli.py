@@ -2,7 +2,7 @@
 
 Subcommands: ``simulate``, ``fit``, ``compare``, ``boyle``, ``constancy``.
 Exit codes: 0 on success (also when the reader of stdout stops early), 1 on
-runtime/data failures, 2 on usage errors.
+runtime/data failures or a label stdout cannot encode, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         # stdout goes to devnull so the interpreter's exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ImplicitRegressionError, OSError) as exc:
+    except (ImplicitRegressionError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

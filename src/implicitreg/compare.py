@@ -22,7 +22,7 @@ from .errors import DegenerateTriangleError, ImplicitRegressionError, Insufficie
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_models,
                       self_weighting_mean)
 from .formula import format_model, parse_model
-from .implicit import SOLVE_ERRSTATE, predict, predict_y, solve_block
+from .implicit import SOLVE_ERRSTATE, predict, solve_block
 from .metrics import (
     RankDirection,
     pairwise_square_sums,
@@ -394,7 +394,7 @@ def boyle_plot_data(summary: BoyleSummary) -> dict[str, str]:
     files: dict[str, str] = {}
     for row, fit in zip(summary.rows, summary.fits):
         lines = [f"{data.x_label},{data.y_label},estimated_{data.y_label}"]
-        for x, y, yh in zip(data.x, data.y, predict_y(fit, data)):
+        for x, y, yh in zip(data.x, data.y, predict(fit, data).y_hat):
             yh_txt = "" if not np.isfinite(yh) else f"{yh:.6f}"
             lines.append(f"{x:.6f},{y:.6f},{yh_txt}")
         files[f"overlay_{_BOYLE_FILE_TAGS[row.model]}.csv"] = "\n".join(lines) + "\n"

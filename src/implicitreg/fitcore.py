@@ -159,18 +159,11 @@ class BasisQR:
         # it without squaring an entry, so it neither underflows nor overflows
         self.column_norms = np.hypot.reduce(self.r, axis=0, initial=0.0)
 
-    def fit(self, spec: ModelSpec) -> FitResult:
-        """Fit ``spec`` by least squares; see ``fit_ols``."""
-        (result,) = self.fits([spec])
-        if isinstance(result, ImplicitRegressionError):
-            raise result
-        return result
-
     def fits(self, specs) -> list[FitResult | ImplicitRegressionError]:
         """Fit each spec with one QR of their columns of R, stacked and
         zero-padded to the widest design; a spec that cannot be fit gets the
-        error ``fit`` would raise in its place.  A zero column adds nothing to
-        the reflections, so each member's q[:, :p] and R[:p, :p] are its own QR."""
+        error ``fit_ols`` raises for it in its place.  A zero column adds nothing
+        to the reflections, so each member's q[:, :p] and R[:p, :p] are its own QR."""
         results: list = []  # per spec: its columns of R until it is fit, or its error
         for spec in specs:
             terms = [Term.ONE if t is None else t for t in spec.coefficient_terms]
@@ -244,8 +237,8 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
     its t statistic and the n - p degrees of freedom its two-sided p-value
     is read from.  For the non-response form the response is the constant
     1 and no intercept is estimated, so least squares minimizes the
-    percent error directly.  To fit several models to one dataset, factor
-    it once with ``BasisQR(data)`` and call its ``fit``.
+    percent error directly.  It raises what ``BasisQR(data).fits([spec])``
+    holds; to fit several models, factor the dataset once and call ``fits``.
 
     Raises
     ------
@@ -257,7 +250,10 @@ def fit_ols(spec: ModelSpec, data: Dataset) -> FitResult:
         If the design matrix is rank deficient, naming the collinear
         column(s).
     """
-    return BasisQR(data).fit(spec)
+    (result,) = BasisQR(data).fits([spec])
+    if isinstance(result, ImplicitRegressionError):
+        raise result
+    return result
 
 
 def self_weighting_mean(v) -> float:
@@ -385,6 +381,7 @@ def reduce_models(fits: list) -> list[tuple]:
     """
     current, steps = list(fits), [[] for _ in fits]
     live = [i for i, fit in enumerate(fits) if isinstance(fit, FitResult)]
+    basis = fits[live[0]].basis if live else None
     while live:
         drops = {}
         for i in live:
@@ -395,7 +392,7 @@ def reduce_models(fits: list) -> list[tuple]:
                     steps[i].append(worst)
                     drops[i] = ModelSpec(spec.response, tuple(
                         t for t in spec.predictors if t is not worst.term), spec.intercept)
-        for i, refit in zip(drops, fit.basis.fits(list(drops.values()))):  # the one basis
+        for i, refit in zip(drops, basis.fits(list(drops.values()))):
             current[i] = refit
         live = [i for i in drops if isinstance(current[i], FitResult)]
     return list(zip(current, steps))

@@ -134,25 +134,15 @@ def solve_block(fit: FitResult, x: np.ndarray, y: np.ndarray,
     return hat, complex_mask
 
 
-def predict_y(fit: FitResult, data: Dataset) -> np.ndarray:
-    """Solve the fitted equation for y at each observed x; NaN where singular.
-
-    ``predict_y`` and ``predict`` solve all of ``data``'s rows at once; no
-    report row comes here, as the row sweep in ``compare`` solves block by
-    block.
-    """
-    with np.errstate(**SOLVE_ERRSTATE):
-        return solve_block(fit, data.x, data.y, axis=1)[0]
-
-
 def predict(fit: FitResult, data: Dataset) -> Prediction:
-    """Solve for both axes; raises if every solve is singular."""
-    y_hat = predict_y(fit, data)
+    """Solve for y at each observed x and x at each observed y over all of
+    ``data``'s rows at once; NaN where singular, and raises if every solve
+    is.  Report rows with an undefined solve come here from ``compare``'s
+    row sweep, which drops their rows pairwise, as do Boyle's overlays."""
     with np.errstate(**SOLVE_ERRSTATE):
+        y_hat = solve_block(fit, data.x, data.y, axis=1)[0]
         x_hat, complex_mask = solve_block(fit, data.x, data.y, axis=0)
     pred = Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
     if not (pred.y_defined.any() or pred.x_defined.any()):
-        raise DegenerateDataError(
-            f"every solve of {fit.spec} hit a singular denominator"
-        )
+        raise DegenerateDataError(f"every solve of {fit.spec} hit a singular denominator")
     return pred

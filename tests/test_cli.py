@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -253,6 +254,22 @@ class TestInputEncoding:
         code, stdout, _ = run_cli(capsys, "compare", "--data", str(path), "--format", "json")
         assert code == 0
         assert json.loads(stdout)["dataset"]["x_label"] == "x"
+
+    def test_labels_stdout_cannot_encode_are_runtime_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # markdown prints the labels; csv prints none and json escapes them
+        path = tmp_path / "utf8.csv"
+        path.write_bytes("température,pression\n1,2\n3,4\n5,6\n7,8.5\n".encode())
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        assert main(["compare", "--data", str(path)]) == 1
+        sys.stdout.flush()
+        assert raw.getvalue() == b""
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+        assert stderr.count("\n") == 1
+        for fmt in ("csv", "json"):
+            assert main(["compare", "--data", str(path), "--format", fmt]) == 0
 
 
 class TestBoyleCommand:

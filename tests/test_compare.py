@@ -18,6 +18,7 @@ from implicitreg import (
     boyle_summary,
     build_comparison,
     constancy_index,
+    fit_ols,
     generate,
     rank_models,
     read_csv,
@@ -177,7 +178,7 @@ def _oracle_row(idx, data):
     """The oracle's (reduced text, values) of listed model ``idx``, or its
     error message."""
     try:
-        fit = BasisQR(data).fit(compare._COMPARISON_SPECS[idx])
+        fit = fit_ols(compare._COMPARISON_SPECS[idx], data)
         if idx < compare._N_ROTATIONS:
             fit = reduce_model_trace(fit)[0]
         values = _oracle_values(fit, data)
@@ -252,6 +253,26 @@ class TestRowSweep:
             assert row.error is None, row.model
             got = {**row.metrics, **row.diagnostics}
             assert (row.reduced, _hex(got)) == (want[0], _hex(want[1])), row.model
+
+    @pytest.mark.parametrize("source, pairwise", [
+        ("sample", []), ("sample_x0", ["x*y ~ 1", "1 ~ x*y"]), ("boyle", [])])
+    def test_only_fits_with_an_undefined_solve_take_the_pairwise_route(self, monkeypatch,
+                                                                      source, pairwise):
+        calls = []
+
+        def counting_predict(fit, data):
+            calls.append(format_model(fit.spec))
+            return predict(fit, data)
+
+        monkeypatch.setattr(compare, "predict", counting_predict)
+        if source == "boyle":
+            boyle_summary()
+        else:
+            data = read_csv(GOLDEN_SAMPLE)
+            if source == "sample_x0":
+                data = Dataset("x", "y", np.concatenate([[0.0], data.x[1:]]), data.y)
+            build_comparison(data)
+        assert calls == pairwise
 
     @settings(max_examples=100, deadline=None)
     @given(**_SAMPLES, texts=st.sampled_from([BOYLE_MODEL_TEXTS, *(
@@ -504,22 +525,24 @@ class TestFailureIsolation:
             raised.append(DegenerateDataError(f"no solve of {fit.spec}"))
             raise raised[-1]
 
-        fit = compare.BasisQR.fit
+        fits = compare.BasisQR.fits
         first = compare._COMPARISON_SPECS[0]
 
-        def fit_failing_first(basis, spec):
-            if spec == first and first_fails_at == "fit":
+        def fits_failing_first(basis, specs):
+            results = fits(basis, specs)
+            if first_fails_at == "fit" and first in specs[:1]:
                 raised.append(SingularDesignError("the first model"))
-                raise raised[-1]
-            return fit(basis, spec)
+                results[0] = raised[-1]
+            return results
 
         monkeypatch.setattr(compare, "solve_block", solve_failing)
-        monkeypatch.setattr(compare.BasisQR, "fit", fit_failing_first)
+        monkeypatch.setattr(compare.BasisQR, "fits", fits_failing_first)
         data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
         with pytest.raises(ImplicitRegressionError) as excinfo:
             build_comparison(data)
         assert excinfo.value is raised[0]
+        assert isinstance(raised[0], SingularDesignError) == (first_fails_at == "fit")
         assert len(raised) == len(COMPARISON_MODEL_TEXTS) - 1
 
 

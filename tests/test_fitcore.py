@@ -195,9 +195,9 @@ class TestFitOls:
         s = 2.0 ** k
         data = Dataset("x", "y", [s * v for v in range(1, 6)], [s * level] * 5)
         texts = ("y ~ 1 + 1/x", "y ~ 1 + x + x^2")
-        basis = BasisQR(data)
-        for text in ("y ~ 1 + x", *texts):
-            assert basis.fit(parse_model(text)).r_squared == 1.0, text
+        fits = BasisQR(data).fits([parse_model(text) for text in ("y ~ 1 + x", *texts)])
+        for text, fit in zip(("y ~ 1 + x", *texts), fits):
+            assert fit.r_squared == 1.0, text
         rows = {row.model: row for row in build_comparison(data).rows}
         for text in texts:
             assert rows[text].r_squared == 1.0
@@ -435,12 +435,9 @@ class TestBasisQR:
     @settings(max_examples=100, deadline=None)
     @given(data=_samples())
     def test_every_shape_from_one_factorisation_matches_lstsq(self, data):
-        basis = BasisQR(data)
-        for text in _ORACLE_SHAPES:
-            spec = parse_model(text)
-            try:
-                fit = basis.fit(spec)
-            except SingularDesignError:
+        specs = [parse_model(text) for text in _ORACLE_SHAPES]
+        for spec, fit in zip(specs, BasisQR(data).fits(specs)):
+            if isinstance(fit, SingularDesignError):
                 continue
             # within 1e-6 RMS of an exact fit, SSE and so the SEs are set by
             # the rounding of each solver's residuals
@@ -455,11 +452,9 @@ class TestBasisQR:
         blocked = BasisQR(data)
         monkeypatch.setattr(dataio, "_BLOCK_ROWS", n)
         whole = BasisQR(data)
-        for text in _ORACLE_SHAPES:
-            spec = parse_model(text)
-            fit = whole.fit(spec)
-            _assert_fit_matches(blocked.fit(spec),
-                                [c.estimate for c in fit.coefficients],
+        specs = [parse_model(text) for text in _ORACLE_SHAPES]
+        for fit, blocked_fit in zip(whole.fits(specs), blocked.fits(specs)):
+            _assert_fit_matches(blocked_fit, [c.estimate for c in fit.coefficients],
                                 [c.std_error for c in fit.coefficients], rtol=1e-12)
 
     @pytest.mark.parametrize("text, collinear", [
@@ -475,37 +470,34 @@ class TestBasisQR:
         # y = 2x: y repeats x, and the design rank drops only where both
         # enter as columns
         x = np.arange(1.0, 11.0)
-        basis = BasisQR(Dataset("x", "y", x, 2.0 * x))
+        data = Dataset("x", "y", x, 2.0 * x)
         if collinear is None:
-            basis.fit(parse_model(text))
+            fit_ols(parse_model(text), data)
         else:
             with pytest.raises(SingularDesignError,
                                match=f"collinear column\\(s\\): {collinear}$"):
-                basis.fit(parse_model(text))
+                fit_ols(parse_model(text), data)
 
     def test_x_zero_fails_only_the_inverse_fits(self):
         data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
-        basis = BasisQR(data)
-        for text in _ORACLE_SHAPES:
-            spec = parse_model(text)
+        specs = [parse_model(text) for text in _ORACLE_SHAPES]
+        for spec, fit in zip(specs, BasisQR(data).fits(specs)):
             if Term.INV_X in spec.predictors:
-                with pytest.raises(DomainError, match="1/x is undefined at x = 0"):
-                    basis.fit(spec)
+                assert isinstance(fit, DomainError)
+                assert str(fit) == "1/x is undefined at x = 0"
             else:
-                _assert_fit_matches(basis.fit(spec), *_lstsq_reference(spec, data),
-                                    rtol=1e-10)
+                _assert_fit_matches(fit, *_lstsq_reference(spec, data), rtol=1e-10)
 
     def test_reductions_match_an_lstsq_elimination(self):
         # the criterion-5 study: seeds 0-99 at n = 50, sigma = 5
         for seed in range(100):
             data = generate(SimulationConfig(n=50, sigma=5.0, seed=seed))
-            basis = BasisQR(data)
-            for text in COMPARISON_MODEL_TEXTS[:3]:
-                spec = parse_model(text)
-                reduced, steps = reduce_model_trace(basis.fit(spec))
+            specs = compare._COMPARISON_SPECS[:3]
+            for spec, fit in zip(specs, BasisQR(data).fits(specs)):
+                reduced, steps = reduce_model_trace(fit)
                 assert (reduced.spec, [c.term for c in steps]) == \
-                    _oracle_elimination(spec, data), (seed, text)
+                    _oracle_elimination(spec, data), (seed, str(spec))
 
     def test_no_fit_or_refit_factors_the_n_rows(self, monkeypatch):
         shapes = _recording_qr(monkeypatch)
@@ -532,9 +524,8 @@ class TestBasisQR:
         # then each lockstep step one stack of the rotations it refits,
         # padded to the widest of them
         data = read_csv(GOLDEN_DIR / "sample.csv")
-        basis = BasisQR(data)
-        alone = [len(reduce_model_trace(basis.fit(parse_model(text)))[1])
-                 for text in COMPARISON_MODEL_TEXTS[:3]]
+        alone = [len(reduce_model_trace(fit)[1])
+                 for fit in BasisQR(data).fits(compare._COMPARISON_SPECS[:3])]
         expected = [(7, 6, 3)]
         for step in range(max(alone)):
             # each rotation still dropping refits with 3 - (step + 1) columns
@@ -591,7 +582,7 @@ def _per_fit_response_sums(resp, centered):
 class TestResponseSums:
     """A fit's response sums are norms of the response's column of R:
     they agree with the sums over the data rows, and no fit's R^2 depends
-    on the fits made before it."""
+    on the fits stacked with it."""
 
     @pytest.mark.parametrize("data", [
         boyle_dataset(),
@@ -604,9 +595,8 @@ class TestResponseSums:
         centering = {spec: spec.intercept and bool(spec.predictors) for spec in specs}
         specs.sort(key=lambda s: (s.response.value, centering[s] != centered_first))
         basis = BasisQR(data)
-        for spec in specs:
+        for spec, fit in zip(specs, basis.fits(specs)):
             centered = centering[spec]
-            fit = basis.fit(spec)
             # Z's first column is 1, so R's rows below the first hold the
             # response about its mean
             col = basis.r[:, basis.terms.index(spec.response)]
@@ -617,7 +607,7 @@ class TestResponseSums:
             floor = fitcore._PERFECT_FIT_RTOL * sum_sq
             r_squared = 1.0 if fit.sse <= floor else 0.0 if sst <= floor else 1.0 - fit.sse / sst
             assert fit.r_squared.hex() == r_squared.hex(), spec
-            assert fit.r_squared.hex() == BasisQR(data).fit(spec).r_squared.hex(), spec
+            assert fit.r_squared.hex() == fit_ols(spec, data).r_squared.hex(), spec
 
 
 class TestFitsReadOnlyR:
@@ -873,7 +863,7 @@ def _outcome(result):
 
 def _one_spec_outcome(data, spec):
     try:
-        return _outcome(BasisQR(data).fit(spec))
+        return _outcome(fit_ols(spec, data))
     except ImplicitRegressionError as exc:
         return _outcome(exc)
 
@@ -923,7 +913,7 @@ class TestGroupedFit:
             results = BasisQR(data).fits([parse_model(text) for text in texts])
             assert isinstance(results[1], error)
             with pytest.raises(error, match=re.escape(str(results[1]))):
-                BasisQR(data).fit(parse_model(failing))
+                fit_ols(parse_model(failing), data)
             for text, result in zip(texts[::2] + texts[3:], results[::2] + results[3:]):
                 assert _outcome(result) == _one_spec_outcome(data, parse_model(text))
 
@@ -1002,7 +992,7 @@ class TestLazyInference:
         # per rotation: its first fit and every refit with a predictor left
         examined = 0
         for text in COMPARISON_MODEL_TEXTS[:3]:
-            reduced, steps = reduce_model_trace(BasisQR(data).fit(parse_model(text)))
+            reduced, steps = reduce_model_trace(fit_ols(parse_model(text), data))
             examined += len(steps) + bool(reduced.spec.predictors)
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _counting_inv(monkeypatch)
