@@ -22,7 +22,6 @@ from .dataio import Dataset, boyle_dataset, read_csv, write_csv
 from .errors import (
     DataFormatError,
     DegenerateDataError,
-    DegenerateTriangleError,
     DomainError,
     ImplicitRegressionError,
     InsufficientDataError,
@@ -61,7 +60,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "DegenerateDataError",
-    "DegenerateTriangleError",
     "DomainError",
     "FitResult",
     "ImplicitRegressionError",

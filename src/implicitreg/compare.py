@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset, boyle_dataset
-from .errors import DegenerateTriangleError, ImplicitRegressionError, InsufficientDataError
+from .errors import ImplicitRegressionError
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_models,
                       self_weighting_mean)
 from .formula import format_model, parse_model
@@ -114,30 +114,21 @@ class ComparisonReport:
     rows: tuple[ModelRow, ...]
 
 
-def _or_none(fn, *args):
-    """``fn(*args)``, or None where the quantity is undefined for this fit."""
-    try:
-        return fn(*args)
-    except (InsufficientDataError, DegenerateTriangleError):
-        return None
-
-
 def _row_values(fit: FitResult, sums, axis_sse, n_defs, n: int, complex_x: int) -> tuple:
     """A row's metrics and diagnostics in ``ModelRow``'s field order, None
     where undefined, from the square sums (or None), each axis's SSE over
     its ``n_defs`` of the ``n`` solves, and the count of complex x-solves."""
     theta = height = None
     if sums is not None:
-        theta = _or_none(separation_angle, sums)
-        height = _or_none(relative_height, sums)
-    se = [_or_none(standard_error, sse, n_def, fit.spec.n_coefficients)
+        theta, height = separation_angle(sums), relative_height(sums)
+    se = [standard_error(sse, n_def, fit.spec.n_coefficients)
           for sse, n_def in zip(axis_sse, n_defs)]
     return (fit.r_squared, *se, theta, height, n - n_defs[0], n - n_defs[1], complex_x)
 
 
 def _swept_values(fits: list, data: Dataset) -> list:
     """Per fit, its row's ``_row_values``, or its error: an error in
-    ``fits`` stays, and a fit whose solve raises takes that error.
+    ``fits`` stays, and a fit whose solve or square sums raise takes that error.
 
     One pass over the row blocks solves every fit with ``solve_block``,
     under one ``np.errstate`` per block: first for y, into the rows of a
@@ -181,8 +172,7 @@ def _swept_values(fits: list, data: Dataset) -> list:
             if any(map(math.isnan, axis_sse)):
                 n_defs, axis_sse, sums = pairwise_square_sums(data, predict(fit, data))
             else:
-                sums = _or_none(square_sums, data.n, data.axis_sums, axis_sse,
-                                ssm[:, row].tolist())
+                sums = square_sums(data.n, data.axis_sums, axis_sse, ssm[:, row].tolist())
             values[i] = _row_values(fit, sums, axis_sse, n_defs, data.n, int(complex_x[row]))
         except ImplicitRegressionError as exc:
             values[i] = exc

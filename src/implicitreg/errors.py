@@ -44,10 +44,6 @@ class UnsupportedModelError(ImplicitRegressionError):
     """The fitted model has no closed-form solve for the requested axis."""
 
 
-class DegenerateTriangleError(ImplicitRegressionError):
-    """Square sums describe a degenerate triangle (perfect or null fit)."""
-
-
 class DataFormatError(ImplicitRegressionError):
     """A data stream could not be parsed.
 

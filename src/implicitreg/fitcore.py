@@ -183,7 +183,7 @@ class BasisQR:
                 p = len(results[i])
                 try:
                     results[i] = self._solve(specs[i], results[i], q[:, :p], R[:p, :p])
-                except SingularDesignError as exc:
+                except ImplicitRegressionError as exc:
                     results[i] = exc
         return results
 
@@ -205,7 +205,12 @@ class BasisQR:
                 + ", ".join(bad)
             )
 
-        resp = self.r[:, self.terms.index(spec.response)]
+        # q.T @ resp, the fitted values and the residuals are no longer than the
+        # response, so no dot product below overflows unless resp @ resp does
+        col = self.terms.index(spec.response)
+        if self.column_norms[col] >= math.sqrt(sys.float_info.max):
+            raise ImplicitRegressionError(f"the sum of squares of {spec.response.value} overflows")
+        resp = self.r[:, col]
         coefs = _back_substitute(R, q.T @ resp)
         # ||Z a|| = ||R a|| for every a, so each sum is read off R; Z's first
         # column is 1, so R's rows below the first hold the response about

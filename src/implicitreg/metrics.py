@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .dataio import Dataset
-from .errors import DegenerateTriangleError, InsufficientDataError
+from .errors import ImplicitRegressionError
 from .fitcore import _PERFECT_FIT_RTOL
 from .implicit import Prediction
 
@@ -73,16 +73,20 @@ def row_square_sums(obs: np.ndarray, est: np.ndarray,
     return est.sum(axis=1), ssm
 
 
-def square_sums(n: int, axis_sums, axis_sse, axis_ssm) -> SquareSums:
+def square_sums(n: int, axis_sums, axis_sse, axis_ssm) -> SquareSums | None:
     """The square sums of solves over ``n`` rows, from each axis's (y, then
-    x) SSE and SSM and its ``Dataset.axis_sums`` over those rows."""
+    x) SSE and SSM and its ``Dataset.axis_sums`` over those rows; None
+    below 3 rows.  Raises an ``ImplicitRegressionError`` where the sums
+    add up past the float range."""
     if n < 3:
-        raise InsufficientDataError(
-            f"need at least 3 observations with defined solves, have {n}"
-        )
+        return None
     (_, sst_y, sum_sq_y), (_, sst_x, sum_sq_x) = axis_sums
-    return SquareSums(axis_ssm[0] + axis_ssm[1], axis_sse[0] + axis_sse[1], sst_y + sst_x,
+    sums = SquareSums(axis_ssm[0] + axis_ssm[1], axis_sse[0] + axis_sse[1], sst_y + sst_x,
                       n, sum_sq_y + sum_sq_x)
+    # none is negative, so a finite total keeps the triangle's sums of them finite
+    if not math.isfinite(sums.ssm + sums.sse + sums.sst + sums.sst_uncentered):
+        raise ImplicitRegressionError("square sums overflow the float range")
+    return sums
 
 
 def pairwise_square_sums(data: Dataset, pred: Prediction) -> tuple[list, list, SquareSums | None]:
@@ -104,16 +108,12 @@ def pairwise_square_sums(data: Dataset, pred: Prediction) -> tuple[list, list, S
     return n_defs, axis_sse, square_sums(rows.n, rows.axis_sums, sse, ssm)
 
 
-def separation_angle(s: SquareSums) -> float:
-    """Angle at the estimate vertex, in degrees.
-
-    Raises :class:`DegenerateTriangleError` when SSM vanishes or the fit
-    is perfect up to rounding (a perfect or null fit has no angle).
+def separation_angle(s: SquareSums) -> float | None:
+    """Angle at the estimate vertex, in degrees; None when SSM vanishes or
+    the fit is perfect up to rounding (a perfect or null fit has no angle).
     """
     if s.ssm <= 0.0 or s.is_perfect:
-        raise DegenerateTriangleError(
-            f"no separation angle for ssm={s.ssm:.6g}, sse={s.sse:.6g}"
-        )
+        return None
     product = s.ssm * s.sse  # rooted side by side where it underflows or overflows
     root = (math.sqrt(product) if sys.float_info.min <= product < math.inf
             else math.sqrt(s.ssm) * math.sqrt(s.sse))
@@ -125,25 +125,25 @@ def separation_angle(s: SquareSums) -> float:
     return math.degrees(math.acos(min(max(cos, -1.0), 1.0)))
 
 
-def relative_height(s: SquareSums) -> float:
+def relative_height(s: SquareSums) -> float | None:
     """Height h of the data-mean-estimate triangle; see module docs.
 
-    A perfect fit (SSE = 0 up to rounding) has height 0.
+    A perfect fit (SSE = 0 up to rounding) has height 0; None for SST = 0.
     """
     if s.sst <= 0.0:
-        raise DegenerateTriangleError("no height for sst = 0")
+        return None
     if s.is_perfect:
         return 0.0
+    base = s.n * s.sst  # rooted side by side where it overflows
+    root = math.sqrt(base) if base < math.inf else math.sqrt(s.n) * math.sqrt(s.sst)
     # SST - SSM first: SSE added to SST alone is lost below ~1e-16 SST
-    return abs(s.sse + (s.sst - s.ssm)) / (2.0 * math.sqrt(s.n * s.sst))
+    return abs(s.sse + (s.sst - s.ssm)) / (2.0 * root)
 
 
-def standard_error(sse: float, n_def: int, n_params: int) -> float:
-    """sqrt(SSE / (n_def - n_params)) for an SSE over n_def defined solves."""
+def standard_error(sse: float, n_def: int, n_params: int) -> float | None:
+    """sqrt(SSE / (n_def - n_params)) over n_def defined solves; None unless n_def > n_params."""
     if n_def <= n_params:
-        raise InsufficientDataError(
-            f"need more than {n_params} defined solves, have {n_def}"
-        )
+        return None
     return math.sqrt(sse / (n_def - n_params))
 
 

@@ -235,6 +235,18 @@ class TestCompareCommand:
         ]
         assert sum(line.endswith("| n/a | n/a |") for line in stdout.splitlines()) == 3
 
+    def test_sample_whose_square_sums_overflow_is_runtime_error(self, tmp_path, capsys):
+        # the golden sample scaled by 2^502: every row's square sums add up
+        # past the float range, so every row fails
+        header, *lines = (Path(__file__).parent / "golden" / "sample.csv").read_text().splitlines()
+        path = tmp_path / "sample_2e502.csv"
+        path.write_text("\n".join([header] + [
+            ",".join(f"{float(v) * 2.0 ** 502:.17g}" for v in line.split(",")) for line in lines]))
+        code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: square sums overflow the float range\n"
+
 
 class TestInputEncoding:
     @pytest.mark.parametrize("command", [

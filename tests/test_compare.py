@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -29,8 +30,7 @@ from implicitreg import (
 from implicitreg import compare, dataio, implicit
 from implicitreg.compare import (BOYLE_MODEL_TEXTS, _METRIC_DIRECTIONS, boyle_plot_data,
                                  report_to_dict)
-from implicitreg.errors import (DegenerateDataError, DegenerateTriangleError,
-                                ImplicitRegressionError, InsufficientDataError)
+from implicitreg.errors import DegenerateDataError, ImplicitRegressionError
 from implicitreg.fitcore import BasisQR, reduce_model_trace
 from implicitreg.formula import format_model, parse_model
 from implicitreg.implicit import predict
@@ -140,15 +140,8 @@ def _oracle_values(fit, data):
     solves are defined, each sum taken on those rows compacted, about their
     own means; ``standard_error`` (each axis summed over its own defined
     solves), ``separation_angle`` and ``relative_height``; None where a
-    step raises or the triangle has fewer than 3 rows."""
+    helper returns None or the triangle has fewer than 3 rows."""
     pred = predict(fit, data)
-
-    def or_none(fn, *args):
-        try:
-            return fn(*args)
-        except (InsufficientDataError, DegenerateTriangleError):
-            return None
-
     pair = pred.y_defined & pred.x_defined
     sums = None
     if np.count_nonzero(pair) >= 3:
@@ -164,11 +157,10 @@ def _oracle_values(fit, data):
     for obs, est, defined in ((data.y, pred.y_hat, pred.y_defined),
                               (data.x, pred.x_hat, pred.x_defined)):
         sse = float(((obs[defined] - est[defined]) ** 2).sum())
-        se.append(or_none(standard_error, sse, int(np.count_nonzero(defined)),
-                          fit.spec.n_coefficients))
+        se.append(standard_error(sse, int(np.count_nonzero(defined)), fit.spec.n_coefficients))
     return {"r_squared": fit.r_squared, "se_y": se[0], "se_x": se[1],
-            "theta_t": sums and or_none(separation_angle, sums),
-            "height": sums and or_none(relative_height, sums),
+            "theta_t": sums and separation_angle(sums),
+            "height": sums and relative_height(sums),
             "undefined_y": int(np.count_nonzero(~pred.y_defined)),
             "undefined_x": int(np.count_nonzero(~pred.x_defined)),
             "complex_x": int(np.count_nonzero(pred.x_complex))}
@@ -416,6 +408,38 @@ class TestUnitInvariantReports:
                 expected = None if value is None else pytest.approx(
                     value * s ** _UNIT_POWER[metric], rel=1e-9, abs=0.0)
                 assert got.metrics[metric] == expected, (want.model, metric)
+
+
+def test_overflowing_scales_give_error_rows_never_a_wrong_row():
+    # scaled by 2^k, every row either is its row at scale 1 (SE_y, SE_x and h
+    # scaled by 2^k) or an error row: from 2^249 the sum of squares of the
+    # response x*y overflows, further up the stacked square sums do, and from
+    # 2^502 or 2^503 every row fails, so build_comparison raises
+    samples = [read_csv(GOLDEN_SAMPLE)] + [
+        generate(SimulationConfig(n=30, sigma=5.0, seed=seed)) for seed in range(5)]
+    for data in samples:
+        base = build_comparison(data).rows
+        first_error = all_fail = None
+        for k in range(240, 504):
+            s = 2.0 ** k
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rows = build_comparison(_scaled(data, s)).rows
+                except ImplicitRegressionError:
+                    all_fail = all_fail or k
+                    continue
+            assert all_fail is None, k
+            for want, got in zip(base, rows):
+                if got.error is not None:
+                    first_error = first_error or k
+                    continue
+                assert (got.reduced, got.r_squared.hex(), got.diagnostics) == (
+                    want.reduced, want.r_squared.hex(), want.diagnostics), (k, want.model)
+                for metric, value in want.metrics.items():
+                    assert got.metrics[metric] == pytest.approx(
+                        value * s ** _UNIT_POWER[metric], rel=1e-9, abs=0.0), (k, metric)
+        assert (first_error, all_fail in (502, 503)) == (249, True), (first_error, all_fail)
 
 
 class TestUnitDependence:

@@ -10,8 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from implicitreg import (
     COMPARISON_MODEL_TEXTS,
     Dataset,
-    DegenerateTriangleError,
-    InsufficientDataError,
     RankDirection,
     SimulationConfig,
     SquareSums,
@@ -28,7 +26,7 @@ from implicitreg.compare import _row_values
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.formula import parse_model
 from implicitreg.implicit import Prediction
-from implicitreg.metrics import _RANK_TIE_TOL, pairwise_square_sums, standard_error
+from implicitreg.metrics import _RANK_TIE_TOL, pairwise_square_sums, square_sums, standard_error
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -170,17 +168,15 @@ class TestSeparationAngle:
         assert separation_angle(SquareSums(3.0, 4.0, 7.0, 10)) == pytest.approx(90.0)
 
     def test_degenerate_flags(self):
-        with pytest.raises(DegenerateTriangleError):
-            separation_angle(SquareSums(0.0, 4.0, 4.0, 10))
-        with pytest.raises(DegenerateTriangleError):
-            separation_angle(SquareSums(4.0, 0.0, 4.0, 10))
+        # a null fit and a perfect fit have no angle
+        assert separation_angle(SquareSums(0.0, 4.0, 4.0, 10)) is None
+        assert separation_angle(SquareSums(4.0, 0.0, 4.0, 10)) is None
 
     @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
     def test_rounding_level_sse_is_perfect_at_any_scale(self, c):
         # SSE against the observations' own sum of squares, with no floor
         perfect = SquareSums(50.0 * c, 1e-30 * c, 50.0 * c, 10, 275.0 * c)
-        with pytest.raises(DegenerateTriangleError):
-            separation_angle(perfect)
+        assert separation_angle(perfect) is None
         assert relative_height(perfect) == 0.0
         noisy = SquareSums(50.0 * c, 1e-20 * c, 50.0 * c, 10, 275.0 * c)
         assert separation_angle(noisy) == pytest.approx(90.0, abs=1e-6)
@@ -239,8 +235,16 @@ class TestRelativeHeight:
                                                    rel=1e-12, abs=0.0)
 
     def test_zero_base_rejected(self):
-        with pytest.raises(DegenerateTriangleError):
-            relative_height(SquareSums(1.0, 1.0, 0.0, 5))
+        assert relative_height(SquareSums(1.0, 1.0, 0.0, 5)) is None
+
+    def test_n_times_sst_past_the_float_range(self):
+        # n * SST overflows; sqrt(n) * sqrt(SST) does not, and h scales by
+        # the root of the sums' scale
+        scale = 2.0 ** 1020
+        s = SquareSums(4.0 * scale, 9.0 * scale, 10.0 * scale, 25)
+        assert s.n * s.sst == math.inf
+        assert relative_height(s) == pytest.approx(
+            relative_height(SquareSums(4.0, 9.0, 10.0, 25)) * 2.0 ** 510, rel=1e-15)
 
 
 class TestStandardErrors:
@@ -255,8 +259,20 @@ class TestStandardErrors:
 
     def test_insufficient_defined(self):
         # one defined solve cannot carry one parameter and a residual
-        with pytest.raises(InsufficientDataError):
-            standard_error(0.0, 1, 1)
+        assert standard_error(0.0, 1, 1) is None
+
+
+class TestSquareSums:
+    AXIS_SUMS = ((0.0, 2.0, 3.0), (0.0, 4.0, 5.0))
+
+    def test_no_triangle_below_3_rows(self):
+        assert square_sums(2, self.AXIS_SUMS, [1.0, 2.0], [3.0, 4.0]) is None
+
+    def test_sums_past_the_float_range_raise(self):
+        # each axis's sums are finite, their total is not
+        big = 0.6 * sys.float_info.max
+        with pytest.raises(ImplicitRegressionError, match="overflow"):
+            square_sums(3, self.AXIS_SUMS, [big, 0.0], [big, 0.0])
 
 
 class TestRankModels:
