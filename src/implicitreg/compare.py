@@ -22,7 +22,7 @@ from .errors import ImplicitRegressionError
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_models,
                       self_weighting_mean)
 from .formula import format_model, parse_model
-from .implicit import SOLVE_ERRSTATE, predict, solve_block
+from .implicit import SOLVE_ERRSTATE, predict, solve_fits
 from .metrics import (
     RankDirection,
     pairwise_square_sums,
@@ -130,39 +130,32 @@ def _swept_values(fits: list, data: Dataset) -> list:
     """Per fit, its row's ``_row_values``, or its error: an error in
     ``fits`` stays, and a fit whose solve or square sums raise takes that error.
 
-    One pass over the row blocks solves every fit with ``solve_block``,
-    under one ``np.errstate`` per block: first for y, into the rows of a
-    (fits, rows) buffer that ``row_square_sums`` reduces into each fit's
-    SSE_y and SSM_y, then for x into the same buffer.  The sums and the
-    complex x-solves add up over the blocks, so on data of more than one
-    block a square sum is a sum of block sums.  An undefined solve is NaN
-    and makes its fit's SSE NaN; such a fit is solved again by ``predict``
-    over all rows at once, which raises where no solve is defined, and
-    ``pairwise_square_sums`` drops its rows pairwise.
+    One pass over the row blocks solves the fits with ``solve_fits`` under
+    one ``np.errstate`` per block, for y into a (fits, rows) buffer that
+    ``row_square_sums`` reduces into each fit's SSE_y and SSM_y, then for x
+    into the same buffer.  The sums and the complex x-solves add up over
+    the blocks, so on data of more than one block a square sum is a sum of
+    block sums.  An undefined solve is NaN and makes its fit's SSE NaN; such
+    a fit is solved again by ``predict`` over all rows at once, which raises
+    where no solve is defined, and ``pairwise_square_sums`` drops its rows
+    pairwise.
     """
     values = list(fits)
     live = [i for i, fit in enumerate(fits) if not isinstance(fit, ImplicitRegressionError)]
     if not live:
         return values
-    # per axis (y, x) and live fit
-    sse, ssm = np.zeros((2, len(live))), np.zeros((2, len(live)))
+    # per sum (SSE, SSM), axis (y, x) and live fit
+    sse, ssm = sums = np.zeros((2, 2, len(live)))
     complex_x = np.zeros(len(live), dtype=np.intp)
     for x, y in data.row_blocks():
         est = np.empty((len(live), x.size))
         with np.errstate(**SOLVE_ERRSTATE):
             for a, (obs, (mean, _, _)) in enumerate(zip((y, x), data.axis_sums)):
-                for row, i in enumerate(live):
-                    if values[i] is fits[i]:
-                        try:
-                            est[row], complex_mask = solve_block(fits[i], x, y, 1 - a)
-                            complex_x[row] += np.count_nonzero(complex_mask)
-                            continue
-                        except ImplicitRegressionError as exc:
-                            values[i] = exc
-                    est[row] = 0.0  # a failed fit's sums are never read
-                block_sse, block_ssm = row_square_sums(obs, est, mean)
-                sse[a] += block_sse
-                ssm[a] += block_ssm
+                errors, complex_mask = solve_fits([fits[i] for i in live], x, y, 1 - a, est)
+                for i, error in zip(live, errors):  # the first error stays
+                    values[i] = error if error is not None and values[i] is fits[i] else values[i]
+                complex_x += np.count_nonzero(complex_mask, axis=1)
+                sums[:, a] += row_square_sums(obs, est, mean)
     for row, i in enumerate(live):
         fit = fits[i]
         if values[i] is not fit:

@@ -97,10 +97,10 @@ class FitResult:
     @cached_property
     def coefficients(self) -> tuple[Coefficient, ...]:
         """The estimates with their classical standard errors and t statistics."""
-        # R's columns divided by powers of two above their norms, so that
-        # neither its inverse nor the covariance overflows; the division is
-        # exact, and each SE is scaled back
-        scale = np.ldexp(1.0, np.frexp(self._norms)[1])
+        # R's columns divided by powers of two above their norms (at most
+        # 2^1023), so that neither its inverse nor the covariance overflows;
+        # the division is exact, and each SE is scaled back
+        scale = np.ldexp(1.0, np.minimum(np.frexp(self._norms)[1], 1023))
         r_inv = np.linalg.inv(self._r / scale)
         std_errors = np.sqrt((self._sigma2 * (r_inv @ r_inv.T)).diagonal()) / scale
         t_stats = np.asarray(self.estimates) / std_errors
@@ -144,7 +144,7 @@ class BasisQR:
     is never held.  The square sums of a fit's solves are summed block by
     block, in the row sweep of ``compare`` that every report's rows come
     from.  When any x = 0 the 1/x column is left out and only fits that
-    use it fail.
+    use it fail, as do those that use a column whose norm overflows.
     """
 
     def __init__(self, data: Dataset):
@@ -152,12 +152,15 @@ class BasisQR:
         self.terms = _BASIS if not np.any(data.x == 0.0) else _BASIS[:-1]
         # an empty dataset still gets its (empty) R; each fit then reports
         # too few observations
-        blocks = [np.linalg.qr(np.column_stack([eval_term(term, x, y) for term in self.terms]),
-                               mode="r") for x, y in data.row_blocks()]
-        self.r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
-        # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q; hypot takes
-        # it without squaring an entry, so it neither underflows nor overflows
-        self.column_norms = np.hypot.reduce(self.r, axis=0, initial=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [np.linalg.qr(np.column_stack([eval_term(term, x, y) for term in self.terms]),
+                                   mode="r") for x, y in data.row_blocks()]
+            self.r = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
+            # ||Z_j|| = ||R[:, j]|| since Z = QR with orthonormal Q; hypot takes
+            # it without squaring an entry, so only a norm past the range overflows
+            self.column_norms = np.hypot.reduce(self.r, axis=0, initial=0.0)
+        # a column past the float range, and maybe those factored after it
+        self.overflowed = {t for t, v in zip(self.terms, self.column_norms) if not np.isfinite(v)}
 
     def fits(self, specs) -> list[FitResult | ImplicitRegressionError]:
         """Fit each spec with one QR of their columns of R, stacked and
@@ -172,6 +175,8 @@ class BasisQR:
             elif self.n <= len(terms):
                 results.append(InsufficientDataError(f"need more than {len(terms)} "
                                f"observations to fit {spec}, have {self.n}"))
+            elif self.overflowed and self.overflowed.intersection([spec.response, *terms]):
+                results.append(ImplicitRegressionError(f"a basis column of {spec} overflows"))
             else:
                 results.append([self.terms.index(t) for t in terms])
         members = [i for i, cols in enumerate(results) if isinstance(cols, list)]

@@ -13,15 +13,15 @@ flagged undefined (NaN) and counted.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .dataio import Dataset
 from .errors import DegenerateDataError, UnsupportedModelError
 from .fitcore import FitResult
-from .formula import TERM_POWERS, Term, times_power
+from .formula import TERM_POWERS, ModelSpec, Term, times_power
 
 _SINGULAR_RTOL = 1e-12
 # the floating-point conditions a solve meets by design, each of which
@@ -45,78 +45,97 @@ class Prediction:
     x_defined: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("y_hat", "x_hat", "x_complex"):
-            arr = np.asarray(getattr(self, name))
+        for name in ("y_hat", "x_hat", "x_complex", "y_defined", "x_defined"):
+            # read-only views: the caller's arrays stay writeable, uncopied
+            arr = (np.isfinite(getattr(self, f"{name[0]}_hat")) if name.endswith("defined")
+                   else np.asarray(getattr(self, name)).view())
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for axis in ("y", "x"):
-            defined = np.isfinite(getattr(self, f"{axis}_hat"))
-            defined.flags.writeable = False
-            object.__setattr__(self, f"{axis}_defined", defined)
 
 
-def _polynomial(fit: FitResult, x: np.ndarray, y: np.ndarray, axis: int) -> tuple[dict, dict]:
-    """The fitted equation over one row block (x, y) as a polynomial in x
-    (``axis=0``) or y (``axis=1``).
-
-    The equation is sum(c_j * term_j) = 0, with the response at c = +1 and
-    the intercept (as ``Term.ONE``) and predictors at their estimates
-    negated.  Maps each power of the solved axis to its per-observation
-    coefficient, which carries the other axis at its observed value; the
-    second map lists, per power, the addends summed into that coefficient.
-    """
-    other = x if axis else y
-    coefs = defaultdict(lambda: np.zeros(x.size))
-    addends = defaultdict(list)
-    signed = [(1.0, fit.spec.response)]
-    signed += ((-estimate, Term.ONE if term is None else term)
-               for term, estimate in zip(fit.spec.coefficient_terms, fit.estimates))
-    for c, term in signed:
-        powers = TERM_POWERS[term]
-        addend = times_power(c, other, powers[1 - axis])
-        coefs[powers[axis]] += addend
-        addends[powers[axis]].append(addend)
-    return coefs, addends
+@cache
+def _equation(spec: ModelSpec, axis: int) -> dict[int, tuple[list, list]]:
+    """The fitted equation sum(c_j * term_j) = 0 by powers of x (``axis=0``)
+    or y (``axis=1``): per power, in term order, the pairs (j, power p of the
+    other axis in term_j), split into those before the first p != 0 and the
+    rest.  c_0 = +1 is the response's; the estimates are negated."""
+    powers: dict = {}
+    for j, term in enumerate((spec.response, *spec.coefficient_terms)):
+        p = TERM_POWERS[Term.ONE if term is None else term]
+        lead, rest = powers.setdefault(p[axis], ([], []))
+        (rest if rest or p[1 - axis] else lead).append((j, p[1 - axis]))
+    return powers
 
 
-def _vanishes(coef: np.ndarray, addends: list) -> np.ndarray:
-    """Where a coefficient is zero up to the rounding of the addends it was
-    summed from.
+def _sum(out: np.ndarray, coefs, terms, other: np.ndarray, scale=None) -> np.ndarray:
+    """Sum into ``out`` from zero, in order, one power's addends c_j * other**p,
+    the leading floats (p = 0) as floats, and their magnitudes into ``scale`` if given."""
+    lead, rest = terms
+    total = mags = 0
+    for j, _ in lead:
+        total, mags = total + coefs[j], mags + abs(coefs[j])
+    for arr, value in ((out, total), (scale, mags)):
+        if arr is not None:
+            arr.fill(value)
+    for j, p in rest:
+        addend = times_power(coefs[j], other, p)
+        out += addend
+        if scale is not None:
+            # an addend is a float at p = 0, else an array of its own
+            scale += np.abs(addend, out=addend) if p else abs(addend)
+    return out
 
-    The test compares like units, so it gives the same answer in any units.
-    """
-    return np.abs(coef) <= _SINGULAR_RTOL * sum(np.abs(addend) for addend in addends)
 
-
-def solve_block(fit: FitResult, x: np.ndarray, y: np.ndarray,
-                axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the fitted equation for x (``axis=0``) at each observed y, or
-    for y (``axis=1``) at each observed x, on one row block (x, y); returns
-    (solves, complex_mask), with NaN where the denominator is (near) zero.
-    Run it under ``np.errstate(**SOLVE_ERRSTATE)``.
+def solve_fits(fits: list, x: np.ndarray, y: np.ndarray, axis: int,
+               est: np.ndarray) -> tuple[list, np.ndarray]:
+    """Solve each of ``fits`` for x (``axis=0``) at each observed y, or for
+    y (``axis=1``) at each observed x, on one row block (x, y), into its row
+    of ``est`` (fits, rows), NaN where the denominator is (near) zero; returns
+    per fit its error (its row then holds no solve) or None, and the
+    (fits, rows) mask of complex x-solves.  Run it under
+    ``np.errstate(**SOLVE_ERRSTATE)``.
 
     The equation is at most quadratic in the solved axis; a 1/x term that
     does not vanish is cleared by multiplying through by x.  The x-equation's
     1/x and x^2 coefficients are minus their estimates on every row, so every
-    block makes that choice, and raises for a model with both, alike.
+    block makes that choice, and errs for a model with both, alike.  Each
+    fit's coefficients are summed on their own, the constant one into its
+    row; the tail from the negation on serves all fits at once.
     """
-    coefs, addends = _polynomial(fit, x, y, axis)
-    # the power holding the constant coefficient: -1 once a 1/x term that
-    # does not vanish is multiplied through by x, which x^2 would make cubic
-    low = -1 if -1 in coefs and not _vanishes(coefs[-1], addends[-1]).all() else 0
-    if low and coefs[2].any():
-        raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
-    # a missing power reads as a zero coefficient
-    b, c = coefs[low + 1], coefs[low]
-    hat = np.where(_vanishes(b, addends[low + 1]), np.nan, -c / b)
-    complex_mask = np.zeros(x.size, dtype=bool)
-    # only an x-solve can be quadratic: x^2, or x after the multiply
-    a = coefs.get(low + 2)
-    affine = None if a is None else _vanishes(a, addends[low + 2])
-    if affine is not None and not affine.all():
+    other = x if axis else y
+    errors: list = [None] * len(fits)
+    singular = np.zeros(est.shape, dtype=bool)
+    complex_mask = np.zeros(est.shape, dtype=bool)
+    b, scale = np.empty((2, x.size))
+    quadratics = []
+    for k, (fit, row) in enumerate(zip(fits, est)):
+        powers, coefs = _equation(fit.spec, axis), (1.0, *(-e for e in fit.estimates))
+        # the power holding the constant coefficient: -1 once a 1/x term that
+        # does not vanish is multiplied through by x, which x^2 would make cubic
+        low = -1 if -1 in powers and not (np.abs(_sum(b, coefs, powers[-1], other, scale))
+                                          <= _SINGULAR_RTOL * scale).all() else 0
+        if low and 2 in powers and _sum(b, coefs, powers[2], other).any():
+            errors[k] = UnsupportedModelError(
+                f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
+            continue
+        # a missing power reads as a zero coefficient
+        _sum(row, coefs, powers.get(low, ((), ())), other)
+        _sum(b, coefs, powers.get(low + 1, ((), ())), other, scale)
+        np.less_equal(np.abs(b), np.multiply(scale, _SINGULAR_RTOL, out=scale), out=singular[k])
+        # only an x-solve can be quadratic: x^2, or x after the multiply
+        if low + 2 in powers:
+            a = _sum(np.empty(x.size), coefs, powers[low + 2], other, scale)
+            affine = np.abs(a) <= _SINGULAR_RTOL * scale
+            if not affine.all():
+                quadratics.append((k, a, b.copy(), row.copy(), affine))
+        np.divide(row, b, out=row)
+    np.negative(est, out=est)
+    est[singular] = np.nan
+    del b, scale, singular
+    for k, a, b, c, affine in quadratics:
         # q = -(b + sign(b) sqrt(disc)) / 2, sign(+-0) = +1; one pass per step
         disc = b * b - 4.0 * a * c
-        complex_mask = ~affine & (disc < 0.0)
+        flagged = ~affine & (disc < 0.0)
         sq = np.sqrt(disc)
         np.negative(sq, out=sq, where=b < 0.0)
         q = -(b + sq) / 2.0
@@ -127,22 +146,25 @@ def solve_block(fit: FitResult, x: np.ndarray, y: np.ndarray,
         # the root nearest the observed x; an exact tie takes the smaller
         smaller = np.where(r2 < r1, r2, r1)
         nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
-        nearest[complex_mask] = -b[complex_mask] / (2.0 * a[complex_mask])
-        nearest[affine] = hat[affine]
-        hat = nearest
-    hat[~np.isfinite(hat)] = np.nan
-    return hat, complex_mask
+        nearest[flagged] = -b[flagged] / (2.0 * a[flagged])
+        nearest[affine] = est[k, affine]
+        est[k], complex_mask[k] = nearest, flagged
+    est[~np.isfinite(est)] = np.nan
+    return errors, complex_mask
 
 
 def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for y at each observed x and x at each observed y over all of
-    ``data``'s rows at once; NaN where singular, and raises if every solve
-    is.  Report rows with an undefined solve come here from ``compare``'s
-    row sweep, which drops their rows pairwise, as do Boyle's overlays."""
+    ``data``'s rows as one block; NaN where singular, and raises if every
+    solve is.  Rows with an undefined solve come here from ``compare``'s
+    row sweep, which drops them pairwise, as do Boyle's overlays."""
+    y_hat, x_hat = np.empty((2, 1, data.n))
     with np.errstate(**SOLVE_ERRSTATE):
-        y_hat = solve_block(fit, data.x, data.y, axis=1)[0]
-        x_hat, complex_mask = solve_block(fit, data.x, data.y, axis=0)
-    pred = Prediction(y_hat=y_hat, x_hat=x_hat, x_complex=complex_mask)
+        for axis, est in ((1, y_hat), (0, x_hat)):
+            (error,), complex_mask = solve_fits([fit], data.x, data.y, axis, est)
+            if error is not None:
+                raise error
+    pred = Prediction(y_hat=y_hat[0], x_hat=x_hat[0], x_complex=complex_mask[0])
     if not (pred.y_defined.any() or pred.x_defined.any()):
         raise DegenerateDataError(f"every solve of {fit.spec} hit a singular denominator")
     return pred

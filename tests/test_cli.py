@@ -154,8 +154,9 @@ class TestFitCommand:
             assert token in stdout
 
 
-def _no_defined_solve(fit, x, y, axis):
-    return np.full(x.size, np.nan), np.zeros(x.size, dtype=bool)
+def _no_defined_solve(fits, x, y, axis, est):
+    est.fill(np.nan)
+    return [None] * len(fits), np.zeros(est.shape, dtype=bool)
 
 
 @pytest.mark.parametrize("argv", [("fit", "--model", "1 ~ x*y"), ("boyle",)],
@@ -164,8 +165,8 @@ def test_a_model_with_no_defined_solve_fails_the_command(tmp_path, capsys, monke
                                                          argv):
     # fit and boyle take their rows from the row sweep, which solves such a
     # model again with predict and raises predict's error for the first one
-    monkeypatch.setattr(compare, "solve_block", _no_defined_solve)
-    monkeypatch.setattr(implicit, "solve_block", _no_defined_solve)
+    monkeypatch.setattr(compare, "solve_fits", _no_defined_solve)
+    monkeypatch.setattr(implicit, "solve_fits", _no_defined_solve)
     data = ("--data", str(sim_csv(tmp_path))) if argv[0] == "fit" else ()
     code, stdout, stderr = run_cli(capsys, *argv, *data)
     model = argv[2] if argv[0] == "fit" else compare.BOYLE_MODEL_TEXTS[0]
@@ -216,14 +217,16 @@ class TestCompareCommand:
     def test_warnings_follow_row_order(self, tmp_path, capsys, monkeypatch):
         # the 1/x fit fails at x = 0, and the solves of the x rotation (as
         # reduced) and of 1 ~ x*y are made to fail, one before it and one after
-        solve_block = compare.solve_block
+        solve_fits = compare.solve_fits
 
-        def solve_failing_two(fit, x, y, axis):
-            if fit.spec.response is Term.X or str(fit.spec) == "1 ~ x*y":
-                raise DegenerateDataError("no solve")
-            return solve_block(fit, x, y, axis)
+        def solve_failing_two(fits, x, y, axis, est):
+            errors, complex_mask = solve_fits(fits, x, y, axis, est)
+            for k, fit in enumerate(fits):
+                if fit.spec.response is Term.X or str(fit.spec) == "1 ~ x*y":
+                    errors[k] = DegenerateDataError("no solve")
+            return errors, complex_mask
 
-        monkeypatch.setattr(compare, "solve_block", solve_failing_two)
+        monkeypatch.setattr(compare, "solve_fits", solve_failing_two)
         path = tmp_path / "zero_x.csv"
         path.write_text("x,y\n0,5.1\n1,3.9\n2,3.2\n3,2.1\n4,0.8\n5,0.1\n")
         code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))

@@ -194,21 +194,22 @@ def _sample_with_zeros(n, sigma, seed, zeros):
 @contextmanager
 def _injected_solves(salt, raising):
     """Each (fit, axis) drops some of its solves to NaN at a rate drawn from
-    its salted name, and the solves of the models in ``raising`` raise, both
+    its salted name, and the solves of the models in ``raising`` fail, both
     in the sweep and in ``predict``."""
-    solve_block = implicit.solve_block
+    solve_fits = implicit.solve_fits
 
-    def solve_injected(fit, x, y, axis):
-        if str(fit.spec) in raising:
-            raise DegenerateDataError(f"no solve of {fit.spec}")
-        hat, complex_mask = solve_block(fit, x, y, axis)
-        rng = random.Random(f"{salt} {fit.spec} {axis}")
-        rate = rng.choice([0.0, 0.0, 0.1, 1.0])
-        hat[[i for i in range(hat.size) if rng.random() < rate]] = np.nan
-        return hat, complex_mask
+    def solve_injected(fits, x, y, axis, est):
+        errors, complex_mask = solve_fits(fits, x, y, axis, est)
+        for k, fit in enumerate(fits):
+            if str(fit.spec) in raising:
+                errors[k] = DegenerateDataError(f"no solve of {fit.spec}")
+            rng = random.Random(f"{salt} {fit.spec} {axis}")
+            rate = rng.choice([0.0, 0.0, 0.1, 1.0])
+            est[k, [i for i in range(x.size) if rng.random() < rate]] = np.nan
+        return errors, complex_mask
 
-    with (mock.patch.object(implicit, "solve_block", solve_injected),
-          mock.patch.object(compare, "solve_block", solve_injected)):
+    with (mock.patch.object(implicit, "solve_fits", solve_injected),
+          mock.patch.object(compare, "solve_fits", solve_injected)):
         yield
 
 
@@ -410,25 +411,38 @@ class TestUnitInvariantReports:
                 assert got.metrics[metric] == expected, (want.model, metric)
 
 
+def _comparison_or_none(data):
+    """``build_comparison(data)``'s rows, or None where it raises an
+    ``ImplicitRegressionError``; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return build_comparison(data).rows
+        except ImplicitRegressionError:
+            return None
+
+
 def test_overflowing_scales_give_error_rows_never_a_wrong_row():
     # scaled by 2^k, every row either is its row at scale 1 (SE_y, SE_x and h
     # scaled by 2^k) or an error row: from 2^249 the sum of squares of the
     # response x*y overflows, further up the stacked square sums do, and from
-    # 2^502 or 2^503 every row fails, so build_comparison raises
+    # 2^502 or 2^503 every row fails, so build_comparison raises.  Further up,
+    # on a coarse grid to 2^1013 (the data stay finite), the basis columns
+    # overflow too, with no warning.  Scaled on one axis alone, rows are not
+    # their scale-1 rows (theta_T moves), but past 2^500 the overflows end
+    # in error rows, and from 2^503 or 2^504 in every row failing
     samples = [read_csv(GOLDEN_SAMPLE)] + [
         generate(SimulationConfig(n=30, sigma=5.0, seed=seed)) for seed in range(5)]
+    coarse = [*range(504, 1013, 16), 1013]
     for data in samples:
         base = build_comparison(data).rows
         first_error = all_fail = None
-        for k in range(240, 504):
+        for k in [*range(240, 504), *coarse]:
             s = 2.0 ** k
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    rows = build_comparison(_scaled(data, s)).rows
-                except ImplicitRegressionError:
-                    all_fail = all_fail or k
-                    continue
+            rows = _comparison_or_none(_scaled(data, s))
+            if rows is None:
+                all_fail = all_fail or k
+                continue
             assert all_fail is None, k
             for want, got in zip(base, rows):
                 if got.error is not None:
@@ -440,6 +454,18 @@ def test_overflowing_scales_give_error_rows_never_a_wrong_row():
                     assert got.metrics[metric] == pytest.approx(
                         value * s ** _UNIT_POWER[metric], rel=1e-9, abs=0.0), (k, metric)
         assert (first_error, all_fail in (502, 503)) == (249, True), (first_error, all_fail)
+        for sx, sy in ((1.0, 0.0), (0.0, 1.0)):
+            all_fail = None
+            # every k near the ends: at 2^1009 on the golden sample a norm
+            # lies in [2^1023, max], past the largest power of two
+            for k in [*range(500, 512), *range(512, 1000, 16), *range(1000, 1014)]:
+                s = 2.0 ** k
+                scaled = Dataset("x", "y", data.x * (s ** sx), data.y * (s ** sy))
+                if _comparison_or_none(scaled) is None:
+                    all_fail = all_fail or k
+                else:
+                    assert all_fail is None, (sx, k)
+            assert all_fail in (503, 504), (sx, all_fail)
 
 
 class TestUnitDependence:
@@ -510,14 +536,16 @@ class TestFailureIsolation:
 
     def test_a_failed_solve_keeps_its_row_in_place(self, sigma5_report, monkeypatch):
         failing = parse_model(self.MID_LIST)
-        solve_block = compare.solve_block
+        solve_fits = compare.solve_fits
 
-        def solve_failing_one(fit, x, y, axis):
-            if fit.spec == failing:
-                raise DegenerateDataError("every solve hit a singular denominator")
-            return solve_block(fit, x, y, axis)
+        def solve_failing_one(fits, x, y, axis, est):
+            errors, complex_mask = solve_fits(fits, x, y, axis, est)
+            for k, fit in enumerate(fits):
+                if fit.spec == failing:
+                    errors[k] = DegenerateDataError("every solve hit a singular denominator")
+            return errors, complex_mask
 
-        monkeypatch.setattr(compare, "solve_block", solve_failing_one)
+        monkeypatch.setattr(compare, "solve_fits", solve_failing_one)
         report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)),
                                   seed=12345)
         assert tuple(r.model for r in report.rows) == COMPARISON_MODEL_TEXTS
@@ -545,9 +573,10 @@ class TestFailureIsolation:
         # does the first model when first_fails_at is "fit"
         raised = []
 
-        def solve_failing(fit, x, y, axis):
-            raised.append(DegenerateDataError(f"no solve of {fit.spec}"))
-            raise raised[-1]
+        def solve_failing(fits, x, y, axis, est):
+            est.fill(0.0)
+            raised.extend(DegenerateDataError(f"no solve of {fit.spec}") for fit in fits)
+            return raised[-len(fits):], np.zeros(est.shape, dtype=bool)
 
         fits = compare.BasisQR.fits
         first = compare._COMPARISON_SPECS[0]
@@ -559,7 +588,7 @@ class TestFailureIsolation:
                 results[0] = raised[-1]
             return results
 
-        monkeypatch.setattr(compare, "solve_block", solve_failing)
+        monkeypatch.setattr(compare, "solve_fits", solve_failing)
         monkeypatch.setattr(compare.BasisQR, "fits", fits_failing_first)
         data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
@@ -567,7 +596,9 @@ class TestFailureIsolation:
             build_comparison(data)
         assert excinfo.value is raised[0]
         assert isinstance(raised[0], SingularDesignError) == (first_fails_at == "fit")
-        assert len(raised) == len(COMPARISON_MODEL_TEXTS) - 1
+        # every fit fails on both axes but the two that fail at their fit
+        live = len(COMPARISON_MODEL_TEXTS) - 1 - (first_fails_at == "fit")
+        assert len(raised) == 2 * live + (first_fails_at == "fit")
 
 
 class TestRendering:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -488,6 +489,26 @@ class TestBasisQR:
                 assert str(fit) == "1/x is undefined at x = 0"
             else:
                 _assert_fit_matches(fit, *_lstsq_reference(spec, data), rtol=1e-10)
+
+    def test_an_overflowing_column_fails_only_the_fits_that_use_it(self):
+        # x alone times 2^510: x^2 overflows, and 1/x, factored after it, has
+        # a NaN norm; x*y and the other columns stay finite, with no warning
+        sample = generate(SimulationConfig(n=30, sigma=5.0, seed=0))
+        data = Dataset("x", "y", sample.x * 2.0 ** 510, sample.y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = BasisQR(data)
+        assert basis.overflowed == {Term.X_SQUARED, Term.INV_X}
+        specs = [parse_model(text) for text in _ORACLE_SHAPES]
+        for spec, fit in zip(specs, basis.fits(specs)):
+            uses = {spec.response, *spec.predictors}
+            if uses & basis.overflowed:
+                assert type(fit) is ImplicitRegressionError
+                assert str(fit) == f"a basis column of {spec} overflows"
+            elif spec.response in (Term.X, Term.XY):  # norms past sqrt(max float)
+                assert str(fit) == f"the sum of squares of {spec.response.value} overflows"
+            else:
+                assert not isinstance(fit, ImplicitRegressionError), str(fit)
 
     def test_reductions_match_an_lstsq_elimination(self):
         # the criterion-5 study: seeds 0-99 at n = 50, sigma = 5

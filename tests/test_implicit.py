@@ -1,5 +1,5 @@
 import itertools
-from unittest import mock
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from implicitreg import (
     COMPARISON_MODEL_TEXTS,
     Dataset,
     DegenerateDataError,
+    Prediction,
     SimulationConfig,
     Term,
     UnsupportedModelError,
@@ -20,7 +21,8 @@ from implicitreg import (
 from implicitreg import dataio, implicit
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.fitcore import BasisQR, FitResult
-from implicitreg.formula import ModelSpec, format_model, parse_model
+from implicitreg.formula import (TERM_POWERS, ModelSpec, format_model, parse_model,
+                                 times_power)
 from implicitreg.implicit import predict
 
 
@@ -138,8 +140,10 @@ class TestPredictXOtherForms:
         with pytest.raises(UnsupportedModelError):
             predict(fit, Dataset("x", "y", x, y))
         # the y-solve is still direct evaluation
+        y_hat = np.empty((1, x.size))
         with np.errstate(**implicit.SOLVE_ERRSTATE):
-            assert np.isfinite(implicit.solve_block(fit, x, y, axis=1)[0]).all()
+            assert implicit.solve_fits([fit], x, y, 1, y_hat)[0] == [None]
+        assert np.isfinite(y_hat).all()
 
 
 class TestConsistency:
@@ -194,6 +198,18 @@ class TestPredictionContainer:
         pred = predict(fit_on("1 ~ x*y", data), data)
         with pytest.raises(ValueError):
             pred.y_hat[0] = 1.0
+
+    def test_the_callers_arrays_stay_writeable(self):
+        given = {"y_hat": np.array([1.0, np.nan]), "x_hat": np.array([2.0, 3.0]),
+                 "x_complex": np.array([False, True])}
+        pred = Prediction(**given)
+        for name, arr in given.items():
+            field = getattr(pred, name)
+            assert arr.flags.writeable and not field.flags.writeable, name
+            # a view of the caller's values, not a copy
+            assert np.shares_memory(arr, field), name
+        given["y_hat"][0] = 4.0
+        assert pred.y_hat[0] == 4.0
 
 
 # Each term as x**px * y**py, written out here so the oracle below does not
@@ -434,17 +450,156 @@ def _quadratic_rows(draw):
 class TestQuadraticXSolve:
     @given(st.lists(_quadratic_rows(), min_size=1, max_size=40))
     def test_matches_the_every_branch_reference_bit_for_bit(self, rows):
-        a, b, c, x = (np.array(col) for col in zip(*rows))
-        # a term's addends are just the coefficient, so a and b vanish at +-0
-        coefs = {0: c, 1: b, 2: a}
-        addends = {power: [coef] for power, coef in coefs.items()}
-        with (mock.patch.object(implicit, "_polynomial", return_value=(coefs, addends)),
-              np.errstate(**implicit.SOLVE_ERRSTATE)):
-            hat, complex_mask = implicit.solve_block(None, x, x, axis=0)
+        # row k is the x-solve at y = c of y ~ 1 + x + x^2 with estimates
+        # (0, -b, -a), whose x-equation is a x^2 + b x + c = 0: one stacked
+        # solve of every row's fit on the block of all rows, read on the
+        # diagonal.  Each coefficient is summed from zero, so 0.0 + v is what
+        # the solve sees of a drawn v (a -0.0 becomes +0.0), and the single
+        # addend of a or b vanishes exactly where it is zero.
+        a, b, c, x = (0.0 + np.array(col) for col in zip(*rows))
+        fits = [fit_with("y ~ 1 + x + x^2", [0.0, -bk, -ak]) for ak, bk in zip(a, b)]
+        est = np.empty((len(rows), len(rows)))
+        with np.errstate(**implicit.SOLVE_ERRSTATE):
+            errors, complex_mask = implicit.solve_fits(fits, x, c, 0, est)
         with np.errstate(all="ignore"):
             want, want_complex = _reference_quadratic_solve(a, b, c, x)
-        assert hat.view(np.int64).tolist() == want.view(np.int64).tolist()
-        assert complex_mask.tolist() == want_complex.tolist()
+        assert errors == [None] * len(rows)
+        assert est.diagonal().view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert complex_mask.diagonal().tolist() == want_complex.tolist()
+
+
+def _reference_polynomial(fit, x, y, axis):
+    """The fitted equation over one row block as a polynomial in x
+    (``axis=0``) or y (``axis=1``): per power of the solved axis, its
+    coefficient summed from zero, and the addends summed into it."""
+    other = x if axis else y
+    coefs = defaultdict(lambda: np.zeros(x.size))
+    addends = defaultdict(list)
+    signed = [(1.0, fit.spec.response)]
+    signed += ((-estimate, Term.ONE if term is None else term)
+               for term, estimate in zip(fit.spec.coefficient_terms, fit.estimates))
+    for c, term in signed:
+        powers = TERM_POWERS[term]
+        addend = times_power(c, other, powers[1 - axis])
+        coefs[powers[axis]] += addend
+        addends[powers[axis]].append(addend)
+    return coefs, addends
+
+
+def _reference_vanishes(coef, addends):
+    return np.abs(coef) <= 1e-12 * sum(np.abs(addend) for addend in addends)
+
+
+def reference_solve_block(fit, x, y, axis):
+    """One fit's solve on one row block, each fit on its own: the solve that
+    ``solve_fits`` stacks, which must match it bit for bit.  Returns
+    (solves, complex_mask), or raises ``UnsupportedModelError``."""
+    coefs, addends = _reference_polynomial(fit, x, y, axis)
+    low = (-1 if -1 in coefs and not _reference_vanishes(coefs[-1], addends[-1]).all()
+           else 0)
+    if low and coefs[2].any():
+        raise UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
+    b, c = coefs[low + 1], coefs[low]
+    hat = np.where(_reference_vanishes(b, addends[low + 1]), np.nan, -c / b)
+    complex_mask = np.zeros(x.size, dtype=bool)
+    a = coefs.get(low + 2)
+    affine = None if a is None else _reference_vanishes(a, addends[low + 2])
+    if affine is not None and not affine.all():
+        disc = b * b - 4.0 * a * c
+        complex_mask = ~affine & (disc < 0.0)
+        sq = np.sqrt(disc)
+        np.negative(sq, out=sq, where=b < 0.0)
+        q = -(b + sq) / 2.0
+        r1, r2 = q / a, c / q
+        zero = q == 0.0
+        r1[zero] = r2[zero] = 0.0
+        d1, d2 = np.abs(r1 - x), np.abs(r2 - x)
+        smaller = np.where(r2 < r1, r2, r1)
+        nearest = np.where(d1 < d2, r1, np.where(d2 < d1, r2, smaller))
+        nearest[complex_mask] = -b[complex_mask] / (2.0 * a[complex_mask])
+        nearest[affine] = hat[affine]
+        hat = nearest
+    hat[~np.isfinite(hat)] = np.nan
+    return hat, complex_mask
+
+
+def _random_fits(rng, texts):
+    """A fit per text with estimates of mixed signs and magnitudes, a third
+    of them exactly zero, so that coefficients vanish on some rows or all."""
+    fits = []
+    for text in texts:
+        n_coef = parse_model(text).n_coefficients
+        estimates = rng.choice([0.0, 1.0, -1.0], n_coef, p=[1 / 3, 1 / 3, 1 / 3])
+        fits.append(fit_with(text, estimates * 10.0 ** rng.uniform(-3.0, 3.0, n_coef)))
+    return fits
+
+
+class TestStackedSolveOracle:
+    """``solve_fits`` of fits one at a time and all in one call is bit for
+    bit ``reference_solve_block`` of each fit alone, with the same complex
+    masks, and the x^2-and-1/x error on that fit's row only."""
+
+    def check_blocks(self, fits, data):
+        seen = dict.fromkeys(("undefined", "complex", "unsupported"), 0)
+        for x, y in data.row_blocks():
+            for axis in (1, 0):
+                want = []
+                with np.errstate(**implicit.SOLVE_ERRSTATE):
+                    for fit in fits:
+                        try:
+                            want.append(reference_solve_block(fit, x, y, axis))
+                        except UnsupportedModelError as exc:
+                            want.append(str(exc))
+                for group in [[k] for k in range(len(fits))] + [list(range(len(fits)))]:
+                    est = np.empty((len(group), x.size))
+                    with np.errstate(**implicit.SOLVE_ERRSTATE):
+                        errors, complex_mask = implicit.solve_fits(
+                            [fits[k] for k in group], x, y, axis, est)
+                    for row, k in enumerate(group):
+                        if isinstance(want[k], str):
+                            assert isinstance(errors[row], UnsupportedModelError)
+                            assert str(errors[row]) == want[k]
+                            continue
+                        hat, want_complex = want[k]
+                        assert errors[row] is None, format_model(fits[k].spec)
+                        assert est[row].view(np.int64).tolist() == hat.view(np.int64).tolist()
+                        assert complex_mask[row].tolist() == want_complex.tolist()
+                seen["unsupported"] += sum(isinstance(w, str) for w in want)
+                seen["undefined"] += sum(np.isnan(w[0]).sum() for w in want if isinstance(w, tuple))
+                seen["complex"] += sum(w[1].sum() for w in want if isinstance(w, tuple))
+        return seen
+
+    def test_every_grammar_shape_at_n_50(self):
+        rng = np.random.default_rng(5)
+        sample = generate(SimulationConfig(n=50, sigma=5.0, seed=11))
+        fits = BasisQR(sample).fits([parse_model(text) for text in _GRAMMAR_SHAPES])
+        assert not any(isinstance(fit, ImplicitRegressionError) for fit in fits)
+        fits += _random_fits(rng, _GRAMMAR_SHAPES) + _random_fits(rng, _GRAMMAR_SHAPES)
+        # x = 0 and y = 0 rows make 1/x infinite and x- or y-terms vanish;
+        # at y just off 1/3 the x-coefficient 1 - 3y of x ~ 2 + y + 3xy
+        # vanishes by rounding, but is not zero
+        near = fit_with("x ~ 1 + y + x*y", [2.0, 1.0, 3.0])
+        fits.append(near)
+        x, y = sample.x.copy(), sample.y.copy()
+        x[[3, 17, 40]] = 0.0
+        y[[8, 17]] = 0.0
+        y[[20, 21]] = [0.33333333333333326, 0.3333333333333334]
+        assert (1.0 - 3.0 * y[[20, 21]] != 0.0).all()
+        data = Dataset("x", "y", x, y)
+        seen = self.check_blocks(fits, data)
+        assert min(seen.values()) > 0, seen
+        assert np.isnan(predict(near, data).x_hat[[20, 21]]).all()
+
+    def test_the_listed_shapes_over_three_row_blocks(self):
+        n = 2 * dataio._BLOCK_ROWS + 5
+        sample = generate(SimulationConfig(n=n, sigma=5.0, seed=4))
+        fits = BasisQR(sample).fits([parse_model(text) for text in _SHAPES])
+        fits += _random_fits(np.random.default_rng(6), _SHAPES)
+        fits.insert(3, fit_with("y ~ 1 + 1/x + x^2", [1.0, 2.0, 3.0]))
+        x = sample.x.copy()
+        x[::dataio._BLOCK_ROWS // 2] = 0.0
+        seen = self.check_blocks(fits, Dataset("x", "y", x, sample.y))
+        assert min(seen.values()) > 0, seen
 
 
 def _solve_outcome(fit, data):
