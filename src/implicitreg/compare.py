@@ -135,31 +135,36 @@ def _swept_values(fits: list, data: Dataset) -> list:
     ``row_square_sums`` reduces into each fit's SSE_y and SSM_y, then for x
     into the same buffer.  The sums and the complex x-solves add up over
     the blocks, so on data of more than one block a square sum is a sum of
-    block sums.  An undefined solve is NaN and makes its fit's SSE NaN; such
-    a fit is solved again by ``predict`` over all rows at once, which raises
-    where no solve is defined, and ``pairwise_square_sums`` drops its rows
-    pairwise.
+    block sums.  A fit whose solve fails keeps that first error and is not
+    solved in later blocks or axes.  An undefined solve is NaN and makes its
+    fit's SSE NaN; such a fit is solved again by ``predict`` into n-row
+    arrays, which raises where no solve is defined, and
+    ``pairwise_square_sums`` drops its rows pairwise.
     """
     values = list(fits)
     live = [i for i, fit in enumerate(fits) if not isinstance(fit, ImplicitRegressionError)]
-    if not live:
-        return values
     # per sum (SSE, SSM), axis (y, x) and live fit
-    sse, ssm = sums = np.zeros((2, 2, len(live)))
+    sums = np.zeros((2, 2, len(live)))
     complex_x = np.zeros(len(live), dtype=np.intp)
     for x, y in data.row_blocks():
         est = np.empty((len(live), x.size))
         with np.errstate(**SOLVE_ERRSTATE):
             for a, (obs, (mean, _, _)) in enumerate(zip((y, x), data.axis_sums)):
-                errors, complex_mask = solve_fits([fits[i] for i in live], x, y, 1 - a, est)
-                for i, error in zip(live, errors):  # the first error stays
-                    values[i] = error if error is not None and values[i] is fits[i] else values[i]
+                if not live:
+                    break
+                errors, complex_mask = solve_fits([fits[i] for i in live], x, y, 1 - a,
+                                                  est[:len(live)])
                 complex_x += np.count_nonzero(complex_mask, axis=1)
-                sums[:, a] += row_square_sums(obs, est, mean)
+                sums[:, a] += row_square_sums(obs, est[:len(live)], mean)
+                keep = [k for k, error in enumerate(errors) if error is None]
+                if len(keep) < len(live):
+                    # a fit that fails keeps its first error and is not solved again
+                    for i, error in zip(live, errors):
+                        values[i] = fits[i] if error is None else error
+                    live, sums, complex_x = [live[k] for k in keep], sums[..., keep], complex_x[keep]
+    sse, ssm = sums
     for row, i in enumerate(live):
         fit = fits[i]
-        if values[i] is not fit:
-            continue
         axis_sse, n_defs = sse[:, row].tolist(), (data.n, data.n)
         try:
             if any(map(math.isnan, axis_sse)):

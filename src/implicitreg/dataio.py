@@ -32,8 +32,10 @@ _NON_SPACE = re.compile(rb"\S")
 # a mixed number W N/D: a signed integer whole part, then an unsigned fraction
 _MIXED = re.compile(r"([+-]?)(\d+)\s+(\d+)/(\d+)")
 # rows per block of the factorisation, the solves and the writer, read only
-# through Dataset.row_blocks(): 1.5 MiB of the six basis columns at a time
-_BLOCK_ROWS = 1 << 15
+# through Dataset.row_blocks(): a 1-d block temporary is 64 KiB, under
+# glibc's default 128 KiB mmap threshold, and the six basis columns (384 KiB)
+# or seven models' solves (448 KiB) of a block fit a 2 MiB L2 cache
+_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -199,11 +201,12 @@ def read_csv(source) -> Dataset:
     end = data.find(b"\n")
     if end < 0:
         end = len(data)
-    head = data[:end]
-    # the body is plain when the header holds every byte outside the alphabet
-    plain = len(data.translate(None, _PLAIN_BYTES)) == len(head.translate(None, _PLAIN_BYTES))
+    # the body is plain when no byte from its LF on is outside the alphabet;
+    # scanned in 64 KiB slices, as translate allocates a copy of its input
+    plain = not any(data[i:i + (1 << 16)].translate(None, _PLAIN_BYTES)
+                    for i in range(end, len(data), 1 << 16))
     values = None
-    if plain and len(lines := _text_lines(head)) == 1:
+    if plain and len(lines := _text_lines(data[:end])) == 1:
         x_label, y_label = _labels(lines[0])
         values = _plain_values(data, end + 1)
     if values is None:

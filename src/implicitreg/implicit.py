@@ -154,17 +154,25 @@ def solve_fits(fits: list, x: np.ndarray, y: np.ndarray, axis: int,
 
 
 def predict(fit: FitResult, data: Dataset) -> Prediction:
-    """Solve for y at each observed x and x at each observed y over all of
-    ``data``'s rows as one block; NaN where singular, and raises if every
-    solve is.  Rows with an undefined solve come here from ``compare``'s
-    row sweep, which drops them pairwise, as do Boyle's overlays."""
+    """Solve for y at each observed x and x at each observed y, block by
+    block of ``data.row_blocks()`` into n-row arrays; NaN where singular,
+    and raises if every solve is.  Every row runs the same operations, so
+    no bit depends on the blocks.  Rows with an undefined solve come here
+    from ``compare``'s row sweep, which drops them pairwise, as do Boyle's
+    overlays."""
     y_hat, x_hat = np.empty((2, 1, data.n))
+    x_complex = np.empty(data.n, dtype=bool)
+    start = 0
     with np.errstate(**SOLVE_ERRSTATE):
-        for axis, est in ((1, y_hat), (0, x_hat)):
-            (error,), complex_mask = solve_fits([fit], data.x, data.y, axis, est)
-            if error is not None:
-                raise error
-    pred = Prediction(y_hat=y_hat[0], x_hat=x_hat[0], x_complex=complex_mask[0])
+        for x, y in data.row_blocks():
+            rows = slice(start, start + x.size)
+            for axis, est in ((1, y_hat), (0, x_hat)):
+                (error,), complex_mask = solve_fits([fit], x, y, axis, est[:, rows])
+                if error is not None:
+                    raise error
+            x_complex[rows] = complex_mask[0]
+            start = rows.stop
+    pred = Prediction(y_hat=y_hat[0], x_hat=x_hat[0], x_complex=x_complex)
     if not (pred.y_defined.any() or pred.x_defined.any()):
         raise DegenerateDataError(f"every solve of {fit.spec} hit a singular denominator")
     return pred

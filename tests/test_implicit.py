@@ -640,3 +640,22 @@ class TestRowBlocks:
         # the x^2-and-1/x error is raised once per solve, not once per block
         unsupported = [o for o in blocked if o[0] is CountedUnsupported]
         assert unsupported and len(raised) == len(unsupported)
+
+    def test_three_row_blocks_predict_as_one_block(self, monkeypatch):
+        # predict walks the row blocks into its n-row arrays, y then x per
+        # block; 1 ~ x*y also on a copy with x = 0 in every block, and
+        # y = 100 + x + x^2, whose x-solves are complex where y < 99.75
+        n = 2 * dataio._BLOCK_ROWS + 5
+        sample = generate(SimulationConfig(n=n, sigma=5.0, seed=7))
+        x = sample.x.copy()
+        x[::dataio._BLOCK_ROWS // 2] = 0.0
+        with_zeros = Dataset("x", "y", x, sample.y)
+        cases = [(fit_on(text, sample), sample)
+                 for text in ("y ~ 1 + x + x^2", "1 ~ x*y", "y ~ 1 + 1/x")]
+        cases.append((fit_with("y ~ 1 + x + x^2", [100.0, 1.0, 1.0]), sample))
+        cases.append((fit_on("1 ~ x*y", with_zeros), with_zeros))
+        blocked = [_solve_outcome(fit, data) for fit, data in cases]
+        assert 0 < predict(*cases[3]).x_complex.sum() < n
+        assert np.isnan(predict(*cases[-1]).y_hat).sum() == 5
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", n)
+        assert blocked == [_solve_outcome(fit, data) for fit, data in cases]
