@@ -22,7 +22,7 @@ from .errors import ImplicitRegressionError
 from .fitcore import (ALPHA, BasisQR, FitResult, constancy_index, reduce_models,
                       self_weighting_mean)
 from .formula import format_model, parse_model
-from .implicit import SOLVE_ERRSTATE, predict, solve_fits
+from .implicit import SOLVE_ERRSTATE, predict, solve_error, solve_fits
 from .metrics import (
     RankDirection,
     pairwise_square_sums,
@@ -128,21 +128,23 @@ def _row_values(fit: FitResult, sums, axis_sse, n_defs, n: int, complex_x: int) 
 
 def _swept_values(fits: list, data: Dataset) -> list:
     """Per fit, its row's ``_row_values``, or its error: an error in
-    ``fits`` stays, and a fit whose solve or square sums raise takes that error.
+    ``fits`` stays, a fit with a ``solve_error`` takes it before the pass,
+    and a fit whose square sums or ``predict`` raise takes that error.
 
-    One pass over the row blocks solves the fits with ``solve_fits`` under
-    one ``np.errstate`` per block, for y into a (fits, rows) buffer that
-    ``row_square_sums`` reduces into each fit's SSE_y and SSM_y, then for x
-    into the same buffer.  The sums and the complex x-solves add up over
-    the blocks, so on data of more than one block a square sum is a sum of
-    block sums.  A fit whose solve fails keeps that first error and is not
-    solved in later blocks or axes.  An undefined solve is NaN and makes its
-    fit's SSE NaN; such a fit is solved again by ``predict`` into n-row
-    arrays, which raises where no solve is defined, and
-    ``pairwise_square_sums`` drops its rows pairwise.
+    One pass over the row blocks solves the other fits with ``solve_fits``
+    under one ``np.errstate`` per block, for y into a (fits, rows) buffer
+    that ``row_square_sums`` reduces into each fit's SSE_y and SSM_y, then
+    for x into the same buffer.  The sums and the complex x-solves add up
+    over the blocks, so on data of more than one block a square sum is a
+    sum of block sums.  An undefined solve is NaN and makes its fit's SSE
+    NaN; such a fit is solved again by ``predict`` into n-row arrays, which
+    raises where no solve is defined, and ``pairwise_square_sums`` drops
+    its rows pairwise.
     """
-    values = list(fits)
-    live = [i for i, fit in enumerate(fits) if not isinstance(fit, ImplicitRegressionError)]
+    values = [fit if isinstance(fit, ImplicitRegressionError) else solve_error(fit) or fit
+              for fit in fits]
+    live = [i for i, value in enumerate(values) if isinstance(value, FitResult)]
+    live_fits = [fits[i] for i in live]
     # per sum (SSE, SSM), axis (y, x) and live fit
     sums = np.zeros((2, 2, len(live)))
     complex_x = np.zeros(len(live), dtype=np.intp)
@@ -150,18 +152,8 @@ def _swept_values(fits: list, data: Dataset) -> list:
         est = np.empty((len(live), x.size))
         with np.errstate(**SOLVE_ERRSTATE):
             for a, (obs, (mean, _, _)) in enumerate(zip((y, x), data.axis_sums)):
-                if not live:
-                    break
-                errors, complex_mask = solve_fits([fits[i] for i in live], x, y, 1 - a,
-                                                  est[:len(live)])
-                complex_x += np.count_nonzero(complex_mask, axis=1)
-                sums[:, a] += row_square_sums(obs, est[:len(live)], mean)
-                keep = [k for k, error in enumerate(errors) if error is None]
-                if len(keep) < len(live):
-                    # a fit that fails keeps its first error and is not solved again
-                    for i, error in zip(live, errors):
-                        values[i] = fits[i] if error is None else error
-                    live, sums, complex_x = [live[k] for k in keep], sums[..., keep], complex_x[keep]
+                complex_x += np.count_nonzero(solve_fits(live_fits, x, y, 1 - a, est), axis=1)
+                sums[:, a] += row_square_sums(obs, est, mean)
     sse, ssm = sums
     for row, i in enumerate(live):
         fit = fits[i]

@@ -86,38 +86,48 @@ def _sum(out: np.ndarray, coefs, terms, other: np.ndarray, scale=None) -> np.nda
     return out
 
 
+def _estimate(fit: FitResult, term: Term) -> float:
+    """``fit``'s estimate of ``term``, 0.0 where its model has none."""
+    terms = fit.spec.coefficient_terms
+    return fit.estimates[terms.index(term)] if term in terms else 0.0
+
+
+def solve_error(fit: FitResult) -> UnsupportedModelError | None:
+    """The error of every x-solve of ``fit`` whose x^2 and 1/x estimates are
+    both nonzero (NaN included): clearing the 1/x by multiplying through by
+    x makes the x-equation cubic.  None for every other fit."""
+    if _estimate(fit, Term.X_SQUARED) and _estimate(fit, Term.INV_X):
+        return UnsupportedModelError(f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
+    return None
+
+
 def solve_fits(fits: list, x: np.ndarray, y: np.ndarray, axis: int,
-               est: np.ndarray) -> tuple[list, np.ndarray]:
+               est: np.ndarray) -> np.ndarray:
     """Solve each of ``fits`` for x (``axis=0``) at each observed y, or for
     y (``axis=1``) at each observed x, on one row block (x, y), into its row
     of ``est`` (fits, rows), NaN where the denominator is (near) zero; returns
-    per fit its error (its row then holds no solve) or None, and the
-    (fits, rows) mask of complex x-solves.  Run it under
+    the (fits, rows) mask of complex x-solves.  Raises ``solve_error(fit)``
+    for the x-solve of a fit that has one.  Run it under
     ``np.errstate(**SOLVE_ERRSTATE)``.
 
-    The equation is at most quadratic in the solved axis; a 1/x term that
-    does not vanish is cleared by multiplying through by x.  The x-equation's
-    1/x and x^2 coefficients are minus their estimates on every row, so every
-    block makes that choice, and errs for a model with both, alike.  Each
-    fit's coefficients are summed on their own, the constant one into its
-    row; the tail from the negation on serves all fits at once.
+    The equation is at most quadratic in the solved axis; the x-equation is
+    multiplied through by x when the 1/x estimate is nonzero, which every
+    block reads off the estimates alike.  Each fit's coefficients are summed
+    on their own, the constant one into its row; the tail from the negation
+    on serves all fits at once.
     """
     other = x if axis else y
-    errors: list = [None] * len(fits)
     singular = np.zeros(est.shape, dtype=bool)
     complex_mask = np.zeros(est.shape, dtype=bool)
     b, scale = np.empty((2, x.size))
     quadratics = []
     for k, (fit, row) in enumerate(zip(fits, est)):
         powers, coefs = _equation(fit.spec, axis), (1.0, *(-e for e in fit.estimates))
-        # the power holding the constant coefficient: -1 once a 1/x term that
-        # does not vanish is multiplied through by x, which x^2 would make cubic
-        low = -1 if -1 in powers and not (np.abs(_sum(b, coefs, powers[-1], other, scale))
-                                          <= _SINGULAR_RTOL * scale).all() else 0
-        if low and 2 in powers and _sum(b, coefs, powers[2], other).any():
-            errors[k] = UnsupportedModelError(
-                f"{fit.spec} mixes x^2 and 1/x; no closed-form x solve")
-            continue
+        if not axis and (error := solve_error(fit)) is not None:
+            raise error
+        # the power holding the constant coefficient: -1 once a 1/x term is
+        # multiplied through by x
+        low = -1 if -1 in powers and _estimate(fit, Term.INV_X) else 0
         # a missing power reads as a zero coefficient
         _sum(row, coefs, powers.get(low, ((), ())), other)
         _sum(b, coefs, powers.get(low + 1, ((), ())), other, scale)
@@ -150,27 +160,24 @@ def solve_fits(fits: list, x: np.ndarray, y: np.ndarray, axis: int,
         nearest[affine] = est[k, affine]
         est[k], complex_mask[k] = nearest, flagged
     est[~np.isfinite(est)] = np.nan
-    return errors, complex_mask
+    return complex_mask
 
 
 def predict(fit: FitResult, data: Dataset) -> Prediction:
     """Solve for y at each observed x and x at each observed y, block by
-    block of ``data.row_blocks()`` into n-row arrays; NaN where singular,
-    and raises if every solve is.  Every row runs the same operations, so
-    no bit depends on the blocks.  Rows with an undefined solve come here
-    from ``compare``'s row sweep, which drops them pairwise, as do Boyle's
-    overlays."""
+    block of ``data.row_blocks()`` into n-row arrays; NaN where singular.
+    Raises ``solve_error(fit)``, or an error if every solve is singular.
+    Every row runs the same operations, so no bit depends on the blocks.
+    Rows with an undefined solve come here from ``compare``'s row sweep,
+    which drops them pairwise, as do Boyle's overlays."""
     y_hat, x_hat = np.empty((2, 1, data.n))
     x_complex = np.empty(data.n, dtype=bool)
     start = 0
     with np.errstate(**SOLVE_ERRSTATE):
         for x, y in data.row_blocks():
             rows = slice(start, start + x.size)
-            for axis, est in ((1, y_hat), (0, x_hat)):
-                (error,), complex_mask = solve_fits([fit], x, y, axis, est[:, rows])
-                if error is not None:
-                    raise error
-            x_complex[rows] = complex_mask[0]
+            solve_fits([fit], x, y, 1, y_hat[:, rows])
+            x_complex[rows] = solve_fits([fit], x, y, 0, x_hat[:, rows])[0]
             start = rows.stop
     pred = Prediction(y_hat=y_hat[0], x_hat=x_hat[0], x_complex=x_complex)
     if not (pred.y_defined.any() or pred.x_defined.any()):

@@ -153,10 +153,23 @@ class TestFitCommand:
         for token in ("R^2 =", "SE_y =", "theta_T =", "undefined solves"):
             assert token in stdout
 
+    def test_mixed_square_and_reciprocal_fails_unless_reduced(self, tmp_path, capsys):
+        # the final fit decides the x-solve: y ~ 1 + x^2 + 1/x has no closed
+        # form, but its reduction drops x^2 and solves
+        data = tmp_path / "sigma1.csv"
+        run_cli(capsys, "simulate", "--n", "50", "--sigma", "1", "--seed", "1",
+                "--out", str(data))
+        argv = ("fit", "--model", "y ~ 1 + x^2 + 1/x", "--data", str(data))
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: y ~ 1 + x^2 + 1/x mixes x^2 and 1/x; no closed-form x solve\n")
+        code, stdout, stderr = run_cli(capsys, *argv, "--reduce")
+        assert (code, stderr) == (0, "")
+        assert "dropped x^2 (p = 0.7864)" in stdout.splitlines()
+
 
 def _no_defined_solve(fits, x, y, axis, est):
     est.fill(np.nan)
-    return [None] * len(fits), np.zeros(est.shape, dtype=bool)
+    return np.zeros(est.shape, dtype=bool)
 
 
 @pytest.mark.parametrize("argv", [("fit", "--model", "1 ~ x*y"), ("boyle",)],
@@ -215,18 +228,16 @@ class TestCompareCommand:
             assert r_squared[3] is None
 
     def test_warnings_follow_row_order(self, tmp_path, capsys, monkeypatch):
-        # the 1/x fit fails at x = 0, and the solves of the x rotation (as
-        # reduced) and of 1 ~ x*y are made to fail, one before it and one after
-        solve_fits = compare.solve_fits
+        # the 1/x fit fails at x = 0, and the x rotation (as reduced) and
+        # 1 ~ x*y take a solve error, one before it and one after
+        solve_error = compare.solve_error
 
-        def solve_failing_two(fits, x, y, axis, est):
-            errors, complex_mask = solve_fits(fits, x, y, axis, est)
-            for k, fit in enumerate(fits):
-                if fit.spec.response is Term.X or str(fit.spec) == "1 ~ x*y":
-                    errors[k] = DegenerateDataError("no solve")
-            return errors, complex_mask
+        def failing_two(fit):
+            if fit.spec.response is Term.X or str(fit.spec) == "1 ~ x*y":
+                return DegenerateDataError("no solve")
+            return solve_error(fit)
 
-        monkeypatch.setattr(compare, "solve_fits", solve_failing_two)
+        monkeypatch.setattr(compare, "solve_error", failing_two)
         path = tmp_path / "zero_x.csv"
         path.write_text("x,y\n0,5.1\n1,3.9\n2,3.2\n3,2.1\n4,0.8\n5,0.1\n")
         code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))

@@ -226,22 +226,27 @@ def _sample_with_zeros(n, sigma, seed, zeros):
 @contextmanager
 def _injected_solves(salt, raising):
     """Each (fit, axis) drops some of its solves to NaN at a rate drawn from
-    its salted name, and the solves of the models in ``raising`` fail, both
-    in the sweep and in ``predict``."""
-    solve_fits = implicit.solve_fits
+    its salted name, and the models in ``raising`` take a ``solve_error``,
+    both in the sweep and in ``predict``."""
+    solve_fits, solve_error = implicit.solve_fits, implicit.solve_error
 
     def solve_injected(fits, x, y, axis, est):
-        errors, complex_mask = solve_fits(fits, x, y, axis, est)
+        complex_mask = solve_fits(fits, x, y, axis, est)
         for k, fit in enumerate(fits):
-            if str(fit.spec) in raising:
-                errors[k] = DegenerateDataError(f"no solve of {fit.spec}")
             rng = random.Random(f"{salt} {fit.spec} {axis}")
             rate = rng.choice([0.0, 0.0, 0.1, 1.0])
             est[k, [i for i in range(x.size) if rng.random() < rate]] = np.nan
-        return errors, complex_mask
+        return complex_mask
+
+    def error_injected(fit):
+        if str(fit.spec) in raising:
+            return DegenerateDataError(f"no solve of {fit.spec}")
+        return solve_error(fit)
 
     with (mock.patch.object(implicit, "solve_fits", solve_injected),
-          mock.patch.object(compare, "solve_fits", solve_injected)):
+          mock.patch.object(compare, "solve_fits", solve_injected),
+          mock.patch.object(implicit, "solve_error", error_injected),
+          mock.patch.object(compare, "solve_error", error_injected)):
         yield
 
 
@@ -568,16 +573,14 @@ class TestFailureIsolation:
 
     def test_a_failed_solve_keeps_its_row_in_place(self, sigma5_report, monkeypatch):
         failing = parse_model(self.MID_LIST)
-        solve_fits = compare.solve_fits
+        solve_error = compare.solve_error
 
-        def solve_failing_one(fits, x, y, axis, est):
-            errors, complex_mask = solve_fits(fits, x, y, axis, est)
-            for k, fit in enumerate(fits):
-                if fit.spec == failing:
-                    errors[k] = DegenerateDataError("every solve hit a singular denominator")
-            return errors, complex_mask
+        def failing_one(fit):
+            if fit.spec == failing:
+                return DegenerateDataError("every solve hit a singular denominator")
+            return solve_error(fit)
 
-        monkeypatch.setattr(compare, "solve_fits", solve_failing_one)
+        monkeypatch.setattr(compare, "solve_error", failing_one)
         report = build_comparison(generate(SimulationConfig(n=50, sigma=5.0, seed=12345)),
                                   seed=12345)
         assert tuple(r.model for r in report.rows) == COMPARISON_MODEL_TEXTS
@@ -601,14 +604,13 @@ class TestFailureIsolation:
     @pytest.mark.parametrize("first_fails_at", ["solve", "fit"])
     def test_fit_and_solve_failures_raise_the_first_models_error(self, monkeypatch,
                                                                  first_fails_at):
-        # every solve fails, y ~ 1 + 1/x fails at its fit (x = 0), and so
-        # does the first model when first_fails_at is "fit"
+        # every fit has a solve error, y ~ 1 + 1/x fails at its fit (x = 0),
+        # and so does the first model when first_fails_at is "fit"
         raised = []
 
-        def solve_failing(fits, x, y, axis, est):
-            est.fill(0.0)
-            raised.extend(DegenerateDataError(f"no solve of {fit.spec}") for fit in fits)
-            return raised[-len(fits):], np.zeros(est.shape, dtype=bool)
+        def solve_failing(fit):
+            raised.append(DegenerateDataError(f"no solve of {fit.spec}"))
+            return raised[-1]
 
         fits = compare.BasisQR.fits
         first = compare._COMPARISON_SPECS[0]
@@ -620,7 +622,7 @@ class TestFailureIsolation:
                 results[0] = raised[-1]
             return results
 
-        monkeypatch.setattr(compare, "solve_fits", solve_failing)
+        monkeypatch.setattr(compare, "solve_error", solve_failing)
         monkeypatch.setattr(compare.BasisQR, "fits", fits_failing_first)
         data = Dataset("x", "y", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
                        [5.1, 3.9, 3.2, 2.1, 0.8, 0.1])
@@ -628,45 +630,44 @@ class TestFailureIsolation:
             build_comparison(data)
         assert excinfo.value is raised[0]
         assert isinstance(raised[0], SingularDesignError) == (first_fails_at == "fit")
-        # every fit fails at its first y-solve and is not solved again, but
-        # the two that fail at their fit are never solved
+        # every fit takes its solve error before the pass, but the two that
+        # fail at their fit are not asked for one
         live = len(COMPARISON_MODEL_TEXTS) - 1 - (first_fails_at == "fit")
         assert len(raised) == live + (first_fails_at == "fit")
 
-    def test_a_failed_fit_is_not_solved_in_later_blocks(self, monkeypatch):
-        # three row blocks: y ~ 1 + x + x^2 fails at its first y-solve and
-        # 1 ~ x*y at its x-solve in the second block; each is attempted up
-        # to its failure and never after, and every other row keeps its bits
-        failing = {"y ~ 1 + x + x^2": (0, 1), "1 ~ x*y": (1, 0)}  # (block, axis)
-        order = [(block, axis) for block in range(3) for axis in (1, 0)]
+    def test_a_fit_with_a_solve_error_is_solved_in_no_block(self, monkeypatch):
+        # three row blocks: y ~ 1 + x + x^2 and 1 ~ x*y take a solve error
+        # before the pass, so neither is handed to solve_fits in any block
+        # or axis, and every other row keeps its bits
+        failing = {"y ~ 1 + x + x^2", "1 ~ x*y"}
         data = generate(SimulationConfig(n=30, sigma=5.0, seed=3))
         monkeypatch.setattr(dataio, "_BLOCK_ROWS", 10)
         twin = build_comparison(data)
-        solve_fits, calls, attempts = compare.solve_fits, [], {}
+        solve_fits, solve_error, calls = compare.solve_fits, compare.solve_error, []
 
-        def solve_failing(fits, x, y, axis, est):
-            block = len(calls) // 2
-            calls.append(axis)
-            errors, complex_mask = solve_fits(fits, x, y, axis, est)
-            for k, fit in enumerate(fits):
-                attempts.setdefault(str(fit.spec), []).append((block, axis))
-                if failing.get(str(fit.spec)) == (block, axis):
-                    errors[k] = DegenerateDataError(f"no solve of {fit.spec}")
-            return errors, complex_mask
+        def solve_counted(fits, x, y, axis, est):
+            calls.append((axis, [str(fit.spec) for fit in fits]))
+            return solve_fits(fits, x, y, axis, est)
 
-        monkeypatch.setattr(compare, "solve_fits", solve_failing)
+        def failing_two(fit):
+            if str(fit.spec) in failing:
+                return DegenerateDataError(f"no solve of {fit.spec}")
+            return solve_error(fit)
+
+        monkeypatch.setattr(compare, "solve_fits", solve_counted)
+        monkeypatch.setattr(compare, "solve_error", failing_two)
         report = build_comparison(data)
-        assert calls == [axis for _, axis in order]
+        solved = [row.reduced or row.model for row in twin.rows]
+        solved = [spec for spec in solved if spec not in failing]
+        assert len(solved) == len(COMPARISON_MODEL_TEXTS) - 2
+        assert calls == [(axis, solved) for _ in range(3) for axis in (1, 0)]
         for row, want in zip(report.rows, twin.rows):
             spec = row.reduced or row.model
             if spec in failing:
                 assert row.error == f"no solve of {spec}"
-                assert attempts[spec] == order[:order.index(failing[spec]) + 1]
                 continue
-            assert attempts[spec] == order, spec
             assert (row.error, row.reduced, row.metrics, row.diagnostics) == (
                 None, want.reduced, want.metrics, want.diagnostics), spec
-
 
 class TestRendering:
     def test_markdown_contains_all_models_and_footer(self, sigma5_report):

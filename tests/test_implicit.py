@@ -137,12 +137,13 @@ class TestPredictXOtherForms:
         x = rng.uniform(1, 10, 12)
         y = rng.uniform(1, 10, 12)
         fit = fit_on("y ~ 1 + 1/x + x^2", Dataset("x", "y", x, y))
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(UnsupportedModelError) as excinfo:
             predict(fit, Dataset("x", "y", x, y))
+        assert str(excinfo.value) == str(implicit.solve_error(fit))
         # the y-solve is still direct evaluation
         y_hat = np.empty((1, x.size))
         with np.errstate(**implicit.SOLVE_ERRSTATE):
-            assert implicit.solve_fits([fit], x, y, 1, y_hat)[0] == [None]
+            assert not implicit.solve_fits([fit], x, y, 1, y_hat).any()
         assert np.isfinite(y_hat).all()
 
 
@@ -460,10 +461,9 @@ class TestQuadraticXSolve:
         fits = [fit_with("y ~ 1 + x + x^2", [0.0, -bk, -ak]) for ak, bk in zip(a, b)]
         est = np.empty((len(rows), len(rows)))
         with np.errstate(**implicit.SOLVE_ERRSTATE):
-            errors, complex_mask = implicit.solve_fits(fits, x, c, 0, est)
+            complex_mask = implicit.solve_fits(fits, x, c, 0, est)
         with np.errstate(all="ignore"):
             want, want_complex = _reference_quadratic_solve(a, b, c, x)
-        assert errors == [None] * len(rows)
         assert est.diagonal().view(np.int64).tolist() == want.view(np.int64).tolist()
         assert complex_mask.diagonal().tolist() == want_complex.tolist()
 
@@ -535,9 +535,10 @@ def _random_fits(rng, texts):
 
 
 class TestStackedSolveOracle:
-    """``solve_fits`` of fits one at a time and all in one call is bit for
-    bit ``reference_solve_block`` of each fit alone, with the same complex
-    masks, and the x^2-and-1/x error on that fit's row only."""
+    """``solve_fits`` of fits one at a time, of the solvable ones in one call
+    and of all in one call is bit for bit ``reference_solve_block`` of each
+    fit alone, with the same complex masks; a call handed a fit with the
+    x^2-and-1/x error raises the first such fit's."""
 
     def check_blocks(self, fits, data):
         seen = dict.fromkeys(("undefined", "complex", "unsupported"), 0)
@@ -550,23 +551,25 @@ class TestStackedSolveOracle:
                             want.append(reference_solve_block(fit, x, y, axis))
                         except UnsupportedModelError as exc:
                             want.append(str(exc))
-                for group in [[k] for k in range(len(fits))] + [list(range(len(fits)))]:
+                solvable = [k for k, w in enumerate(want) if isinstance(w, tuple)]
+                for group in [[k] for k in range(len(fits))] + [solvable, list(range(len(fits)))]:
+                    failing = [want[k] for k in group if isinstance(want[k], str)]
                     est = np.empty((len(group), x.size))
                     with np.errstate(**implicit.SOLVE_ERRSTATE):
-                        errors, complex_mask = implicit.solve_fits(
-                            [fits[k] for k in group], x, y, axis, est)
-                    for row, k in enumerate(group):
-                        if isinstance(want[k], str):
-                            assert isinstance(errors[row], UnsupportedModelError)
-                            assert str(errors[row]) == want[k]
+                        try:
+                            complex_mask = implicit.solve_fits([fits[k] for k in group],
+                                                               x, y, axis, est)
+                        except UnsupportedModelError as exc:
+                            assert failing and str(exc) == failing[0]
                             continue
+                    assert not failing, failing
+                    for row, k in enumerate(group):
                         hat, want_complex = want[k]
-                        assert errors[row] is None, format_model(fits[k].spec)
                         assert est[row].view(np.int64).tolist() == hat.view(np.int64).tolist()
                         assert complex_mask[row].tolist() == want_complex.tolist()
-                seen["unsupported"] += sum(isinstance(w, str) for w in want)
-                seen["undefined"] += sum(np.isnan(w[0]).sum() for w in want if isinstance(w, tuple))
-                seen["complex"] += sum(w[1].sum() for w in want if isinstance(w, tuple))
+                seen["unsupported"] += len(want) - len(solvable)
+                seen["undefined"] += sum(np.isnan(want[k][0]).sum() for k in solvable)
+                seen["complex"] += sum(want[k][1].sum() for k in solvable)
         return seen
 
     def test_every_grammar_shape_at_n_50(self):
@@ -600,6 +603,66 @@ class TestStackedSolveOracle:
         x[::dataio._BLOCK_ROWS // 2] = 0.0
         seen = self.check_blocks(fits, Dataset("x", "y", x, sample.y))
         assert min(seen.values()) > 0, seen
+
+
+
+# estimates at the edges of "nonzero": both zeros, NaN, and magnitudes so
+# small that 1e-12 of them underflows
+_EDGE_ESTIMATES = (0.0, -0.0, np.nan, 1e-300, -1e-300, 5e-324)
+
+
+class TestSolveErrorOracle:
+    """``solve_error(fit)`` is an error exactly where ``reference_solve_block``
+    raises on the x-solve, never where it solves y, and ``solve_fits`` raises
+    it on exactly those solves; on every other solve it keeps the bits."""
+
+    def test_every_grammar_shape_with_edge_estimates(self):
+        rng = np.random.default_rng(9)
+        fits = []
+        for _ in range(30):
+            for fit in _random_fits(rng, _GRAMMAR_SHAPES):
+                # about half the estimates replaced by an edge value
+                edge = rng.choice(_EDGE_ESTIMATES, len(fit.estimates))
+                estimates = np.where(rng.random(len(fit.estimates)) < 0.5, edge, fit.estimates)
+                fits.append(fit_with(format_model(fit.spec), estimates))
+        # every pair of x^2 and 1/x estimates, edges and a plain value
+        values = (*_EDGE_ESTIMATES, 2.5)
+        fits += [fit_with("y ~ 1 + x^2 + 1/x", [1.0, sq, inv])
+                 for sq in values for inv in values]
+        sample = generate(SimulationConfig(n=12, sigma=5.0, seed=2))
+        x, y = sample.x.copy(), sample.y.copy()
+        x[[2, 7]] = 0.0
+        y[[5, 7]] = 0.0
+        outcomes = defaultdict(int)
+        for fit in fits:
+            error = implicit.solve_error(fit)
+            for axis in (1, 0):
+                est = np.empty((1, x.size))
+                with np.errstate(**implicit.SOLVE_ERRSTATE):
+                    try:
+                        hat, want_complex = reference_solve_block(fit, x, y, axis)
+                        want = None
+                    except UnsupportedModelError as exc:
+                        want = str(exc)
+                    try:
+                        complex_mask = implicit.solve_fits([fit], x, y, axis, est)
+                        got = None
+                    except UnsupportedModelError as exc:
+                        got = str(exc)
+                label = (format_model(fit.spec), fit.estimates, axis)
+                assert (None if axis or error is None else str(error)) == want, label
+                assert got == want, label
+                if want is None:
+                    assert est[0].view(np.int64).tolist() == hat.view(np.int64).tolist(), label
+                    assert complex_mask[0].tolist() == want_complex.tolist(), label
+                by_term = dict(zip(fit.spec.coefficient_terms, fit.estimates))
+                nonzero = tuple(bool(by_term.get(t)) for t in (Term.X_SQUARED, Term.INV_X))
+                outcomes[axis, nonzero, want is not None] += 1
+        # x^2 or 1/x alone nonzero solves for x, and both nonzero err on
+        # every x-solve and no y-solve
+        assert outcomes[0, (True, False), False] and outcomes[0, (False, True), False]
+        assert outcomes[0, (True, True), True] and outcomes[1, (True, True), False]
+        assert not outcomes[0, (True, True), False] and not outcomes[1, (True, True), True]
 
 
 def _solve_outcome(fit, data):
