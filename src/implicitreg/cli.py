@@ -20,7 +20,7 @@ from .compare import (
     boyle_summary,
     boyle_summary_to_dict,
     build_comparison,
-    fitted_rows,
+    model_rows,
     render_csv,
     render_json,
     render_markdown,
@@ -123,7 +123,9 @@ def _cmd_fit(args) -> int:
     trace = []
     if args.reduce:
         fit, trace = reduce_model_trace(fit)
-    (row,) = fitted_rows([fit], data)
+    (row,), errors = model_rows([fit], data, [format_model(fit.spec)])
+    if errors:
+        raise errors[0]
 
     if args.format == "json":
         payload = {

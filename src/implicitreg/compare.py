@@ -74,12 +74,11 @@ class ModelRow:
 
     ``theta_t`` and ``height`` are None when the triangle is degenerate
     (perfect or null fit); standard errors are None when too few solves
-    are defined.  ``fitted_rows`` names a row by the spec it fitted and
-    leaves it unranked; ``build_comparison`` names it by its listed text,
-    keeps the fitted text in ``reduced`` where backward elimination changed
-    it, and fills ``ranks``.  A model ``build_comparison`` could not fit or
-    solve keeps its ``error`` message, and its metrics and diagnostics are
-    None.
+    are defined.  ``model_rows`` builds every command's rows: it names a
+    row by the text it is given and keeps the fitted text in ``reduced``
+    where backward elimination changed it; ``build_comparison`` fills
+    ``ranks``.  A model that could not be fit or solved keeps its ``error``
+    message, and its metrics and diagnostics are None.
     """
 
     model: str
@@ -114,22 +113,13 @@ class ComparisonReport:
     rows: tuple[ModelRow, ...]
 
 
-def _row_values(fit: FitResult, sums, axis_sse, n_defs, n: int, complex_x: int) -> tuple:
-    """A row's metrics and diagnostics in ``ModelRow``'s field order, None
-    where undefined, from the square sums (or None), each axis's SSE over
-    its ``n_defs`` of the ``n`` solves, and the count of complex x-solves."""
-    theta = height = None
-    if sums is not None:
-        theta, height = separation_angle(sums), relative_height(sums)
-    se = [standard_error(sse, n_def, fit.spec.n_coefficients)
-          for sse, n_def in zip(axis_sse, n_defs)]
-    return (fit.r_squared, *se, theta, height, n - n_defs[0], n - n_defs[1], complex_x)
-
-
-def _swept_values(fits: list, data: Dataset) -> list:
-    """Per fit, its row's ``_row_values``, or its error: an error in
-    ``fits`` stays, a fit with a ``solve_error`` takes it before the pass,
-    and a fit whose square sums or ``predict`` raise takes that error.
+def model_rows(fits: list, data: Dataset, names) -> tuple[list[ModelRow], list]:
+    """The unranked row of each of ``fits`` on ``data``, named ``names[i]``,
+    with the fitted text in ``reduced`` where it differs; and the errors of
+    the rows that failed, in row order.  A row fails with its error in
+    ``fits``, with its fit's ``solve_error`` (taken before the pass), or
+    when its square sums or ``predict`` raise; it keeps the message in
+    ``error``, and its metrics and diagnostics are None.
 
     One pass over the row blocks solves the other fits with ``solve_fits``
     under one ``np.errstate`` per block, for y into a (fits, rows) buffer
@@ -141,9 +131,9 @@ def _swept_values(fits: list, data: Dataset) -> list:
     raises where no solve is defined, and ``pairwise_square_sums`` drops
     its rows pairwise.
     """
-    values = [fit if isinstance(fit, ImplicitRegressionError) else solve_error(fit) or fit
+    errors = [fit if isinstance(fit, ImplicitRegressionError) else solve_error(fit)
               for fit in fits]
-    live = [i for i, value in enumerate(values) if isinstance(value, FitResult)]
+    live = [i for i, error in enumerate(errors) if error is None]
     live_fits = [fits[i] for i in live]
     # per sum (SSE, SSM), axis (y, x) and live fit
     sums = np.zeros((2, 2, len(live)))
@@ -155,27 +145,30 @@ def _swept_values(fits: list, data: Dataset) -> list:
                 complex_x += np.count_nonzero(solve_fits(live_fits, x, y, 1 - a, est), axis=1)
                 sums[:, a] += row_square_sums(obs, est, mean)
     sse, ssm = sums
-    for row, i in enumerate(live):
+    rows: list = [None] * len(fits)
+    for k, i in enumerate(live):
         fit = fits[i]
-        axis_sse, n_defs = sse[:, row].tolist(), (data.n, data.n)
+        axis_sse, n_defs = sse[:, k].tolist(), (data.n, data.n)
         try:
             if any(map(math.isnan, axis_sse)):
-                n_defs, axis_sse, sums = pairwise_square_sums(data, predict(fit, data))
+                n_defs, axis_sse, stacked = pairwise_square_sums(data, predict(fit, data))
             else:
-                sums = square_sums(data.n, data.axis_sums, axis_sse, ssm[:, row].tolist())
-            values[i] = _row_values(fit, sums, axis_sse, n_defs, data.n, int(complex_x[row]))
+                stacked = square_sums(data.n, data.axis_sums, axis_sse, ssm[:, k].tolist())
         except ImplicitRegressionError as exc:
-            values[i] = exc
-    return values
-
-
-def fitted_rows(fits: list, data: Dataset) -> list[ModelRow]:
-    """The unranked rows of ``fits``, each named by the spec it fitted; the
-    first fit that is an error, or whose solve raises, raises."""
-    values = _swept_values(fits, data)
-    for error in (v for v in values if isinstance(v, ImplicitRegressionError)):
-        raise error
-    return [ModelRow(format_model(fit.spec), None, *v) for fit, v in zip(fits, values)]
+            errors[i] = exc
+            continue
+        se_y, se_x = (standard_error(axis, n_def, fit.spec.n_coefficients)
+                      for axis, n_def in zip(axis_sse, n_defs))
+        fitted = format_model(fit.spec)
+        rows[i] = ModelRow(
+            model=names[i], reduced=None if fitted == names[i] else fitted,
+            r_squared=fit.r_squared, se_y=se_y, se_x=se_x,
+            theta_t=stacked and separation_angle(stacked),
+            height=stacked and relative_height(stacked),
+            undefined_y=data.n - n_defs[0], undefined_x=data.n - n_defs[1],
+            complex_x=int(complex_x[k]))
+    rows = [row or ModelRow(name, error=str(error)) for row, name, error in zip(rows, names, errors)]
+    return rows, [error for error in errors if error is not None]
 
 
 def _rank_rows(rows: list[ModelRow]) -> None:
@@ -190,32 +183,18 @@ def _rank_rows(rows: list[ModelRow]) -> None:
                 rows[i].ranks[metric] = rank
 
 
-def _comparison_fits(data: Dataset) -> list[FitResult | ImplicitRegressionError]:
-    """The listed models fitted to ``data`` in one ``BasisQR.fits`` call, the
-    rotations after lockstep backward elimination (``reduce_models``); a
-    model that cannot be fit holds its error instead."""
-    fits = BasisQR(data).fits(_COMPARISON_SPECS)
-    fits[:_N_ROTATIONS] = [reduced for reduced, _ in reduce_models(fits[:_N_ROTATIONS])]
-    return fits
-
-
 def build_comparison(data: Dataset, seed: int | None = None) -> ComparisonReport:
     """Fit the frozen model list and assemble the ranked comparison.
 
-    A model that cannot be fit or solved (e.g. ``1/x`` at x = 0) becomes a
-    row with None metrics and its ``error`` message, ranked around; only
-    when every model fails is the first model's error raised.
+    The rotations are reduced in lockstep (``reduce_models``), and the rows
+    come from ``model_rows``.  A model that cannot be fit or solved (e.g.
+    ``1/x`` at x = 0) becomes a row with None metrics and its ``error``
+    message, ranked around; only when every model fails is the first
+    model's error raised.
     """
-    fits = _comparison_fits(data)
-    rows, errors = [], []
-    for text, fit, values in zip(COMPARISON_MODEL_TEXTS, fits, _swept_values(fits, data)):
-        if isinstance(values, ImplicitRegressionError):
-            rows.append(ModelRow(model=text, error=str(values)))
-            errors.append(values)
-        else:
-            # every listed text is canonical, so a fit named otherwise was reduced
-            fitted = format_model(fit.spec)
-            rows.append(ModelRow(text, None if fitted == text else fitted, *values))
+    fits = BasisQR(data).fits(_COMPARISON_SPECS)
+    fits[:_N_ROTATIONS] = [reduced for reduced, _ in reduce_models(fits[:_N_ROTATIONS])]
+    rows, errors = model_rows(fits, data, COMPARISON_MODEL_TEXTS)
     if len(errors) == len(rows):
         raise errors[0]
     _rank_rows(rows)
@@ -329,7 +308,9 @@ def boyle_summary() -> BoyleSummary:
     data = boyle_dataset()
     product = data.x * data.y
     fits = BasisQR(data).fits(_BOYLE_SPECS)
-    rows = fitted_rows(fits, data)
+    rows, errors = model_rows(fits, data, BOYLE_MODEL_TEXTS)
+    if errors:
+        raise errors[0]
     return BoyleSummary(
         n=data.n,
         constancy_volume=constancy_index(data.x),

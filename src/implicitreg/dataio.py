@@ -73,10 +73,12 @@ class Dataset:
     @cached_property
     def axis_sums(self) -> tuple[tuple[float, float, float], ...]:
         """Per axis, y then x: the mean and the sums of squares about it and
-        about zero, summed once per dataset."""
-        means = float(self.y.mean()), float(self.x.mean())
-        return tuple((mean, float(((v - mean) ** 2).sum()), float(v @ v))
-                     for v, mean in zip((self.y, self.x), means))
+        about zero, summed once per dataset.  A sum past the float range is
+        inf, which ``metrics.square_sums`` reports."""
+        with np.errstate(over="ignore"):
+            means = float(self.y.mean()), float(self.x.mean())
+            return tuple((mean, float(((v - mean) ** 2).sum()), float(v @ v))
+                         for v, mean in zip((self.y, self.x), means))
 
     def row_blocks(self):
         """(x, y) views of at most ``_BLOCK_ROWS`` consecutive rows, in row

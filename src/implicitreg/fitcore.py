@@ -98,11 +98,14 @@ class FitResult:
     def coefficients(self) -> tuple[Coefficient, ...]:
         """The estimates with their classical standard errors and t statistics."""
         # R's columns divided by powers of two above their norms (at most
-        # 2^1023), so that neither its inverse nor the covariance overflows;
-        # the division is exact, and each SE is scaled back
+        # 2^1023), and sigma^2 by an even power of two, so that neither R's
+        # inverse nor the covariance overflows; each division is exact, and
+        # each SE is scaled back
         scale = np.ldexp(1.0, np.minimum(np.frexp(self._norms)[1], 1023))
+        half = math.frexp(self._sigma2)[1] // 2
         r_inv = np.linalg.inv(self._r / scale)
-        std_errors = np.sqrt((self._sigma2 * (r_inv @ r_inv.T)).diagonal()) / scale
+        cov = math.ldexp(self._sigma2, -2 * half) * (r_inv @ r_inv.T)
+        std_errors = np.ldexp(np.sqrt(cov.diagonal()), half) / scale
         t_stats = np.asarray(self.estimates) / std_errors
         dofs = [self.residual_dof] * len(self.estimates)
         return tuple(map(Coefficient, self.spec.coefficient_terms, self.estimates,

@@ -93,17 +93,22 @@ def pairwise_square_sums(data: Dataset, pred: Prediction) -> tuple[list, list, S
     """Per axis (y, then x) the count of ``pred``'s defined solves and their
     SSE, and the ``square_sums`` of the rows where both solves are defined
     (None below 3 rows), each sum the whole-array expression over those
-    rows compacted."""
+    rows compacted.  Raises an ``ImplicitRegressionError`` where an axis's
+    SSE, or the ``square_sums``, overflow."""
     axes = ((data.y, pred.y_hat, pred.y_defined), (data.x, pred.x_hat, pred.x_defined))
     n_defs = [int(np.count_nonzero(own)) for _, _, own in axes]
-    axis_sse = [float(((obs[own] - est[own]) ** 2).sum()) for obs, est, own in axes]
     pair = pred.y_defined & pred.x_defined
     rows = Dataset(data.x_label, data.y_label, data.x[pair], data.y[pair])
-    if rows.n < 3:
-        return n_defs, axis_sse, None
-    # est[pair] is a copy, which the squares overwrite
-    sums = [row_square_sums(obs, est[pair][np.newaxis], mean)
-            for (_, est, _), obs, (mean, _, _) in zip(axes, (rows.y, rows.x), rows.axis_sums)]
+    # a sum past the float range is inf, which is reported below
+    with np.errstate(over="ignore"):
+        axis_sse = [float(((obs[own] - est[own]) ** 2).sum()) for obs, est, own in axes]
+        if not all(map(math.isfinite, axis_sse)):
+            raise ImplicitRegressionError("square sums overflow the float range")
+        if rows.n < 3:
+            return n_defs, axis_sse, None
+        # est[pair] is a copy, which the squares overwrite
+        sums = [row_square_sums(obs, est[pair][np.newaxis], mean)
+                for (_, est, _), obs, (mean, _, _) in zip(axes, (rows.y, rows.x), rows.axis_sums)]
     sse, ssm = np.concatenate(sums, axis=1).tolist()  # rows SSE and SSM, columns y and x
     return n_defs, axis_sse, square_sums(rows.n, rows.axis_sums, sse, ssm)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,16 @@ def run_cli(capsys, *argv):
 def sim_csv(tmp_path, sigma=5.0, seed=12345, n=50):
     path = tmp_path / f"sim_{sigma}_{seed}.csv"
     path.write_bytes(write_csv(generate(SimulationConfig(n=n, sigma=sigma, seed=seed)), decimals=12))
+    return path
+
+
+def scaled_csv(tmp_path, source, k):
+    """``source`` with both columns times 2^k: the products are exact, and
+    %.17g round-trips them."""
+    header, *lines = source.read_text().splitlines()
+    path = tmp_path / f"{source.stem}_2e{k}.csv"
+    path.write_text("\n".join([header] + [
+        ",".join(f"{float(v) * 2.0 ** k:.17g}" for v in line.split(",")) for line in lines]))
     return path
 
 
@@ -167,6 +178,20 @@ class TestFitCommand:
         assert "dropped x^2 (p = 0.7864)" in stdout.splitlines()
 
 
+def test_fit_whose_axis_sse_overflows_is_runtime_error(tmp_path, capsys):
+    # 1 ~ y on simulate's n = 6, sigma = 1, seed 0 sample scaled by 2^506:
+    # every x-solve is undefined, so its SSE_y is summed pairwise, where it
+    # overflows; the command fails with one error line instead of SE_y = inf
+    path = tmp_path / "t.csv"
+    run_cli(capsys, "simulate", "--n", "6", "--sigma", "1", "--seed", "0", "--out", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, "fit", "--model", "1 ~ y", "--data",
+                                       str(scaled_csv(tmp_path, path, 506)))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: square sums overflow the float range\n"
+
+
 def _no_defined_solve(fits, x, y, axis, est):
     est.fill(np.nan)
     return np.zeros(est.shape, dtype=bool)
@@ -252,14 +277,44 @@ class TestCompareCommand:
     def test_sample_whose_square_sums_overflow_is_runtime_error(self, tmp_path, capsys):
         # the golden sample scaled by 2^502: every row's square sums add up
         # past the float range, so every row fails
-        header, *lines = (Path(__file__).parent / "golden" / "sample.csv").read_text().splitlines()
-        path = tmp_path / "sample_2e502.csv"
-        path.write_text("\n".join([header] + [
-            ",".join(f"{float(v) * 2.0 ** 502:.17g}" for v in line.split(",")) for line in lines]))
+        path = scaled_csv(tmp_path, Path(__file__).parent / "golden" / "sample.csv", 502)
         code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))
         assert code == 1
         assert stdout == ""
         assert stderr == "error: square sums overflow the float range\n"
+
+    def test_sample_at_2e502_reduces_as_at_scale_1(self, tmp_path, capsys):
+        # simulate's n = 30, sigma = 1, seed 7 sample scaled by 2^502: the
+        # covariance of y ~ 1 + x + x*y takes sigma^2 out by a power of two
+        # and does not overflow, so x*y is kept; only x*y ~ 1 + x + y, whose
+        # response's sum of squares overflows, is an error row
+        path = tmp_path / "s.csv"
+        run_cli(capsys, "simulate", "--n", "30", "--sigma", "1", "--seed", "7", "--out", str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [run_cli(capsys, "compare", "--data", str(source), "--format", "json")
+                       for source in (path, scaled_csv(tmp_path, path, 502))]
+        assert [(code, stderr) for code, _, stderr in reports] == [(0, ""), (
+            0, "warning: x*y ~ 1 + x + y: the sum of squares of x*y overflows\n")]
+        want, got = ({m["model"]: m for m in json.loads(stdout)["models"]}
+                     for _, stdout, _ in reports)
+        assert set(got.pop("x*y ~ 1 + x + y")["metrics"].values()) == {None}
+        assert want.pop("x*y ~ 1 + x + y")["reduced"] == "x*y ~ 1"
+        assert {k: m["reduced"] for k, m in got.items()} == {k: m["reduced"] for k, m in want.items()}
+        assert want["y ~ 1 + x + x*y"]["reduced"] is None
+
+    def test_sample_x0_at_2e503_prints_one_error_line(self, tmp_path, capsys):
+        # the sums of squares of the axes overflow there, with no warning
+        # before the command's single error line
+        lines = (Path(__file__).parent / "golden" / "sample.csv").read_text().splitlines()
+        source = tmp_path / "sample_x0.csv"
+        source.write_text("\n".join([lines[0], "0," + lines[1].split(",", 1)[1], *lines[2:]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_cli(capsys, "compare", "--data",
+                                           str(scaled_csv(tmp_path, source, 503)))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: the sum of squares of y overflows\n"
 
 
 class TestInputEncoding:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from implicitreg import (
     COMPARISON_MODEL_TEXTS,
@@ -31,7 +32,7 @@ from implicitreg import compare, dataio, implicit
 from implicitreg.compare import (BOYLE_MODEL_TEXTS, _METRIC_DIRECTIONS, boyle_plot_data,
                                  report_to_dict)
 from implicitreg.errors import DegenerateDataError, ImplicitRegressionError
-from implicitreg.fitcore import BasisQR, reduce_model_trace
+from implicitreg.fitcore import BasisQR, reduce_model_trace, reduce_models
 from implicitreg.formula import format_model, parse_model
 from implicitreg.implicit import predict
 from implicitreg.metrics import SquareSums, relative_height, separation_angle, standard_error
@@ -309,7 +310,8 @@ class TestRowSweep:
         (text,) for text in COMPARISON_MODEL_TEXTS)]), raising=st.booleans())
     def test_one_and_three_model_sweeps(self, n, sigma, seed, zeros, salt, texts, raising):
         # the sweeps of fit (one model) and boyle (three): unranked rows
-        # named by their fitted specs, or the first model's error raised
+        # named by the texts given, an error row for each model that fails,
+        # and the errors in row order
         data = _sample_with_zeros(n, sigma, seed, zeros)
         fits = BasisQR(data).fits([parse_model(text) for text in texts])
         with _injected_solves(salt, set(texts[-1:]) if raising else set()):
@@ -320,15 +322,17 @@ class TestRowSweep:
                                     else _oracle_values(fit, data))
                 except ImplicitRegressionError as exc:
                     expected.append(str(exc))
-            try:
-                rows = compare.fitted_rows(fits, data)
-            except ImplicitRegressionError as exc:
-                assert str(exc) == next(want for want in expected if isinstance(want, str))
-                return
-        for row, fit, want in zip(rows, fits, expected):
-            assert row.model == format_model(fit.spec)
-            assert row.ranks == {}
-            assert _hex({**row.metrics, **row.diagnostics}) == _hex(want), row.model
+            rows, errors = compare.model_rows(fits, data, texts)
+        assert [str(error) for error in errors] == [
+            want for want in expected if isinstance(want, str)]
+        for row, text, want in zip(rows, texts, expected):
+            assert (row.model, row.reduced, row.ranks) == (text, None, {})
+            if isinstance(want, str):
+                assert row.error == want, text
+                assert set(row.metrics.values()) | set(row.diagnostics.values()) == {None}
+                continue
+            assert row.error is None, text
+            assert _hex({**row.metrics, **row.diagnostics}) == _hex(want), text
 
     @pytest.mark.parametrize("source", ["seed", "seed_x0", "sample", "sample_x0", "boyle"])
     def test_seven_row_blocks_match_one_block(self, monkeypatch, source):
@@ -345,29 +349,78 @@ class TestRowSweep:
             if source == "sample_x0":
                 data = Dataset("x", "y", np.concatenate([[0.0], data.x[1:]]), data.y)
             datasets = [data]
-        fits = [compare._comparison_fits(data) for data in datasets]
-        whole = [(build_comparison(data), compare._swept_values(f, data))
+        fits = [_listed_fits(data) for data in datasets]
+        whole = [(build_comparison(data), compare.model_rows(f, data, COMPARISON_MODEL_TEXTS)[0])
                  for data, f in zip(datasets, fits)]
         if source.endswith("_x0"):  # 1 ~ x*y is dropped pairwise
             assert all(report.rows[-1].undefined_y for report, _ in whole)
         monkeypatch.setattr(dataio, "_BLOCK_ROWS", 7)
-        for data, f, (report, values) in zip(datasets, fits, whole):
+        for data, f, (report, rows) in zip(datasets, fits, whole):
             for got, want in zip(build_comparison(data).rows, report.rows):
                 assert (got.reduced, got.ranks, got.diagnostics, got.error) == (
                     want.reduced, want.ranks, want.diagnostics, want.error), want.model
             # the same fits swept in blocks: each square sum is a sum of
             # block sums, which moves only its last bits; a fit dropped
             # pairwise is summed over all rows at once, so it keeps them
-            for got, want in zip(compare._swept_values(f, data), values):
-                if isinstance(want, ImplicitRegressionError):
-                    assert str(got) == str(want)
-                    continue
-                if any(want[5:7]):  # undefined solves
+            for got, want in zip(compare.model_rows(f, data, COMPARISON_MODEL_TEXTS)[0], rows):
+                if want.error is not None or want.undefined_y or want.undefined_x:
                     assert got == want
                     continue
-                assert got[5:] == want[5:]  # the diagnostics
-                assert got[:5] == tuple(None if v is None else pytest.approx(v, rel=1e-12,
-                                        abs=0.0) for v in want[:5])
+                assert (got.model, got.reduced, got.diagnostics, got.error) == (
+                    want.model, want.reduced, want.diagnostics, want.error)
+                assert got.metrics == {k: None if v is None else pytest.approx(v, rel=1e-12,
+                                       abs=0.0) for k, v in want.metrics.items()}, want.model
+
+
+def _listed_fits(data):
+    """The fits ``build_comparison`` takes its rows from: the listed models,
+    the rotations reduced in lockstep."""
+    fits = BasisQR(data).fits(compare._COMPARISON_SPECS)
+    fits[:compare._N_ROTATIONS] = [fit for fit, _ in reduce_models(fits[:compare._N_ROTATIONS])]
+    return fits
+
+
+def _row_bits(row):
+    return row.model, row.reduced, row.error, _hex({**row.metrics, **row.diagnostics})
+
+
+class TestCrossCommandRows:
+    """compare, boyle and fit take their rows from ``model_rows``, so a
+    model's row holds the same bits whichever command reports it."""
+
+    def test_boyle_rows_are_its_compare_rows(self):
+        listed = {row.model: row for row in build_comparison(boyle_dataset()).rows}
+        rows = boyle_summary().rows
+        assert [row.model for row in rows] == list(BOYLE_MODEL_TEXTS)
+        for row in rows:
+            assert row.ranks == {}
+            assert _row_bits(row) == _row_bits(listed[row.model])
+
+    @pytest.mark.parametrize("source", ["seeds", "sample", "sample_x0"])
+    def test_one_fit_rows_are_compare_rows(self, source):
+        # each listed model fitted alone, as the fit command does (the
+        # rotations with --reduce), is its compare row named by its fitted
+        # text; a model fit_ols cannot fit is an error row there
+        if source == "seeds":
+            datasets = [generate(SimulationConfig(n=50, sigma=sigma, seed=seed))
+                        for sigma in (1.0, 5.0, 20.0) for seed in range(10)]
+        else:
+            data = read_csv(GOLDEN_SAMPLE)
+            if source == "sample_x0":
+                data = Dataset("x", "y", np.concatenate([[0.0], data.x[1:]]), data.y)
+            datasets = [data]
+        for data in datasets:
+            for idx, want in enumerate(build_comparison(data).rows):
+                try:
+                    fit = fit_ols(compare._COMPARISON_SPECS[idx], data)
+                    if idx < compare._N_ROTATIONS:
+                        fit = reduce_model_trace(fit)[0]
+                except ImplicitRegressionError as exc:
+                    assert want.error == str(exc), want.model
+                    continue
+                (row,), errors = compare.model_rows([fit], data, [format_model(fit.spec)])
+                assert errors == [] and row.model == (want.reduced or want.model)
+                assert _row_bits(row)[2:] == _row_bits(want)[2:], want.model
 
 
 class TestPerfectFits:
@@ -503,6 +556,44 @@ def test_overflowing_scales_give_error_rows_never_a_wrong_row():
                 else:
                     assert all_fail is None, (sx, k)
             assert all_fail in (503, 504), (sx, all_fail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([6, 12, 30]), sigma=st.sampled_from([1.0, 5.0, 20.0]),
+       seed=st.integers(0, 10_000), zeros=st.sets(st.integers(0, 29), max_size=10),
+       k=st.integers(470, 511))
+# sigma^2 times the covariance overflowed: the SEs of y ~ 1 + x + x*y were
+# inf, so t = 0, and x*y was dropped with a RuntimeWarning
+@example(n=30, sigma=1.0, seed=7, zeros=set(), k=502)
+@example(n=6, sigma=1.0, seed=0, zeros=set(), k=501)
+# the pairwise SSE_y of 1 ~ x*y overflowed to inf, and ranking it raised
+@example(n=12, sigma=5.0, seed=0, zeros=set(range(10)), k=504)
+def test_near_the_top_of_the_range_rows_fail_as_error_rows_only(n, sigma, seed, zeros, k):
+    # scaled by 2^k, compare and each listed model fitted alone (as the fit
+    # command does) raise nothing but ImplicitRegressionError and warn of
+    # nothing; every defined metric is finite, and every compare row that
+    # fits reduces as at scale 1
+    data = _sample_with_zeros(n, sigma, seed, zeros)
+    base = _comparison_or_none(data)
+    scaled = _scaled(data, 2.0 ** k)
+    rows = _comparison_or_none(scaled) or []
+    for want, got in zip(base or rows, rows):
+        if got.error is None:
+            assert all(v is None or math.isfinite(v) for v in got.metrics.values()), got.model
+            if base is not None and want.error is None:
+                assert got.reduced == want.reduced, got.model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for idx, spec in enumerate(compare._COMPARISON_SPECS):
+            try:
+                fit = fit_ols(spec, scaled)
+                if idx < compare._N_ROTATIONS:
+                    fit = reduce_model_trace(fit)[0]
+            except ImplicitRegressionError:
+                continue
+            assert fit.coefficients  # which the fit command prints
+            (row,), _ = compare.model_rows([fit], scaled, [format_model(fit.spec)])
+            assert all(v is None or math.isfinite(v) for v in row.metrics.values()), row.model
 
 
 class TestUnitDependence:

@@ -553,8 +553,8 @@ class TestBasisQR:
             expected.append((sum(drops > step for drops in alone), 6, 2 - step))
         assert sum(alone) == 4 and len(expected) >= 3
         shapes = _recording_qr(monkeypatch)
-        compare._comparison_fits(data)
-        # the sample is one row block, factored once
+        build_comparison(data)
+        # the sample is one row block, factored once; the row sweep factors nothing
         assert shapes == [(data.n, 6)] + expected
 
     def test_no_qr_without_a_fittable_spec(self, monkeypatch):
@@ -703,7 +703,7 @@ class TestExactOracle:
     def test_reduced_rotations_are_within_rounding_of_exact(self, data, reduced):
         # where elimination ends: on the sample, refits out of the lockstep's
         # stacked QRs; Boyle's rotations keep every term
-        fits = compare._comparison_fits(data)[:3]
+        fits = [fit for fit, _ in reduce_models(BasisQR(data).fits(compare._COMPARISON_SPECS[:3]))]
         assert sum(fit.spec != parse_model(text)
                    for text, fit in zip(COMPARISON_MODEL_TEXTS, fits)) == reduced
         for fit in fits:

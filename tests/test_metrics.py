@@ -22,7 +22,6 @@ from implicitreg import (
     relative_height,
     separation_angle,
 )
-from implicitreg.compare import _row_values
 from implicitreg.errors import ImplicitRegressionError
 from implicitreg.formula import parse_model
 from implicitreg.implicit import Prediction
@@ -119,8 +118,8 @@ def assert_sums_match_the_oracles(fit, data, pred):
     n_def, axis_sse, s = pairwise_square_sums(data, pred)
     assert _bits([s.ssm, s.sse, s.sst, s.n, s.sst_uncentered]) == \
         _bits(_oracle_square_sums(data, pred))
-    _, se_y, se_x, *_ = _row_values(fit, s, axis_sse, n_def, data.n, 0)
     k = fit.spec.n_coefficients
+    se_y, se_x = (standard_error(sse, n, k) for sse, n in zip(axis_sse, n_def))
     assert _bits([se_y, se_x]) == _bits([
         _oracle_se(data.y, pred.y_hat, pred.y_defined, k),
         _oracle_se(data.x, pred.x_hat, pred.x_defined, k),
