@@ -187,12 +187,15 @@ class BasisQR:
             stack = np.zeros((len(members), len(self.r), max(len(results[i]) for i in members)))
             for k, i in enumerate(members):
                 stack[k, :, :len(results[i])] = self.r[:, results[i]]
-            for i, q, R in zip(members, *np.linalg.qr(stack)):
-                p = len(results[i])
-                try:
-                    results[i] = self._solve(specs[i], results[i], q[:, :p], R[:p, :p])
-                except ImplicitRegressionError as exc:
-                    results[i] = exc
+            # near the top of the range an estimate may overflow; _solve fails
+            # that fit on its SSE
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, q, R in zip(members, *np.linalg.qr(stack)):
+                    p = len(results[i])
+                    try:
+                        results[i] = self._solve(specs[i], results[i], q[:, :p], R[:p, :p])
+                    except ImplicitRegressionError as exc:
+                        results[i] = exc
         return results
 
     def _solve(self, spec: ModelSpec, cols: list[int], q: np.ndarray, R: np.ndarray) -> FitResult:
@@ -225,6 +228,10 @@ class BasisQR:
         # its mean
         residuals = resp - self.r[:, cols] @ coefs
         sse = float(residuals @ residuals)
+        # every design column is nonzero (rank check above), so a non-finite
+        # estimate makes the SSE non-finite
+        if not math.isfinite(sse):
+            raise ImplicitRegressionError(f"the estimates of {spec} overflow the float range")
         sum_sq = float(resp @ resp)
         sst = float(resp[1:] @ resp[1:]) if spec.intercept and spec.predictors else sum_sq
         dof = self.n - len(cols)

@@ -445,6 +445,36 @@ def test_cli_import_leaves_scipy_stats_and_linalg_unloaded():
     assert out.strip() == "[]"
 
 
+_EXIT_PROBE = """
+import atexit, gc, sys
+from implicitreg.cli import entrypoint
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+entrypoint()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compare", "--format", "json", "--data", "tests/golden/sample.csv"], 0),
+    (["compare", "--data", "no_such_file.csv"], 1),
+    (["compare", "--no-such-option"], 2),
+])
+def test_entrypoint_freezes_the_heap_and_keeps_the_exit_path(argv, code):
+    """``entrypoint`` freezes the import-time heap before it runs a command,
+    and still exits as ``main`` says, through atexit handlers (which an
+    ``os._exit`` would skip) and the flush of stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "frozen: True"
+    if code == 0:
+        assert proc.stdout == (root / "tests" / "golden" / "compare.json").read_text()
+    else:
+        assert proc.stdout == ""
+
+
 _MODULE_PROBE = """
 import contextlib, io, json, sys
 if json.loads(sys.argv[3]):

@@ -510,6 +510,31 @@ class TestBasisQR:
             else:
                 assert not isinstance(fit, ImplicitRegressionError), str(fit)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(6, 12), sigma=st.sampled_from([1.0, 5.0, 20.0]),
+           seed=st.integers(0, 2 ** 16), zeros=st.integers(0, 5), k=st.integers(470, 511))
+    @example(n=6, sigma=1.0, seed=2, zeros=5, k=506)
+    @example(n=6, sigma=5.0, seed=2, zeros=5, k=506)
+    @example(n=6, sigma=1.0, seed=3, zeros=5, k=506)
+    @example(n=6, sigma=5.0, seed=3, zeros=5, k=506)
+    @example(n=6, sigma=20.0, seed=3, zeros=5, k=506)
+    def test_every_spec_fitted_alone_near_the_top_of_the_range(self, n, sigma, seed, zeros, k):
+        # as fit does, one spec per factorisation: each fits with finite
+        # estimates or fails with an error, and nothing warns; the examples
+        # are samples where an estimate of 1 ~ x*y + x^2 overflowed to NaN
+        sample = generate(SimulationConfig(n=n, sigma=sigma, seed=seed))
+        x = sample.x.copy()
+        x[:min(zeros, n - 1)] = 0.0
+        data = Dataset("x", "y", np.ldexp(x, k), np.ldexp(sample.y, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in _GRAMMAR_SHAPES:
+                try:
+                    fit = fit_ols(parse_model(text), data)
+                except ImplicitRegressionError:
+                    continue
+                assert all(map(math.isfinite, fit.estimates)), text
+
     def test_reductions_match_an_lstsq_elimination(self):
         # the criterion-5 study: seeds 0-99 at n = 50, sigma = 5
         for seed in range(100):
