@@ -52,48 +52,13 @@ from .simulate import SimulationConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOYLE_MODEL_TEXTS",
-    "COMPARISON_MODEL_TEXTS",
-    "BoyleSummary",
-    "Coefficient",
-    "ComparisonReport",
-    "DataFormatError",
-    "Dataset",
-    "DegenerateDataError",
-    "DomainError",
-    "FitResult",
-    "ImplicitRegressionError",
-    "InsufficientDataError",
-    "IntegrityError",
-    "ModelRow",
-    "ModelSpec",
-    "ParseError",
-    "Prediction",
-    "RankDirection",
-    "SimulationConfig",
-    "SingularDesignError",
-    "SquareSums",
-    "Term",
-    "UnsupportedModelError",
-    "boyle_dataset",
-    "boyle_plot_data",
-    "boyle_summary",
-    "build_comparison",
-    "constancy_index",
-    "eval_term",
-    "fit_ols",
-    "format_model",
-    "generate",
-    "parse_model",
-    "predict",
-    "rank_models",
-    "read_csv",
-    "reduce_model_trace",
-    "relative_height",
-    "render_csv",
-    "render_json",
-    "render_markdown",
-    "self_weighting_mean",
-    "separation_angle",
-    "write_csv",
+    "BOYLE_MODEL_TEXTS", "COMPARISON_MODEL_TEXTS", "BoyleSummary", "Coefficient",
+    "ComparisonReport", "DataFormatError", "Dataset", "DegenerateDataError", "DomainError",
+    "FitResult", "ImplicitRegressionError", "InsufficientDataError", "IntegrityError",
+    "ModelRow", "ModelSpec", "ParseError", "Prediction", "RankDirection", "SimulationConfig",
+    "SingularDesignError", "SquareSums", "Term", "UnsupportedModelError", "boyle_dataset",
+    "boyle_plot_data", "boyle_summary", "build_comparison", "constancy_index", "eval_term",
+    "fit_ols", "format_model", "generate", "parse_model", "predict", "rank_models", "read_csv",
+    "reduce_model_trace", "relative_height", "render_csv", "render_json", "render_markdown",
+    "self_weighting_mean", "separation_angle", "write_csv",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .metrics import (
     square_sums,
     standard_error,
 )
+from .records import Record
 
 COMPARISON_MODEL_TEXTS = (
     "y ~ 1 + x + x*y",
@@ -68,8 +68,7 @@ _DIAGNOSTIC_NAMES = ("undefined_y", "undefined_x", "complex_x")
 HEIGHT_VARIANT = "projection"
 
 
-@dataclass(frozen=True)
-class ModelRow:
+class ModelRow(Record):
     """One fitted model's report line, from the row sweep to every renderer.
 
     ``theta_t`` and ``height`` are None when the triangle is degenerate
@@ -78,21 +77,21 @@ class ModelRow:
     row by the text it is given and keeps the fitted text in ``reduced``
     where backward elimination changed it; ``build_comparison`` fills
     ``ranks``.  A model that could not be fit or solved keeps its ``error``
-    message, and its metrics and diagnostics are None.
+    message, and its metrics and diagnostics are None.  ``ranks`` left at
+    None starts as a new empty dict.
     """
 
-    model: str
-    reduced: str | None = None
-    r_squared: float | None = None
-    se_y: float | None = None
-    se_x: float | None = None
-    theta_t: float | None = None
-    height: float | None = None
-    undefined_y: int | None = None
-    undefined_x: int | None = None
-    complex_x: int | None = None
-    ranks: dict[str, float | None] = field(default_factory=dict)
-    error: str | None = None
+    __slots__ = _fields = ("model", "reduced", "r_squared", "se_y", "se_x", "theta_t", "height",
+                           "undefined_y", "undefined_x", "complex_x", "ranks", "error")
+
+    def __init__(self, model: str, reduced: str | None = None, r_squared: float | None = None,
+                 se_y: float | None = None, se_x: float | None = None,
+                 theta_t: float | None = None, height: float | None = None,
+                 undefined_y: int | None = None, undefined_x: int | None = None,
+                 complex_x: int | None = None, ranks: dict[str, float | None] | None = None,
+                 error: str | None = None):
+        self._set(model, reduced, r_squared, se_y, se_x, theta_t, height, undefined_y,
+                  undefined_x, complex_x, {} if ranks is None else ranks, error)
 
     @property
     def metrics(self) -> dict[str, float | None]:
@@ -104,13 +103,12 @@ class ModelRow:
         return {name: getattr(self, name) for name in _DIAGNOSTIC_NAMES}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    n: int
-    x_label: str
-    y_label: str
-    seed: int | None
-    rows: tuple[ModelRow, ...]
+class ComparisonReport(Record):
+    __slots__ = _fields = ("n", "x_label", "y_label", "seed", "rows")
+
+    def __init__(self, n: int, x_label: str, y_label: str, seed: int | None,
+                 rows: tuple[ModelRow, ...]):
+        self._set(n, x_label, y_label, seed, rows)
 
 
 def model_rows(fits: list, data: Dataset, names) -> tuple[list[ModelRow], list]:
@@ -289,18 +287,20 @@ def render_json(report: ComparisonReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class BoyleSummary:
-    n: int
-    constancy_volume: float
-    constancy_pressure: float
-    constancy_product: float
-    product_estimate: float  # self-weighting mean of volume*pressure
-    rows: tuple[ModelRow, ...]
-    # the data and the fit behind each row; boyle_plot_data solves them for
-    # its overlays
-    data: Dataset = field(repr=False, compare=False)
-    fits: tuple[FitResult, ...] = field(repr=False, compare=False)
+class BoyleSummary(Record):
+    """``product_estimate`` is the self-weighting mean of volume*pressure;
+    ``data`` and ``fits``, the data and the fit behind each row, which
+    ``boyle_plot_data`` solves for its overlays, are not compared."""
+
+    __slots__ = ("n", "constancy_volume", "constancy_pressure", "constancy_product",
+                 "product_estimate", "rows", "data", "fits")
+    _fields = __slots__[:6]
+
+    def __init__(self, n: int, constancy_volume: float, constancy_pressure: float,
+                 constancy_product: float, product_estimate: float, rows: tuple[ModelRow, ...],
+                 data: Dataset, fits: tuple[FitResult, ...]):
+        self._set(n, constancy_volume, constancy_pressure, constancy_product, product_estimate,
+                  rows, data, fits)
 
 
 def boyle_summary() -> BoyleSummary:

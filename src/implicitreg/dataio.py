@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientDataError, IntegrityError
+from .records import Record
 
 # sha256 of data/boyle.csv; the bundled transcription of Boyle's 1662
 # pressure-volume table (25 observations, pressures in sixteenths of an
@@ -38,33 +37,28 @@ _MIXED = re.compile(r"([+-]?)(\d+)\s+(\d+)/(\d+)")
 _BLOCK_ROWS = 1 << 13
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Ordered paired observations with axis labels.
 
     Row order is preserved exactly from the source; downstream reports
     and golden files depend on it.
     """
 
-    x_label: str
-    y_label: str
-    x: np.ndarray
-    y: np.ndarray
+    _fields = ("x_label", "y_label", "x", "y")
 
-    def __post_init__(self):
+    def __init__(self, x_label: str, y_label: str, x: np.ndarray, y: np.ndarray):
         # read-only contiguous copies: the caller's arrays stay writeable and
         # cannot change the dataset, and a BLAS dot product over a strided
         # view can round differently in the last bit
-        x = np.array(self.x, dtype=float, ndmin=1)
-        y = np.array(self.y, dtype=float, ndmin=1)
+        x = np.array(x, dtype=float, ndmin=1)
+        y = np.array(y, dtype=float, ndmin=1)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("dataset values must be finite")
         x.flags.writeable = False
         y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self.__dict__.update(x_label=x_label, y_label=y_label, x=x, y=y)
 
     @property
     def n(self) -> int:
@@ -259,6 +253,9 @@ def boyle_dataset() -> Dataset:
     (applied column plus the atmospheric 29 2/16).  The transcription
     follows Fazio (1992) and is checksum-verified on every load.
     """
+    # imported by its only reader, so no other command loads it (tempfile with it)
+    from importlib import resources
+
     resource = resources.files("implicitreg").joinpath("data/boyle.csv")
     try:
         raw = resource.read_bytes()

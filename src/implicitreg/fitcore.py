@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +27,7 @@ from .dataio import Dataset
 from .errors import (DegenerateDataError, DomainError, ImplicitRegressionError,
                      InsufficientDataError, SingularDesignError)
 from .formula import ModelSpec, Term, eval_term
+from .records import Record
 
 _RANK_RTOL = 1e-10
 # an SSE at most this fraction of the observations' own sum of squares is
@@ -39,16 +39,15 @@ _BASIS = (Term.ONE, Term.X, Term.Y, Term.XY, Term.X_SQUARED, Term.INV_X)
 ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(Record):
     """One estimated coefficient with its t-test on ``dof`` residual degrees
-    of freedom."""
+    of freedom; ``term`` is None for the intercept."""
 
-    term: Term | None  # None marks the intercept
-    estimate: float
-    std_error: float
-    t_stat: float
-    dof: int
+    __slots__ = _fields = ("term", "estimate", "std_error", "t_stat", "dof")
+
+    def __init__(self, term: Term | None, estimate: float, std_error: float, t_stat: float,
+                 dof: int):
+        self._set(term, estimate, std_error, t_stat, dof)
 
     @property
     def label(self) -> str:
@@ -60,8 +59,7 @@ class Coefficient:
         return t_tail(self.dof, self.t_stat)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Estimates, residual sum of squares and R^2 of one fit.
 
     ``estimates`` follow ``spec.coefficient_terms``.  ``coefficients`` adds
@@ -80,19 +78,17 @@ class FitResult:
     is after.
     """
 
-    spec: ModelSpec
-    n: int
-    estimates: tuple[float, ...]
-    sse: float
-    r_squared: float
-    residual_dof: int
-    # the factorised dataset the fit came from; backward elimination refits on it
-    basis: BasisQR | None = field(default=None, repr=False, compare=False)
-    # the R of the model's columns, the floored residual variance and the
-    # norms of the model's columns
-    _r: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _sigma2: float = field(default=0.0, repr=False, compare=False)
-    _norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _fields = ("spec", "n", "estimates", "sse", "r_squared", "residual_dof")
+
+    def __init__(self, spec: ModelSpec, n: int, estimates: tuple[float, ...], sse: float,
+                 r_squared: float, residual_dof: int, basis: BasisQR | None = None,
+                 _r: np.ndarray | None = None, _sigma2: float = 0.0,
+                 _norms: np.ndarray | None = None):
+        # not compared: ``basis``, the factorised dataset backward elimination refits on,
+        # and the R of the model's columns, the floored residual variance and their norms
+        self.__dict__.update(spec=spec, n=n, estimates=estimates, sse=sse, r_squared=r_squared,
+                             residual_dof=residual_dof, basis=basis, _r=_r, _sigma2=_sigma2,
+                             _norms=_norms)
 
     @cached_property
     def coefficients(self) -> tuple[Coefficient, ...]:

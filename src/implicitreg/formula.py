@@ -10,12 +10,12 @@ regressed on a constant has nothing to estimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .records import Record
 
 
 class Term(Enum):
@@ -54,8 +54,7 @@ TERM_POWERS = {
 }
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """A parsed implicit-model specification.
 
     ``response`` is the term placed on the left-hand side (``Term.ONE``
@@ -64,26 +63,28 @@ class ModelSpec:
     An intercept-only model has an empty predictor tuple.
     """
 
-    response: Term
-    predictors: tuple[Term, ...]
-    intercept: bool
+    __slots__ = _fields = ("response", "predictors", "intercept")
 
-    def __post_init__(self):
-        if self.response not in _RESPONSE_TERMS:
-            raise ValueError(f"invalid response term {self.response.value!r}")
-        if self.response in self.predictors:
+    def __init__(self, response: Term, predictors: tuple[Term, ...], intercept: bool):
+        for role, term in [("response", response), *(("predictor", t) for t in predictors)]:
+            if not isinstance(term, Term):
+                raise ValueError(f"{role} {term!r} is not a Term")
+        if response not in _RESPONSE_TERMS:
+            raise ValueError(f"invalid response term {response.value!r}")
+        if response in predictors:
             raise ValueError("response term cannot appear among the predictors")
-        if Term.ONE in self.predictors:
+        if Term.ONE in predictors:
             raise ValueError("the constant term is carried by the intercept flag")
-        if len(set(self.predictors)) != len(self.predictors):
+        if len(set(predictors)) != len(predictors):
             raise ValueError("duplicate predictor term")
-        if self.response is Term.ONE:
-            if self.intercept:
+        if response is Term.ONE:
+            if intercept:
                 raise ValueError("the non-response form cannot carry an intercept")
-            if not self.predictors:
+            if not predictors:
                 raise ValueError("the non-response form needs at least one predictor")
-        elif not self.predictors and not self.intercept:
+        elif not predictors and not intercept:
             raise ValueError("model has an empty right-hand side")
+        self._set(response, predictors, intercept)
 
     @property
     def coefficient_terms(self) -> tuple[Term | None, ...]:

@@ -13,7 +13,6 @@ flagged undefined (NaN) and counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -22,6 +21,7 @@ from .dataio import Dataset
 from .errors import DegenerateDataError, UnsupportedModelError
 from .fitcore import FitResult
 from .formula import TERM_POWERS, ModelSpec, Term, times_power
+from .records import Record
 
 _SINGULAR_RTOL = 1e-12
 # the floating-point conditions a solve meets by design, each of which
@@ -29,8 +29,7 @@ _SINGULAR_RTOL = 1e-12
 SOLVE_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(Record):
     """Per-observation solves of the fitted equation for each axis.
 
     Undefined entries are NaN; ``x_complex`` marks x-solves where a
@@ -38,19 +37,15 @@ class Prediction:
     ``y_defined`` / ``x_defined`` mark the finite solves.
     """
 
-    y_hat: np.ndarray
-    x_hat: np.ndarray
-    x_complex: np.ndarray
-    y_defined: np.ndarray = field(init=False)
-    x_defined: np.ndarray = field(init=False)
+    __slots__ = _fields = ("y_hat", "x_hat", "x_complex", "y_defined", "x_defined")
 
-    def __post_init__(self):
-        for name in ("y_hat", "x_hat", "x_complex", "y_defined", "x_defined"):
-            # read-only views: the caller's arrays stay writeable, uncopied
-            arr = (np.isfinite(getattr(self, f"{name[0]}_hat")) if name.endswith("defined")
-                   else np.asarray(getattr(self, name)).view())
+    def __init__(self, y_hat: np.ndarray, x_hat: np.ndarray, x_complex: np.ndarray):
+        # read-only views: the caller's arrays stay writeable, uncopied
+        given = [np.asarray(arr).view() for arr in (y_hat, x_hat, x_complex)]
+        arrays = given + [np.isfinite(given[0]), np.isfinite(given[1])]
+        for arr in arrays:
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        self._set(*arrays)
 
 
 @cache

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,14 +26,14 @@ from .dataio import Dataset
 from .errors import ImplicitRegressionError
 from .fitcore import _PERFECT_FIT_RTOL
 from .implicit import Prediction
+from .records import Record
 
 _COS_CLAMP_TOL = 1e-9
 # ranks tie within this fraction of the column's largest magnitude
 _RANK_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SquareSums:
+class SquareSums(Record):
     """Model/error/total square sums over the included observations.
 
     ``sst_uncentered`` is the observations' own sum of squares about zero,
@@ -42,11 +41,10 @@ class SquareSums:
     left at 0, only an exact SSE = 0 does.
     """
 
-    ssm: float
-    sse: float
-    sst: float
-    n: int
-    sst_uncentered: float = 0.0
+    __slots__ = _fields = ("ssm", "sse", "sst", "n", "sst_uncentered")
+
+    def __init__(self, ssm: float, sse: float, sst: float, n: int, sst_uncentered: float = 0.0):
+        self._set(ssm, sse, sst, n, sst_uncentered)
 
     @property
     def is_perfect(self) -> bool:

@@ -14,27 +14,30 @@ bit for bit on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .dataio import Dataset
 from .errors import DegenerateDataError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    n: int = 50
-    sigma: float = 1.0
-    seed: int = 0
+class SimulationConfig(Record):
+    __slots__ = _fields = ("n", "sigma", "seed")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int = 50, sigma: float = 1.0, seed: int = 0):
+        # numpy's integers are Integral; a bool is an int but no count
+        for name, value in (("n", n), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be non-negative")
+        self._set(n, sigma, seed)
 
 
 def generate(config: SimulationConfig) -> Dataset:

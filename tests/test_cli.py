@@ -545,6 +545,21 @@ def test_only_fit_loads_scipy(tmp_path):
         assert (code, modules) == (0, []), argv
 
 
+def test_cli_import_loads_neither_dataclasses_nor_importlib_resources():
+    """The records are plain classes, and only the Boyle loader imports
+    importlib.resources (and tempfile with it), so a cold CLI import loads
+    neither.  ``-S`` keeps out the ``.pth`` files of site-packages, which may
+    import either at start-up, so numpy's directory goes on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        str(Path(module.__file__).resolve().parents[1]) for module in (implicitreg, np))
+    script = ("import sys, implicitreg.cli; "
+              "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def test_decimal_csv_loads_neither_hashlib_nor_fractions():
     """Only the Boyle checksum needs hashlib and only a fraction field needs
     fractions (and decimal, which it imports), so compare, constancy and fit

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +94,16 @@ class TestModelSpecInvariants:
     def test_empty_rhs_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(Term.Y, (), False)
+
+    @pytest.mark.parametrize("response, predictors, message", [
+        ("y", (), "response 'y' is not a Term"),
+        (None, (Term.X,), "response None is not a Term"),
+        (Term.Y, ("x",), "predictor 'x' is not a Term"),
+        (Term.ONE, (Term.X, "x*y"), "predictor 'x*y' is not a Term"),
+    ], ids=["str-response", "none-response", "str-predictor", "second-predictor"])
+    def test_non_term_rejected_by_name(self, response, predictors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(response, predictors, response is not Term.ONE)
 
     def test_n_coefficients(self):
         assert parse_model("y ~ 1 + x + x*y").n_coefficients == 3

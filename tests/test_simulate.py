@@ -21,6 +21,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n=10, sigma=float("inf"), seed=1)
 
+    @pytest.mark.parametrize("kwargs", [{"n": 2.5}, {"n": 10.0}, {"n": True}, {"n": "10"},
+                                        {"seed": 1.5}, {"seed": False}, {"seed": None}])
+    def test_rejects_a_non_integer_n_or_seed(self, kwargs):
+        [name] = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SimulationConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = SimulationConfig(n=np.int32(12), sigma=1.0, seed=np.uint64(7))
+        np.testing.assert_array_equal(generate(config).x,
+                                      generate(SimulationConfig(n=12, sigma=1.0, seed=7)).x)
+
 
 class TestGenerate:
     def test_noiseless_product_is_constant(self):
