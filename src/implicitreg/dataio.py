@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, InsufficientDataError, IntegrityError
-from .records import Record
+from .records import Record, eq_with_arrays
 
 # sha256 of data/boyle.csv; the bundled transcription of Boyle's 1662
 # pressure-volume table (25 observations, pressures in sixteenths of an
@@ -45,6 +45,7 @@ class Dataset(Record):
     """
 
     _fields = ("x_label", "y_label", "x", "y")
+    __eq__ = eq_with_arrays
 
     def __init__(self, x_label: str, y_label: str, x: np.ndarray, y: np.ndarray):
         # read-only contiguous copies: the caller's arrays stay writeable and

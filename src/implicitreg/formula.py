@@ -1,11 +1,8 @@
 """Term algebra and the tiny model grammar.
 
-A model is written ``response ~ term + term + ...`` where the response is
-one of ``1``, ``x``, ``y``, ``x*y`` and each right-hand term is one of
-``1``, ``x``, ``y``, ``x*y`` (alias ``xy``), ``x^2``, ``1/x``.  A literal
-``1`` on the right requests an intercept; a literal ``1`` on the left is
-the non-response form, which never carries an intercept (a constant
-regressed on a constant has nothing to estimate).
+A model is written ``response ~ term + term + ...`` over the terms ``1``,
+``x``, ``y``, ``x*y`` (alias ``xy``), ``x^2`` and ``1/x``, where a ``1`` on
+the right is the intercept; ``_broken_rule`` holds the grammar's rules.
 """
 
 from __future__ import annotations
@@ -29,16 +26,8 @@ class Term(Enum):
     INV_X = "1/x"
 
 
-# Surface syntax accepted for each term; whitespace is stripped before lookup.
-_TOKEN_TO_TERM = {
-    "1": Term.ONE,
-    "x": Term.X,
-    "y": Term.Y,
-    "x*y": Term.XY,
-    "xy": Term.XY,
-    "x^2": Term.X_SQUARED,
-    "1/x": Term.INV_X,
-}
+# Surface syntax accepted for each term; whitespace is removed before lookup.
+_TOKEN_TO_TERM = {term.value: term for term in Term} | {"xy": Term.XY}
 
 _RESPONSE_TERMS = (Term.ONE, Term.X, Term.Y, Term.XY)
 
@@ -54,6 +43,30 @@ TERM_POWERS = {
 }
 
 
+def _broken_rule(response: Term, rhs: tuple[Term, ...]) -> tuple[str, int] | None:
+    """The grammar's rules, with ``Term.ONE`` in ``rhs`` for the intercept:
+    the response is one of 1, x, y, x*y; the right-hand side is not empty;
+    and no term is written twice in ``(response, *rhs)``, so the non-response
+    form ``1 ~ ...`` has no intercept.  Returns the first rule broken, as its
+    message and the index in ``(response, *rhs)`` of the offending term (0,
+    the response, for an empty right-hand side), or None."""
+    if response not in _RESPONSE_TERMS:
+        return f"{response.value!r} cannot be a response term", 0
+    if not rhs:
+        return "model has an empty right-hand side", 0
+    if len({response, *rhs}) > len(rhs):  # no term written twice
+        return None
+    seen = {response}  # find the first term written twice
+    for i, term in enumerate(rhs, 1):
+        if term in seen:
+            if term is response:
+                return ("the non-response form cannot include an intercept term" if term is Term.ONE
+                        else f"response {term.value!r} repeated as predictor"), i
+            return ("duplicate intercept term" if term is Term.ONE
+                    else f"duplicate predictor {term.value!r}"), i
+        seen.add(term)
+
+
 class ModelSpec(Record):
     """A parsed implicit-model specification.
 
@@ -66,24 +79,16 @@ class ModelSpec(Record):
     __slots__ = _fields = ("response", "predictors", "intercept")
 
     def __init__(self, response: Term, predictors: tuple[Term, ...], intercept: bool):
-        for role, term in [("response", response), *(("predictor", t) for t in predictors)]:
+        if not isinstance(predictors, tuple):
+            raise ValueError(f"predictors {predictors!r} is not a tuple")
+        for term in (response, *predictors):
             if not isinstance(term, Term):
+                role = "response" if term is response else "predictor"
                 raise ValueError(f"{role} {term!r} is not a Term")
-        if response not in _RESPONSE_TERMS:
-            raise ValueError(f"invalid response term {response.value!r}")
-        if response in predictors:
-            raise ValueError("response term cannot appear among the predictors")
         if Term.ONE in predictors:
             raise ValueError("the constant term is carried by the intercept flag")
-        if len(set(predictors)) != len(predictors):
-            raise ValueError("duplicate predictor term")
-        if response is Term.ONE:
-            if intercept:
-                raise ValueError("the non-response form cannot carry an intercept")
-            if not predictors:
-                raise ValueError("the non-response form needs at least one predictor")
-        elif not predictors and not intercept:
-            raise ValueError("model has an empty right-hand side")
+        if broken := _broken_rule(response, (Term.ONE, *predictors) if intercept else predictors):
+            raise ValueError(broken[0])
         self._set(response, predictors, intercept)
 
     @property
@@ -105,22 +110,10 @@ def format_model(spec: ModelSpec) -> str:
     return f"{spec.response.value} ~ {' + '.join(rhs)}"
 
 
-def _next_token(segment: str, offset: int) -> tuple[str, int]:
-    """Strip a raw token and report the offset of its first character."""
-    stripped = segment.strip()
-    if not stripped:
-        raise ParseError("empty term", position=offset)
-    lead = len(segment) - len(segment.lstrip())
-    return "".join(stripped.split()), offset + lead
-
-
 def parse_model(text: str) -> ModelSpec:
-    """Parse model text into a :class:`ModelSpec`.
-
-    Raises :class:`ParseError` (with a character position) for unknown
-    tokens, a repeated response, duplicate predictors, or an empty
-    right-hand side.
-    """
+    """Parse model text into a :class:`ModelSpec`.  A :class:`ParseError`
+    points at the leftmost empty or unknown token, or else at the term that
+    breaks the first of the grammar's rules."""
     tilde = text.find("~")
     if tilde < 0:
         raise ParseError("expected 'response ~ term + ...'", position=0)
@@ -128,43 +121,20 @@ def parse_model(text: str) -> ModelSpec:
     if second >= 0:
         raise ParseError("more than one '~'", position=second)
 
-    lhs_token, lhs_pos = _next_token(text[:tilde], 0)
-    response = _TOKEN_TO_TERM.get(lhs_token)
-    if response is None:
-        raise ParseError(f"unknown term {lhs_token!r}", position=lhs_pos)
-    if response not in _RESPONSE_TERMS:
-        raise ParseError(
-            f"{lhs_token!r} cannot be a response term", position=lhs_pos
-        )
-
-    predictors: list[Term] = []
-    intercept = False
-    offset = tilde + 1
-    for segment in text[tilde + 1:].split("+"):
-        token, pos = _next_token(segment, offset)
+    terms, positions, offset = [], [], 0
+    for segment in [text[:tilde], *text[tilde + 1:].split("+")]:
+        token = "".join(segment.split())
+        # a token starts at its segment's first non-space character, an empty one at its start
+        positions.append(offset + segment.find(token[:1]))
         offset += len(segment) + 1
-        term = _TOKEN_TO_TERM.get(token)
-        if term is None:
-            raise ParseError(f"unknown term {token!r}", position=pos)
-        if term is Term.ONE:
-            if response is Term.ONE:
-                raise ParseError(
-                    "the non-response form cannot include an intercept term",
-                    position=pos,
-                )
-            if intercept:
-                raise ParseError("duplicate intercept term", position=pos)
-            intercept = True
-            continue
-        if term is response:
-            raise ParseError(
-                f"response {token!r} repeated as predictor", position=pos
-            )
-        if term in predictors:
-            raise ParseError(f"duplicate predictor {token!r}", position=pos)
-        predictors.append(term)
-
-    return ModelSpec(response, tuple(predictors), intercept)
+        if token not in _TOKEN_TO_TERM:
+            message = f"unknown term {token!r}" if token else "empty term"
+            raise ParseError(message, position=positions[-1])
+        terms.append(_TOKEN_TO_TERM[token])
+    response, *rhs = terms
+    if broken := _broken_rule(response, tuple(rhs)):
+        raise ParseError(broken[0], position=positions[broken[1]])
+    return ModelSpec(response, tuple(t for t in rhs if t is not Term.ONE), Term.ONE in rhs)
 
 
 def times_power(c, v, p: int):

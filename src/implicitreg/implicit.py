@@ -21,7 +21,7 @@ from .dataio import Dataset
 from .errors import DegenerateDataError, UnsupportedModelError
 from .fitcore import FitResult
 from .formula import TERM_POWERS, ModelSpec, Term, times_power
-from .records import Record
+from .records import Record, eq_with_arrays
 
 _SINGULAR_RTOL = 1e-12
 # the floating-point conditions a solve meets by design, each of which
@@ -38,6 +38,7 @@ class Prediction(Record):
     """
 
     __slots__ = _fields = ("y_hat", "x_hat", "x_complex", "y_defined", "x_defined")
+    __eq__ = eq_with_arrays
 
     def __init__(self, y_hat: np.ndarray, x_hat: np.ndarray, x_complex: np.ndarray):
         # read-only views: the caller's arrays stay writeable, uncopied

@@ -2,6 +2,8 @@
 
 from operator import attrgetter
 
+import numpy as np
+
 
 class Record:
     """A record's ``__init__`` checks its arguments and sets each field once:
@@ -43,3 +45,13 @@ class Record:
         # copy and pickle restore the fields, a __dict__ or (None, slots), by setattr
         for name, value in (state[1] if isinstance(state, tuple) else state).items():
             object.__setattr__(self, name, value)
+
+
+def eq_with_arrays(self, other):
+    """``==`` of a record holding arrays, set as its ``__eq__``, which leaves it
+    unhashable: two arrays compare by ``np.array_equal``, NaN equal to NaN."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(isinstance(a, np.ndarray) is isinstance(b, np.ndarray)
+               and (np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b)
+               for a, b in zip(self._key(self), other._key(other)))

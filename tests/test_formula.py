@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -44,6 +45,11 @@ class TestParseModel:
         with pytest.raises(ParseError) as excinfo:
             parse_model("y ~ 1 + z")
         assert excinfo.value.position == 8
+
+    def test_unknown_token_right_of_a_broken_rule(self):
+        # the leftmost unknown token is reported before the intercept 1 ~ ... may not have
+        with pytest.raises(ParseError, match=re.escape("unknown term 'z' (at position 8)")):
+            parse_model("1 ~ 1 + z")
 
     def test_duplicate_predictor(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -104,6 +110,10 @@ class TestModelSpecInvariants:
     def test_non_term_rejected_by_name(self, response, predictors, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelSpec(response, predictors, response is not Term.ONE)
+
+    def test_non_tuple_predictors_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^predictors \[<Term.X: 'x'>\] is not a tuple$"):
+            ModelSpec(Term.Y, [Term.X], True)
 
     def test_n_coefficients(self):
         assert parse_model("y ~ 1 + x + x*y").n_coefficients == 3
@@ -202,3 +212,63 @@ def model_specs(draw):
 @given(model_specs())
 def test_format_parse_round_trip(spec):
     assert parse_model(format_model(spec)) == spec
+
+
+# the grammar's alphabet: every term, the alias xy, an unknown token and an empty one
+_TOKENS = ("1", "x", "y", "x*y", "xy", "x^2", "1/x", "z", "")
+_LOOKUP = {"1": Term.ONE, "x": Term.X, "y": Term.Y, "x*y": Term.XY, "xy": Term.XY,
+           "x^2": Term.X_SQUARED, "1/x": Term.INV_X}
+
+
+def _texts(max_rhs):
+    """Every model text over ``_TOKENS`` with 1 to ``max_rhs`` right-hand tokens,
+    spaced and unspaced, with its tokens and the position each is reported at:
+    its first character, or for an empty token the start of its segment."""
+    for k in range(1, max_rhs + 1):
+        for tokens in itertools.product(_TOKENS, repeat=k + 1):
+            for tilde, plus in ((" ~ ", " + "), ("~", "+")):
+                text, positions = tokens[0], [0]
+                for sep, token in zip([tilde] + [plus] * (k - 1), tokens[1:]):
+                    text += sep
+                    positions.append(len(text) if token else text.rfind(sep.strip()) + 1)
+                    text += token
+                yield text, tokens, positions
+
+
+def _spec_or_none(response, rhs):
+    """The spec ModelSpec builds from a response and right-hand terms, where a 1
+    is the intercept, or None where it refuses them or a 1 is written twice."""
+    if rhs.count(Term.ONE) > 1:
+        return None
+    try:
+        return ModelSpec(response, tuple(t for t in rhs if t is not Term.ONE), Term.ONE in rhs)
+    except ValueError:
+        return None
+
+
+def test_grammar_contract_over_the_alphabet():
+    n_texts = n_accepted = 0
+    for text, tokens, positions in _texts(3):
+        n_texts += 1
+        try:  # any other exception fails the test
+            spec = parse_model(text)
+        except ParseError as exc:
+            spec, error = None, exc
+        known = [t in _LOOKUP for t in tokens]
+        if all(known):
+            terms = [_LOOKUP[t] for t in tokens]
+            assert spec == _spec_or_none(terms[0], terms[1:]), text
+        if spec is not None:
+            n_accepted += 1
+            assert parse_model(format_model(spec)) == spec, text
+            continue
+        if not all(known):
+            # the leftmost empty or unknown token
+            assert error.position == positions[known.index(False)], text
+        elif terms[0] not in (Term.ONE, Term.X, Term.Y, Term.XY):
+            assert error.position == 0, text
+        else:
+            # the first term written a second time, the response included
+            first = next(i for i in range(1, len(terms)) if terms[i] in terms[:i])
+            assert error.position == positions[first], text
+    assert n_texts == 2 * 9 * (9 + 9 ** 2 + 9 ** 3) and 0 < n_accepted < n_texts

@@ -1,6 +1,6 @@
 """The contract of the package's ten records: each is built positionally in
-its field order, refuses every assignment, compares equal by value where
-its values compare, survives copy and pickle, and caches what it caches."""
+its field order, refuses every assignment, compares equal by value (arrays
+element by element), survives copy and pickle, and caches what it caches."""
 
 import copy
 import pickle
@@ -58,9 +58,8 @@ RECORDS = {
 UNCOMPARED = {"FitResult": ("basis", "_r", "_sigma2", "_norms"), "BoyleSummary": ("data", "fits")}
 # fields no argument sets
 DERIVED = {"Prediction": ("y_defined", "x_defined")}
-# holding arrays, these compare only to themselves
+# holding arrays, these are unhashable
 ARRAY_RECORDS = ("Dataset", "Prediction")
-VALUE_RECORDS = [name for name in RECORDS if name not in ARRAY_RECORDS]
 
 
 def _build(name):
@@ -100,23 +99,42 @@ def test_every_field_refuses_assignment_and_deletion(name):
         record.not_a_field = 1
 
 
-@pytest.mark.parametrize("name", VALUE_RECORDS)
+@pytest.mark.parametrize("name", RECORDS)
 def test_equal_values_compare_equal(name):
     a, b = _build(name), _build(name)
     assert a == b and not a != b
     assert a != "not a record"
 
 
-@pytest.mark.parametrize("name", VALUE_RECORDS)
+@pytest.mark.parametrize("name", RECORDS)
 def test_each_compared_field_takes_part(name):
-    cls, fields, args = RECORDS[name]
-    for i, field in enumerate(fields):
-        changed = list(args())
-        changed[i] = (None, 0)  # equal to no field value here
-        other = cls.__new__(cls)
-        for f, value in zip(fields, changed):
-            object.__setattr__(other, f, value)
-        assert (cls(*args()) == other) is (field in UNCOMPARED.get(name, ())), field
+    record = _build(name)
+    fields = RECORDS[name][1] + DERIVED.get(name, ())
+    for field in fields:
+        other = type(record).__new__(type(record))
+        for f in fields:
+            # (None, 0) is equal to no field value here
+            object.__setattr__(other, f, (None, 0) if f == field else getattr(record, f))
+        assert (record == other) is (field in UNCOMPARED.get(name, ())), field
+
+
+@pytest.mark.parametrize("a, b", [
+    (_data(), Dataset("volume", "pressure", [1.0, 2.0, 4.0, 8.0], [8.0, 4.5, 2.0, 1.5])),
+    (_data(), Dataset("volume", "pressure", [1.0, 2.0, 4.0], [8.0, 4.5, 2.0])),
+    (_data(), Dataset("volume", "P", [1.0, 2.0, 4.0, 8.0], [8.0, 4.5, 2.0, 1.0])),
+    (Prediction(np.array([1.0, np.nan]), np.array([2.0, 3.0]), np.array([False, True])),
+     Prediction(np.array([1.0, 2.0]), np.array([2.0, 3.0]), np.array([False, True]))),
+    (Prediction(np.array([1.0, np.nan]), np.array([2.0, 3.0]), np.array([False, True])),
+     Prediction(np.array([1.0, np.nan]), np.array([2.0, 3.0]), np.array([False, False]))),
+], ids=["dataset-value", "dataset-length", "dataset-label", "prediction-nan", "prediction-flag"])
+def test_array_records_that_differ_compare_unequal(a, b):
+    assert a != b and not a == b and b != a
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_are_unhashable(name):
+    with pytest.raises(TypeError):
+        hash(_build(name))
 
 
 def test_model_spec_hashes_by_value():
@@ -141,8 +159,7 @@ def test_copies_and_pickles_keep_every_field(name, clone):
     assert type(twin) is type(record)
     for field in RECORDS[name][1]:
         assert _same(getattr(twin, field), getattr(record, field)), field
-    if name in VALUE_RECORDS:
-        assert twin == record
+    assert twin == record
 
 
 def test_dataset_axis_sums_are_computed_once():
