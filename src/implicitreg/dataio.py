@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import re
-from functools import cached_property
+from functools import cache, cached_property
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -220,15 +221,119 @@ def read_csv(source) -> Dataset:
     return Dataset(x_label, y_label, values[:, 0], values[:, 1])
 
 
+@cache
+def _digit_groups() -> np.ndarray:
+    r"""Four ASCII bytes per index, as one uint32 each, for ``write_csv``:
+    0-9999 with leading zeros (b"0042"), 10000 + g the same with its leading
+    zeros as NUL bytes (b"\x00\x0042", four NULs at g = 0), and 20000 a lone
+    zero (b"\x00\x00\x000").  Built on the writer's first call, not at import."""
+    g = np.arange(10_000, dtype=np.uint16)
+    table = np.empty((20_001, 4), np.uint8)
+    for place, power in enumerate((1000, 100, 10, 1)):
+        table[:10_000, place] = g // power % 10 + ord("0")
+    table[10_000:20_000] = table[:10_000]
+    table[10_000:20_000][g[:, None] < [1000, 100, 10, 1]] = 0
+    table[20_000] = (0, 0, 0, ord("0"))
+    table.flags.writeable = False
+    return table.view(np.uint32).ravel()
+
+
+def _fixed_point(v: np.ndarray, decimals: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integer part and the ``decimals`` fraction digits, as int64, of
+    each |v| < 2^53 rounded half to even at ``decimals`` places: the digits
+    ``%.{decimals}f`` prints, computed exactly in integers."""
+    fraction = np.abs(v)
+    whole = np.floor(fraction)
+    fraction -= whole
+    whole = whole.astype(np.int64)
+    # the fraction is exactly m / 2^(53 - e): m < 2^53 an integer, e <= 0
+    fraction, exponent = np.frexp(fraction, out=(fraction, None))
+    fraction *= 2.0 ** 53
+    scaled = fraction.astype(np.int64)
+    del fraction
+    # fraction * 10^d = P / 2^k with P = m * 5^d < 2^93 and k = 53 - e - d
+    # >= 36; at k >= 94, P / 2^k < 1/2 rounds to 0 as at k = 94.  P is held
+    # as P >> 31 with its lost bits jammed into bit 0, below the rounding bit
+    # k - 32 >= 4: m = mh 2^31 + ml and 5^d = ah 2^31 + al give
+    # P = (mh 5^d + ml ah) 2^31 + ml al, every product under 2^63
+    scale = 5 ** decimals
+    low = scaled & 0x7FFF_FFFF
+    scaled >>= 31
+    scaled *= scale
+    if scale >> 31:
+        scaled += low * (scale >> 31)
+    low *= scale & 0x7FFF_FFFF
+    scaled += low >> 31
+    low &= 0x7FFF_FFFF
+    scaled |= low != 0
+    del low
+    # the shift of P >> 31: min(k, 94) - 31
+    shift = np.subtract(22 - decimals, exponent, dtype=np.int64)
+    np.minimum(shift, 63, out=shift)
+    # half to even: add 2^(shift - 1) - 1, and 1 more when the truncated
+    # digits (the integer part at d = 0) end odd, then shift
+    scaled += (whole if decimals == 0 else scaled >> shift) & 1
+    scaled += np.left_shift(np.int64(1), shift - 1)
+    scaled -= 1
+    digits = np.right_shift(scaled, shift, out=scaled)
+    # a fraction that rounds up to 10^d carries into the integer part
+    carry = digits >= 10 ** decimals
+    whole += carry
+    np.subtract(digits, 10 ** decimals, out=digits, where=carry)
+    return whole, digits
+
+
+def _write_fields(v: np.ndarray, decimals: int, field: np.ndarray) -> None:
+    """Write each |v| < 2^53 as ``%.{decimals}f`` into its row of ``field``,
+    a (rows, 1 + 4 * groups [+ 1 + decimals]) byte view: a sign byte, the
+    integer part right-aligned in four-digit groups, then the point and the
+    fraction; bytes that print nothing are NUL."""
+    table = _digit_groups()
+    whole, digits = _fixed_point(v, decimals)
+    point = field.shape[1] - (decimals + 1 if decimals else 0)
+
+    def put(end, index):
+        field[:, end - 4:end].view(np.uint32)[:, 0] = table.take(index)
+
+    # fraction groups right to left: a first, partial one writes its leading
+    # zeros over the point and the integer part, which are written after it
+    for end in range(field.shape[1], point + 1, -4):
+        rest = digits // 10_000
+        digits -= rest * 10_000
+        put(end, digits)
+        digits = rest
+    if decimals:
+        field[:, point] = ord(".")
+    # integer groups right to left: the most significant nonzero one drops
+    # its leading zeros, the ones above it are all NUL, and 0 prints "0"
+    for end in range(point, 1, -4):
+        rest = whole // 10_000
+        index = rest * -10_000
+        index += whole
+        np.add(index, 10_000, where=whole < 10_000, out=index)
+        if end == point:
+            np.add(index, 10_000, where=whole == 0, out=index)
+        put(end, index)
+        whole = rest
+    field[:, 0] = (v.view(np.int64) >> 63) & ord("-")
+
+
 def write_csv(data: Dataset, decimals: int = 6) -> bytes:
     """Serialize a dataset with fixed decimal places, LF line endings; labels
     that ``read_csv`` would not read back as they are raise ValueError.
 
-    Each row block is one ``%`` template over its interleaved values, so no
-    string per row is held; ``%`` prints a float as an f-string does.  The
+    The bytes are those of one ``f"{x:.{decimals}f},{y:.{decimals}f}"`` per
+    row.  A row block whose values are all under 2^53 in magnitude is
+    formatted in numpy: the rounded digits are computed exactly in integers
+    and written through a table of four-digit groups into one NUL-padded
+    byte buffer, reused by every block, whose padding is then deleted.  A
+    block with a larger value is one ``%`` template over its values.  The
     blocks are written into one buffer, which becomes the result."""
+    if isinstance(decimals, bool) or not isinstance(decimals, Integral):
+        raise ValueError(f"decimals must be an integer, not {decimals!r}")
     if not 0 <= decimals <= 17:
         raise ValueError("decimals must be between 0 and 17")
+    decimals = int(decimals)  # numpy integer scalars would change the dtypes below
     header = f"{data.x_label},{data.y_label}"
     try:
         # the reader's own rules: one line (no BOM), two fields, nothing stripped
@@ -241,8 +346,31 @@ def write_csv(data: Dataset, decimals: int = 6) -> bytes:
     out = io.BytesIO()
     out.write(f"{header}\n".encode())
     row = f"%.{decimals}f,%.{decimals}f\n"
+    buffer = bytearray()
     for x, y in data.row_blocks():
-        out.write((row * x.size % tuple(np.column_stack((x, y)).ravel().tolist())).encode())
+        if not x.size:
+            continue
+        tops = (max(x.max(), -x.min()), max(y.max(), -y.min()))
+        if max(tops) >= 2.0 ** 53:
+            out.write((row * x.size % tuple(np.column_stack((x, y)).ravel().tolist())).encode())
+            continue
+        # a sign byte and four-digit groups for the integer part, which
+        # rounding can carry one digit longer, then the point and fraction
+        x_width, y_width = (1 + 4 * ((len(str(int(top) + 1)) + 3) // 4)
+                            + (decimals + 1 if decimals else 0) for top in tops)
+        width = x_width + y_width + 2
+        size = x.size * width
+        if len(buffer) < size:
+            buffer = bytearray(size)
+        text = np.frombuffer(buffer, np.uint8, size).reshape(x.size, width)
+        _write_fields(x, decimals, text[:, :x_width])
+        text[:, x_width] = ord(",")
+        _write_fields(y, decimals, text[:, x_width + 1:-1])
+        text[:, -1] = ord("\n")
+        # in 64 KiB slices, so no copy of the block's whole text is held
+        # beside the buffer
+        for start in range(0, size, 1 << 16):
+            out.write(buffer[start:min(start + (1 << 16), size)].translate(None, b"\0"))
     return out.getvalue()
 
 

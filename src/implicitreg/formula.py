@@ -81,6 +81,8 @@ class ModelSpec(Record):
     def __init__(self, response: Term, predictors: tuple[Term, ...], intercept: bool):
         if not isinstance(predictors, tuple):
             raise ValueError(f"predictors {predictors!r} is not a tuple")
+        if not isinstance(intercept, bool):
+            raise ValueError(f"intercept {intercept!r} is not a bool")
         for term in (response, *predictors):
             if not isinstance(term, Term):
                 role = "response" if term is response else "predictor"

@@ -14,7 +14,7 @@ bit for bit on any platform.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class SimulationConfig(Record):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if n < 1:
             raise ValueError("n must be at least 1")
+        if isinstance(sigma, bool) or not isinstance(sigma, Real):
+            raise ValueError(f"sigma must be a real number, not {sigma!r}")
         if not (math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
         if seed < 0:

@@ -524,6 +524,29 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(d, decimals=18)
 
+    @pytest.mark.parametrize("decimals", [True, False, 2.5, 3.0, "3", None], ids=repr)
+    def test_decimals_that_are_no_integer_raise_by_name(self, decimals):
+        d = Dataset("x", "y", [1, 2, 3], [4, 5, 6])
+        with pytest.raises(ValueError, match=f"^decimals must be an integer, not {re.escape(repr(decimals))}$"):
+            write_csv(d, decimals=decimals)
+
+    @pytest.mark.parametrize("decimals", [np.int8(3), np.uint64(17), np.int64(0)], ids=repr)
+    def test_numpy_integer_decimals_write_as_python_ints(self, decimals):
+        d = Dataset("x", "y", [0.5, 1.25, -2.5], [4.125, 1e15 / 3, 9.999])
+        assert write_csv(d, decimals) == write_csv(d, int(decimals)) == _f_string_csv(d, int(decimals))
+
+    @pytest.mark.parametrize("value, decimals, text", [
+        (9.999, 2, "10.00"), (9999.99999, 4, "10000.0000"), (-9.9999, 3, "-10.000"),
+        (0.5, 0, "0"), (1.5, 0, "2"), (2.5, 0, "2"), (-0.5, 0, "-0"), (0.125, 2, "0.12"),
+        (0.375, 2, "0.38"), (2.0 ** -18, 17, "0.00000381469726562"), (-0.001, 2, "-0.00"),
+        (-0.0, 3, "-0.000"), (5e-324, 17, "0.00000000000000000"), (0.0, 0, "0"),
+        (2.0 ** 53 - 1, 1, "9007199254740991.0"), (2.0 ** 52 + 0.5, 0, "4503599627370496"),
+    ])
+    def test_integer_path_rounds_half_to_even_and_carries(self, value, decimals, text):
+        # one row block, every value under 2^53: the numpy digits, not "%"
+        d = Dataset("x", "y", [value, 1.0], [1.0, value])
+        assert write_csv(d, decimals) == f"x,y\n{text},{1.0:.{decimals}f}\n{1.0:.{decimals}f},{text}\n".encode()
+
     def test_boyle_serializes_to_26_lines(self):
         out = write_csv(boyle_dataset(), decimals=4)
         assert len(out.decode().splitlines()) == 26
@@ -565,6 +588,24 @@ class TestWriteCsv:
         with mock.patch.object(dataio, "_BLOCK_ROWS", block):
             assert write_csv(d, decimals) == _f_string_csv(d, decimals)
 
+    @pytest.mark.parametrize("decimals", range(18))
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(1, 4), data=st.data())
+    def test_integer_path_writes_the_bytes_of_one_f_string_per_row(self, decimals, block, data):
+        """Values under 2^53, where the block's digits are computed in
+        integers, drawn where rounding is hardest at these places; up to two
+        of 2^53 or more put a "%" block among them in the same file."""
+        n = data.draw(st.integers(0, 4 * block), label="rows")
+        values = st.lists(_integer_path_floats(decimals), min_size=n, max_size=n)
+        x, y = data.draw(values, label="x"), data.draw(values, label="y")
+        if n:
+            at = st.tuples(st.integers(0, n - 1), st.booleans(), st.sampled_from(_TOO_BIG))
+            for row, in_x, big in data.draw(st.lists(at, max_size=2), label="big"):
+                (x if in_x else y)[row] = big
+        d = Dataset("x", "y", x, y)
+        with mock.patch.object(dataio, "_BLOCK_ROWS", block):
+            assert write_csv(d, decimals) == _f_string_csv(d, decimals)
+
     def test_simulated_file_bytes_are_pinned(self):
         # what `implicitreg simulate --n 200000 --sigma 5 --seed 7 --out F`
         # writes: 25 row blocks, the last one partial
@@ -574,7 +615,8 @@ class TestWriteCsv:
 
     def test_traced_peak_is_at_most_1_7_times_the_output(self):
         # the one buffer the blocks are written into, which becomes the
-        # result, and one block's text (measured 1.62)
+        # result, one block's NUL-padded text, a 64 KiB slice of it and the
+        # digit temporaries of one column (measured 1.50)
         d = generate(SimulationConfig(n=3 * dataio._BLOCK_ROWS + 1, sigma=5.0, seed=3))
         tracemalloc.start()
         try:
@@ -599,6 +641,31 @@ _WRITER_FLOATS = st.one_of(
                      1e300, -1e300, 0.5, -2.5, 0.125]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+# the writer's integer path takes magnitudes under 2^53; these take "%"
+_TOO_BIG = [2.0 ** 53, -2.0 ** 53, np.nextafter(2.0 ** 53, np.inf), 1e300, -5e17]
+
+
+def _integer_path_floats(decimals):
+    """Magnitudes under 2^53, drawn where ``%.{decimals}f`` is hard to match."""
+    step = 10.0 ** -(decimals + 1)
+    whole = st.one_of(st.integers(-10 ** 4, 10 ** 4),
+                      st.sampled_from([s * 10 ** j for j in range(16) for s in (1, -1)]))
+    return st.one_of(
+        # exact binary fractions k / 2^m, and the ties at these places: odd / 2^(d+1)
+        st.builds(lambda k, m: k / 2 ** m, st.integers(1 - 2 ** 53, 2 ** 53 - 1), st.integers(0, 80)),
+        st.builds(lambda t: (2 * t + 1) / 2 ** (decimals + 1), st.integers(-2 ** 51, 2 ** 51 - 1)),
+        # just under a whole number, which rounds up and carries into it
+        # (9.999 at d = 2; no float rounds up to a whole number at d >= 16)
+        st.builds(lambda n, u: n - u * step, whole, st.integers(1, 5)),
+        st.builds(lambda n: np.nextafter(float(n), 0.0), whole),
+        # negatives that print as zero, -0.0 and subnormals
+        st.builds(lambda u: -u * step, st.floats(0, 5)),
+        st.integers(1 - 2 ** 52, 2 ** 52 - 1).map(lambda i: i * 5e-324),
+        st.sampled_from([-0.0, 2.0 ** 53 - 1, 1 - 2.0 ** 53, 2.0 ** 52 + 0.5, 0.5, 2.5]),
+        st.floats(-2.0 ** 53, 2.0 ** 53, exclude_min=True, exclude_max=True),
+    )
+
+
 # "%" and "{" must reach the file as they are; labels read_csv strips, splits
 # or drops a leading byte-order mark from cannot be written
 _WRITER_LABELS = st.one_of(

@@ -115,6 +115,12 @@ class TestModelSpecInvariants:
         with pytest.raises(ValueError, match=r"^predictors \[<Term.X: 'x'>\] is not a tuple$"):
             ModelSpec(Term.Y, [Term.X], True)
 
+    @pytest.mark.parametrize("intercept", ["no", 1, None, np.True_], ids=repr)
+    def test_non_bool_intercept_rejected_by_name(self, intercept):
+        # a truthy "no" would print as y ~ 1 + x yet compare unequal to its parse
+        with pytest.raises(ValueError, match=f"^intercept {re.escape(repr(intercept))} is not a bool$"):
+            ModelSpec(Term.Y, (Term.X,), intercept)
+
     def test_n_coefficients(self):
         assert parse_model("y ~ 1 + x + x*y").n_coefficients == 3
         assert parse_model("1 ~ x*y").n_coefficients == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ class TestConfig:
         [name] = kwargs
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("sigma", ["5", None, True, False, 1j, [1.0]], ids=repr)
+    def test_rejects_a_sigma_that_is_no_real_number_by_name(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be a real number, not {re.escape(repr(sigma))}$"):
+            SimulationConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [2, np.float32(0.5), np.int64(3)], ids=repr)
+    def test_accepts_a_real_sigma_of_any_numeric_type(self, sigma):
+        assert SimulationConfig(sigma=sigma).sigma == sigma
 
     def test_accepts_numpy_integers(self):
         config = SimulationConfig(n=np.int32(12), sigma=1.0, seed=np.uint64(7))
