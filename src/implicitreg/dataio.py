@@ -4,7 +4,11 @@ The reader accepts two-column CSV with a mandatory header.  Fields are
 decimal literals or mixed fractions in the historical style ``W N/D``
 (e.g. ``29 2/16``), a signed integer W whose sign covers the unsigned
 fraction N/D (``-0 1/2`` is -0.5); fractions are converted with rational
-arithmetic so no precision is lost before the final division.
+arithmetic so no precision is lost before the final division.  A decimal
+field reads as ``float(field)``, by one of three routes: a body in the
+writer's shape (LF lines of ``-?digits[.digits]`` fields) is converted in
+numpy with exact integer and double-double arithmetic, another body of
+plain decimals by numpy's C reader, and any other body field by field.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decimals import shaped_values
 from .errors import DataFormatError, InsufficientDataError, IntegrityError
 from .records import Record, eq_with_arrays
 
@@ -189,25 +194,32 @@ def read_csv(source) -> Dataset:
     Malformed records raise :class:`DataFormatError` with their line
     number; fewer than 3 data rows raise :class:`InsufficientDataError`.
 
-    A body (the lines after a one-line header) of plain decimals - bytes
-    of ``_PLAIN_BYTES`` only - is read in place by numpy's C reader.  Every
-    other body, and every body that reader rejects, is read line by line
-    and field by field, which gives the exact fractions and the error of
-    the first bad line.
+    A body (the lines after a one-line header) takes the first of three
+    routes that reads it, each giving every decimal field the value of
+    ``float(field)``.  A body in the writer's shape (LF lines of two fields
+    ``-?digits[.digits]``, at most 15 integer digits and 22 decimals) is
+    converted in numpy with exact integer and double-double arithmetic.
+    Another body of plain decimals - bytes of ``_PLAIN_BYTES`` only - is
+    read in place by numpy's C reader.  Every other body, and every body
+    that reader rejects, is read line by line and field by field, which
+    gives the exact fractions and the error of the first bad line.
     """
     data = _read_bytes(source)
     end = data.find(b"\n")
     if end < 0:
         end = len(data)
-    # the body is plain when no byte from its LF on is outside the alphabet;
-    # scanned in 64 KiB slices, as translate allocates a copy of its input
-    plain = not any(data[i:i + (1 << 16)].translate(None, _PLAIN_BYTES)
-                    for i in range(end, len(data), 1 << 16))
     values = None
-    if plain and len(lines := _text_lines(data[:end])) == 1:
+    if len(lines := _text_lines(data[:end])) == 1:
+        values = shaped_values(data, end + 1)
+        # the body is plain when no byte from its LF on is outside the
+        # alphabet; scanned in 64 KiB slices, as translate allocates a copy
+        # of its input
+        if values is None and not any(data[i:i + (1 << 16)].translate(None, _PLAIN_BYTES)
+                                      for i in range(end, len(data), 1 << 16)):
+            values = _plain_values(data, end + 1)
+    if values is not None:
         x_label, y_label = _labels(lines[0])
-        values = _plain_values(data, end + 1)
-    if values is None:
+    else:
         lines = _text_lines(data)
         if not lines:
             raise DataFormatError("empty input", line=1)

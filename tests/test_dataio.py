@@ -3,6 +3,7 @@ import io
 import re
 import tracemalloc
 import warnings
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -23,7 +24,7 @@ from implicitreg import (
     read_csv,
     write_csv,
 )
-from implicitreg import dataio
+from implicitreg import dataio, decimals
 
 
 class TestDataset:
@@ -491,6 +492,167 @@ class TestBulkParse:
         assert want == _outcome(_read_csv_arrays, "\n".join(mixed))
         assert want == _outcome(_reference_read, "\n".join(decimal))
 
+
+
+def _midpoint_field(value, up, decimals, rounding):
+    """The midpoint between ``value`` and the double above it (or below it),
+    rounded to ``decimals`` places: a field next to a rounding boundary."""
+    neighbour = float(np.nextafter(value, np.inf if up else 0.0))
+    with localcontext(prec=800):  # exact: Decimal(5e-324) has 751 digits
+        mid = (Decimal(value) + Decimal(neighbour)) / 2
+        return format(mid.quantize(Decimal(1).scaleb(-decimals), rounding=rounding), "f")
+
+
+_shaped_field = st.one_of(
+    st.builds(lambda sign, whole, places: sign + whole + ("." + places if places else ""),
+              st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=15),
+              st.text("0123456789", max_size=22)),
+    st.builds(lambda sign, field: sign + field, st.sampled_from(["", "-"]),
+              st.builds(_midpoint_field, st.floats(0.0, 999999999999998.0), st.booleans(),
+                        st.integers(0, 22),
+                        st.sampled_from([ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN]))),
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the body left the reader of the writer's shape")
+
+
+@pytest.fixture
+def shaped_only(monkeypatch):
+    """Neither numpy's CSV reader nor the field-by-field reader may run."""
+    monkeypatch.setattr(np, "loadtxt", _refuse)
+    monkeypatch.setattr(dataio, "_exact_values", _refuse)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Count numpy's CSV reader's calls; the field-by-field reader may not run."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    monkeypatch.setattr(dataio, "_exact_values", _refuse)
+    return calls
+
+
+def _field_bits(fields):
+    return np.array([float(f) for f in fields]).tobytes()
+
+
+class TestShapedRead:
+    """A body in the writer's shape - LF lines of two ``-?digits[.digits]``
+    fields, at most 15 integer digits and 22 decimals - is converted in numpy
+    and reads bit for bit as ``float(field)``; every other body takes the
+    routes it took before, with their values and errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(_shaped_field, _shaped_field), min_size=3, max_size=200))
+    def test_every_field_reads_as_float(self, rows):
+        body = "".join(f"{x},{y}\n" for x, y in rows)
+        with mock.patch.object(np, "loadtxt", _refuse), \
+                mock.patch.object(dataio, "_exact_values", _refuse):
+            d = read_csv(("a,b\n" + body).encode())
+        assert d.x.tobytes() == _field_bits([x for x, _ in rows])
+        assert d.y.tobytes() == _field_bits([y for _, y in rows])
+
+    @pytest.mark.parametrize("field", [
+        # exact ties between two doubles, rounded to the even one
+        "562949953421312.0625", "562949953421312.1875", "2147483648.0000002384185791015625",
+        # the midpoint below 2^49, where the gap halves, and just off it
+        "562949953421311.96875", "562949953421311.9687500000001", "562949953421311.9687499999999",
+        # just above and just below the midpoint under 1 (1 - 2^-54)
+        "0.9999999999999999444889", "0.9999999999999999444888",
+        # and above 1 (1 + 2^-53)
+        "1.0000000000000001110224", "1.0000000000000001110223",
+        # within 10^-21 of the midpoints below and above 2^40 and below
+        # 2^47, nearer than the double-double's error there
+        "1099511627775.9999389648437499999999", "1099511627776.0001220703125000000001",
+        "140737488355327.9921874999999999999",
+        "-0", "-0.000", "0.0", "000123.4500", "-00000000000000.5", "-000000000000007",
+        "999999999999999", "-123456789012345.6789", "999999999999999.9999999999999999999999",
+        "0.0000000000000000000001", "-1.2345678901234567890123",
+    ])
+    def test_edge_fields_read_as_float(self, field, shaped_only):
+        d = read_csv(f"a,b\n1,1\n{field},{field}\n3,3".encode())
+        assert d.x.tobytes() == d.y.tobytes() == _field_bits(["1", field, "3"])
+
+    @pytest.mark.parametrize("end", ["", "\n"], ids=["no-last-lf", "last-lf"])
+    @pytest.mark.parametrize("block", [1 << 17, 64], ids=["one-block", "64-byte-blocks"])
+    def test_blocks_and_last_line(self, end, block, shaped_only, monkeypatch):
+        monkeypatch.setattr(decimals, "_BLOCK_BYTES", block)
+        rows = [(f"{i}.{i * 7919 % 1000:03d}", f"-{i * 31}") for i in range(40)]
+        d = read_csv(("x,y\n" + "\n".join(map(",".join, rows)) + end).encode())
+        assert d.x.tobytes() == _field_bits([x for x, _ in rows])
+        assert d.y.tobytes() == _field_bits([y for _, y in rows])
+
+    @pytest.mark.parametrize("decimals", range(18))
+    def test_written_csv_takes_neither_other_reader(self, decimals, shaped_only):
+        rng = np.random.default_rng(decimals)
+        d = generate(SimulationConfig(n=2_000, sigma=20.0, seed=decimals))
+        small = Dataset("u", "v", rng.uniform(-1, 1, 500), -rng.exponential(1e-3, 500))
+        for data in (d, small):
+            text = write_csv(data, decimals=decimals)
+            back = read_csv(text)
+            assert (back.x.tobytes(), back.y.tobytes()) == _outcome(_reference_read, text.decode())
+
+    @pytest.mark.parametrize("body", [
+        "1,2\r\n3,4\r\n5,6\r\n",
+        " 1,2\n3 ,4\n5,\t6\n",
+        "1e3,2\n3,4E-2\n5,6\n",
+        "+1,2\n3,+4\n5,6\n",
+        "1,2\n\n3,4\n5,6\n\n",
+        "1234567890123456,2\n3,4\n5,6\n",
+        "1,2\n3,4.00000000000000000000001\n5,6\n",
+        "1,2\n3,4\n5.,6\n",
+        "1,2\n3,4\n.5,6\n",
+    ], ids=["crlf", "padded", "exponents", "plus", "blank-lines", "16-digit-integer",
+            "23-decimals", "no-digit-after-point", "no-digit-before-point"])
+    def test_other_plain_bodies_take_loadtxt(self, body, loadtxt_calls):
+        text = "x,y\n" + body
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
+        assert loadtxt_calls == [1]
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n1-2,3\n4,5\n", "1,2\n3,4-\n5,6\n", "1,2\n--3,4\n5,6\n", "1,2\n-3-,4\n5,6\n",
+        "1,2\n3,-\n5,6\n", "1,2\n-.5,4\n5,6\n", "1,2\n3,4\n5.6.7,8\n", "1,2\n3,1/2\n5,6\n",
+        "1,2\n3,4\n5,6,7\n", "1,2\n3,4\n5\n", "1,2\n3\n4,5\n6,7\n",
+    ])
+    def test_stray_bytes_leave_the_shape(self, body):
+        # each body is one byte or field away from the shape; the other
+        # routes read it, or raise the error of its first bad line
+        text = "x,y\n" + body
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
+
+    def test_one_block_out_of_shape_sends_the_body_to_loadtxt(self, loadtxt_calls, monkeypatch):
+        monkeypatch.setattr(decimals, "_BLOCK_BYTES", 64)
+        rows = [f"{i}.5,{i}" for i in range(60)]
+        rows[50] = "5e1,1"
+        text = "x,y\n" + "\n".join(rows) + "\n"
+        assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
+        # and a line longer than a block
+        long = "x,y\n1,2\n3,4\n" + "1" * 15 + "." + "2" * 22 + ",-" + "3" * 15 + "." + "4" * 22 + "\n"
+        assert _outcome(_read_csv_arrays, long) == _outcome(_reference_read, long)
+        assert loadtxt_calls == [1, 1]
+
+    @pytest.mark.parametrize("sigma", [1.0, 5.0, 20.0])
+    def test_17_decimals_round_trip(self, sigma):
+        """17 decimals are 17 significant digits from 0.1 up, which read back
+        every double; nearer 0 the value is within half a unit in the 17th
+        place, then rounded once."""
+        rng = np.random.default_rng(int(sigma))
+        below_one = np.where(rng.random(5_000) < 0.5, -1, 1) * rng.uniform(0.1, 1, 5_000)
+        for d in (generate(SimulationConfig(n=20_000, sigma=sigma, seed=11)),
+                  Dataset("u", "v", below_one, below_one[::-1])):
+            back = read_csv(write_csv(d, decimals=17))
+            for got, want in ((back.x, d.x), (back.y, d.y)):
+                far = np.abs(want) >= 0.1
+                assert got[far].tobytes() == want[far].tobytes()
+                np.testing.assert_allclose(got, want, rtol=0, atol=1.2e-17)
 
 
 # any text, with the characters the reader splits on, strips or drops
