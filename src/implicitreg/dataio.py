@@ -5,15 +5,16 @@ decimal literals or mixed fractions in the historical style ``W N/D``
 (e.g. ``29 2/16``), a signed integer W whose sign covers the unsigned
 fraction N/D (``-0 1/2`` is -0.5); fractions are converted with rational
 arithmetic so no precision is lost before the final division.  A decimal
-field reads as ``float(field)``, by one of three routes: a body in the
-writer's shape (LF lines of ``-?digits[.digits]`` fields) is converted in
-numpy with exact integer and double-double arithmetic, another body of
-plain decimals by numpy's C reader, and any other body field by field.
+field reads as ``float(field)``, by one of two routes: a body in the
+writer's shape (LF or CRLF lines of ``-?digits[.digits]`` fields) is
+converted in numpy with exact integer and double-double arithmetic, and any
+other body is read field by field.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import re
 from functools import cache, cached_property
 from numbers import Integral
@@ -30,10 +31,6 @@ from .records import Record, eq_with_arrays
 # inch of mercury) following Fazio's 1992 republication.
 _BOYLE_SHA256 = "f5965311ce7928d00ea85a130d2db1b36efebb907fbf230646574b03273e7d93"
 
-# the bytes of a plain body, which numpy's reader takes: ASCII
-# decimals with exponents, field and line separators, spaces and tabs
-_PLAIN_BYTES = b"0123456789.,+-eE \t\r\n"
-_NON_SPACE = re.compile(rb"\S")
 # a mixed number W N/D: a signed integer whole part, then an unsigned fraction
 _MIXED = re.compile(r"([+-]?)(\d+)\s+(\d+)/(\d+)")
 # rows per block of the factorisation, the solves and the writer, read only
@@ -90,6 +87,12 @@ class Dataset(Record):
 
 def _parse_field(field: str, line: int) -> float:
     """Parse a decimal literal or mixed fraction ``W N/D`` exactly."""
+    try:
+        value = float(field)  # strips what str.strip() strips, bar \x1c-\x1f
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
     token = field.strip()
     if not token:
         raise DataFormatError("empty field", line=line)
@@ -115,7 +118,7 @@ def _parse_field(field: str, line: int) -> float:
                 value = -value if sign == "-" else value
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DataFormatError(f"cannot parse value {token!r}: {exc}", line=line) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataFormatError(f"non-finite value {token!r}", line=line)
     return value
 
@@ -140,28 +143,6 @@ def _text_lines(data: bytes) -> list[str]:
         raise DataFormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line=line) from None
     # a leading byte-order mark (spreadsheet exports) is not part of the header
     return text.removeprefix("\ufeff").splitlines()
-
-
-def _plain_values(data: bytes, start: int) -> np.ndarray | None:
-    """The (rows, 2) values of the plain body ``data[start:]``, read by numpy
-    in place; None when numpy's reader rejects it or a value is not finite.
-
-    ``loadtxt`` converts each field with ``PyOS_string_to_double``, the
-    correctly rounded routine behind ``float()``, and on this alphabet it
-    accepts a field only where ``_parse_field`` returns that same value.
-    """
-    if _NON_SPACE.search(data, start) is None:
-        return np.empty((0, 2))  # loadtxt warns on input with no data
-    # a BytesIO shares the bytes' buffer until it is written to
-    body = io.BytesIO(data)
-    body.seek(start)
-    try:
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape[1] != 2 or not np.isfinite(values).all():
-        return None
-    return values
 
 
 def _exact_values(lines: list[str]) -> np.ndarray:
@@ -194,36 +175,29 @@ def read_csv(source) -> Dataset:
     Malformed records raise :class:`DataFormatError` with their line
     number; fewer than 3 data rows raise :class:`InsufficientDataError`.
 
-    A body (the lines after a one-line header) takes the first of three
-    routes that reads it, each giving every decimal field the value of
-    ``float(field)``.  A body in the writer's shape (LF lines of two fields
-    ``-?digits[.digits]``, at most 15 integer digits and 22 decimals) is
-    converted in numpy with exact integer and double-double arithmetic.
-    Another body of plain decimals - bytes of ``_PLAIN_BYTES`` only - is
-    read in place by numpy's C reader.  Every other body, and every body
-    that reader rejects, is read line by line and field by field, which
-    gives the exact fractions and the error of the first bad line.
+    A body (the lines after a one-line header) takes one of two routes,
+    each giving every decimal field the value of ``float(field)``.  A body
+    in the writer's shape (lines of two fields ``-?digits[.digits]``, at
+    most 15 integer digits and 22 decimals; CRLF reads as LF) is converted
+    in numpy with exact integer and double-double arithmetic.  Every other
+    body is read line by line and field by field, which gives the exact
+    fractions and the error of the first bad line.
     """
     data = _read_bytes(source)
     end = data.find(b"\n")
-    if end < 0:
-        end = len(data)
     values = None
-    if len(lines := _text_lines(data[:end])) == 1:
+    if end >= 0 and len(lines := _text_lines(data[:end])) == 1:
         values = shaped_values(data, end + 1)
-        # the body is plain when no byte from its LF on is outside the
-        # alphabet; scanned in 64 KiB slices, as translate allocates a copy
-        # of its input
-        if values is None and not any(data[i:i + (1 << 16)].translate(None, _PLAIN_BYTES)
-                                      for i in range(end, len(data), 1 << 16)):
-            values = _plain_values(data, end + 1)
-    if values is not None:
-        x_label, y_label = _labels(lines[0])
-    else:
+        if values is None and data.find(b"\r", end) >= 0:
+            # CRLF reads as LF; the header's LF is one byte back after a CR
+            body = data.replace(b"\r\n", b"\n")
+            values = shaped_values(body, body.find(b"\n") + 1)
+    if values is None:
         lines = _text_lines(data)
         if not lines:
             raise DataFormatError("empty input", line=1)
-        x_label, y_label = _labels(lines[0])
+    x_label, y_label = _labels(lines[0])
+    if values is None:
         values = _exact_values(lines[1:])
 
     if len(values) < 3:

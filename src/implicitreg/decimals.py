@@ -3,8 +3,8 @@
 LF lines of two fields ``-?digits[.digits]``, at most 15 integer digits and
 22 decimals, are converted in numpy: each field's digits become integers
 eight at a time, and its value is computed in double-double arithmetic and
-rounded once, bit for bit ``float(field)``.  ``dataio.read_csv`` tries it
-first.
+rounded once, bit for bit ``float(field)``.  ``dataio.read_csv`` reads a
+body so when it can, with CRLF as LF, and field by field otherwise.
 """
 
 from __future__ import annotations

@@ -123,6 +123,37 @@ class TestReadCsv:
         assert str(excinfo.value) == (f"line 3: cannot parse value {field!r}: "
                                       "a mixed number is a signed integer and an unsigned N/D")
 
+    @pytest.mark.parametrize("field, want", [
+        ("", "empty field"),
+        (" ", "empty field"),
+        ("abc", "cannot parse value 'abc': could not convert string to float: 'abc'"),
+        ("1 2 3", "cannot parse value '1 2 3': too many components"),
+        ("1/0", "cannot parse value '1/0': Fraction(1, 0)"),
+        ("2 1/0", "cannot parse value '2 1/0': Fraction(1, 0)"),
+        ("1 -1/2", "cannot parse value '1 -1/2': a mixed number is a signed integer and an "
+                   "unsigned N/D"),
+        ("1.5 1/2", "cannot parse value '1.5 1/2': a mixed number is a signed integer and an "
+                    "unsigned N/D"),
+        ("nan", "non-finite value 'nan'"),
+        (" inf ", "non-finite value 'inf'"),
+        ("1e999", "non-finite value '1e999'"),
+        ("0x10", "cannot parse value '0x10': could not convert string to float: '0x10'"),
+        ("1,5", "cannot parse value '1,5': could not convert string to float: '1,5'"),
+        ("1_0", 10.0), ("\u0661\u0662", 12.0), ("\uff11\uff12", 12.0), ("29 2/16", 29.125),
+        ("-0 1/2", -0.5), ("1/3", float(Fraction(1, 3))), (" 7 ", 7.0), ("-0", -0.0),
+        # str.strip() strips \x1f, float() does not
+        ("\x1f2\x1f", 2.0),
+    ])
+    def test_parse_field_table(self, field, want):
+        """Each field's value or exact message, fixed here rather than
+        compared with ``_parse_field`` itself, as ``_reference_read`` is."""
+        if isinstance(want, float):
+            assert dataio._parse_field(field, 7).hex() == want.hex()  # -0.0 keeps its sign
+        else:
+            with pytest.raises(DataFormatError) as excinfo:
+                dataio._parse_field(field, 7)
+            assert (str(excinfo.value), excinfo.value.line) == (f"line 7: {want}", 7)
+
     def test_fraction_has_no_float_intermediate(self):
         d = read_csv(b"x,y\n0 1/3,1\n2 1/7,2\n1,3\n")
         assert d.x[0] == float(Fraction(1, 3))
@@ -256,8 +287,8 @@ def _read_csv_arrays(text):
     return d.x, d.y
 
 
-# tokens of the plain alphabet: fields either reader takes, and fields or
-# lines that one or both reject
+# tokens of the plain alphabet (ASCII decimals with exponents and signs):
+# fields that read, and fields or lines that raise
 _plain_token = st.one_of(
     _value.map(repr),
     _value.map(lambda v: "%.17g" % v),
@@ -297,9 +328,10 @@ def _mixed_sixteenths(k):
 
 
 class TestBulkParse:
-    """``read_csv`` hands a plain body to numpy's reader, in place, and
-    every other body to the field-by-field reader; it must agree with the
-    field-by-field reader on every value and every error."""
+    """``read_csv`` hands a body in the writer's shape, LF or CRLF, to the
+    vectorised reader and every other body to the field-by-field reader; it
+    must agree with the field-by-field reader on every value and every
+    error."""
 
     @settings(max_examples=25, deadline=None)
     @given(lines=_csv_lines())
@@ -357,7 +389,7 @@ class TestBulkParse:
     def test_plain_body_table(self, body):
         text = "a,b\n" + body
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's "input contained no data"
+            warnings.simplefilter("error")  # neither route may warn
             got = _outcome(_read_csv_arrays, text)
         assert got == _outcome(_reference_read, text)
 
@@ -379,12 +411,6 @@ class TestBulkParse:
             raise AssertionError("the body went field by field")
 
         monkeypatch.setattr(dataio, "_exact_values", refuse)
-
-    def test_plain_file_skips_field_parser(self, parse_field_calls):
-        rows = [f"{i * 0.1!r},{1.0 / (i + 1)!r}" for i in range(20_000)]
-        d = read_csv(("x,y\n" + "\n".join(rows) + "\n").encode())
-        assert d.n == 20_000
-        assert parse_field_calls == []
 
     def test_fraction_row_parsed_exactly(self, parse_field_calls):
         rows = [f"{i},{2 * i}" for i in range(20_000)]
@@ -429,7 +455,7 @@ class TestBulkParse:
         assert (back.x_label, back.y_label) == ("a", "b")
         assert (back.x.tobytes(), back.y.tobytes()) == _outcome(_reference_read, text)
 
-    def test_crlf_bom_and_padding_read_identically(self, no_exact_reader):
+    def test_crlf_bom_and_padding_read_identically(self):
         rng = np.random.default_rng(3)
         d = Dataset("volume", "pressure", rng.uniform(1, 50, 100), rng.uniform(20, 120, 100))
         plain = write_csv(d, decimals=17)
@@ -446,17 +472,19 @@ class TestBulkParse:
     @pytest.mark.parametrize("body", [
         "", "{e}", "{e}{e} {e}", "{e}1,2{e}3,4{e}5,6", "{e}1,2{e}3,4{e}{e}5,6{e}", "{e}1,2{e}3,4{e}",
     ], ids=["header-only", "header-line", "blank-lines", "rows", "rows-and-blank", "two-rows"])
-    def test_body_offset_after_bom_and_line_end(self, bom, end, body, no_exact_reader):
-        # numpy reads the source in place from just after the header's LF
+    def test_body_offset_after_bom_and_line_end(self, bom, end, body):
+        # the body starts just after the header's LF, which the CRLF-to-LF
+        # copy of a CRLF file moves one byte back
         text = bom + "x,y" + body.format(e=end)
         assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
 
     def test_traced_peak_is_at_most_36_bytes_per_row(self, no_exact_reader):
-        """Reading a plain 17-decimal file (≈43 bytes per row) allocates
-        numpy's (n, 2) values and the two columns, 32 bytes per row (measured
-        33.0); the plain-byte scan holds one 64 KiB slice and its copy, and a
-        copy of the input or of the body breaks the bound (42.7 when the
-        scan translated the whole input)."""
+        """Reading a 17-decimal file in the writer's shape (≈43 bytes per
+        row) allocates the (n, 2) values and the two columns, 32 bytes per
+        row (measured 33.4), beside one 128 KiB block buffer; a copy of the
+        input or of the body breaks the bound (42.7 when a plain-byte scan
+        translated the whole input, 75.7 for the CRLF copy of this file,
+        whose CRLF-to-LF copy is held to the end of the read)."""
         n = 50_000
         data = write_csv(generate(SimulationConfig(n=n, sigma=5.0, seed=3)), decimals=17)
         tracemalloc.start()
@@ -482,8 +510,9 @@ class TestBulkParse:
     @given(rows=st.lists(st.tuples(_SIXTEENTHS, _SIXTEENTHS), min_size=3, max_size=40),
            data=st.data())
     def test_one_mixed_fraction_row_reads_the_bits_of_its_decimals(self, rows, data):
-        """k/16 is exact in binary, so numpy's reader on the decimals and the
-        field-by-field reader on a body with one row as W N/D agree bit for bit."""
+        """k/16 is exact in binary, so the vectorised reader on the decimals
+        and the field-by-field reader on a body with one row as W N/D agree
+        bit for bit."""
         decimal = ["a,b", *(f"{x / 16!r},{y / 16!r}" for x, y in rows)]
         mixed = list(decimal)
         at = data.draw(st.integers(0, len(rows) - 1), label="row")
@@ -520,23 +549,21 @@ def _refuse(*args, **kwargs):
 
 @pytest.fixture
 def shaped_only(monkeypatch):
-    """Neither numpy's CSV reader nor the field-by-field reader may run."""
-    monkeypatch.setattr(np, "loadtxt", _refuse)
+    """The field-by-field reader may not run."""
     monkeypatch.setattr(dataio, "_exact_values", _refuse)
 
 
 @pytest.fixture
-def loadtxt_calls(monkeypatch):
-    """Count numpy's CSV reader's calls; the field-by-field reader may not run."""
+def exact_calls(monkeypatch):
+    """Count the field-by-field reader's calls."""
     calls = []
-    loadtxt = np.loadtxt
+    exact_values = dataio._exact_values
 
-    def counting(*args, **kwargs):
+    def counting(lines):
         calls.append(1)
-        return loadtxt(*args, **kwargs)
+        return exact_values(lines)
 
-    monkeypatch.setattr(np, "loadtxt", counting)
-    monkeypatch.setattr(dataio, "_exact_values", _refuse)
+    monkeypatch.setattr(dataio, "_exact_values", counting)
     return calls
 
 
@@ -545,17 +572,16 @@ def _field_bits(fields):
 
 
 class TestShapedRead:
-    """A body in the writer's shape - LF lines of two ``-?digits[.digits]``
-    fields, at most 15 integer digits and 22 decimals - is converted in numpy
-    and reads bit for bit as ``float(field)``; every other body takes the
-    routes it took before, with their values and errors."""
+    """A body in the writer's shape - LF or CRLF lines of two
+    ``-?digits[.digits]`` fields, at most 15 integer digits and 22 decimals -
+    is converted in numpy and reads bit for bit as ``float(field)``; every
+    other body is read field by field, with its values and errors."""
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(_shaped_field, _shaped_field), min_size=3, max_size=200))
     def test_every_field_reads_as_float(self, rows):
         body = "".join(f"{x},{y}\n" for x, y in rows)
-        with mock.patch.object(np, "loadtxt", _refuse), \
-                mock.patch.object(dataio, "_exact_values", _refuse):
+        with mock.patch.object(dataio, "_exact_values", _refuse):
             d = read_csv(("a,b\n" + body).encode())
         assert d.x.tobytes() == _field_bits([x for x, _ in rows])
         assert d.y.tobytes() == _field_bits([y for _, y in rows])
@@ -598,24 +624,41 @@ class TestShapedRead:
         for data in (d, small):
             text = write_csv(data, decimals=decimals)
             back = read_csv(text)
-            assert (back.x.tobytes(), back.y.tobytes()) == _outcome(_reference_read, text.decode())
+            want = back.x.tobytes(), back.y.tobytes()
+            assert want == _outcome(_reference_read, text.decode())
+            # its CRLF twin, and the file with one CR before its last LF
+            for variant in (text.replace(b"\n", b"\r\n"), text[:-1] + b"\r\n"):
+                again = read_csv(variant)
+                assert (again.x.tobytes(), again.y.tobytes()) == want
 
-    @pytest.mark.parametrize("body", [
-        "1,2\r\n3,4\r\n5,6\r\n",
-        " 1,2\n3 ,4\n5,\t6\n",
-        "1e3,2\n3,4E-2\n5,6\n",
-        "+1,2\n3,+4\n5,6\n",
-        "1,2\n\n3,4\n5,6\n\n",
-        "1234567890123456,2\n3,4\n5,6\n",
-        "1,2\n3,4.00000000000000000000001\n5,6\n",
-        "1,2\n3,4\n5.,6\n",
-        "1,2\n3,4\n.5,6\n",
+    @pytest.mark.parametrize("text, shaped", [
+        ("x,y\n1,2\r\n3,4\r\n5,6\r\n", True),
+        ("x,y\n 1,2\n3 ,4\n5,\t6\n", False),
+        ("x,y\n1e3,2\n3,4E-2\n5,6\n", False),
+        ("x,y\n+1,2\n3,+4\n5,6\n", False),
+        ("x,y\n1,2\n\n3,4\n5,6\n\n", False),
+        ("x,y\n1234567890123456,2\n3,4\n5,6\n", False),
+        ("x,y\n1,2\n3,4.00000000000000000000001\n5,6\n", False),
+        ("x,y\n1,2\n3,4\n5.,6\n", False),
+        ("x,y\n1,2\n3,4\n.5,6\n", False),
+        ("x,y\r\n1,2\r\n3,4\n5,6\r\n7,8", True),
+        ("x,y\r\n1,2\n3,4\n5,6\n", True),
+        ("x,y\r\n1,2\r\n3,4\r5,6\r\n", False),
+        ("x,y\n1,2\r3,x\r5,6\n", False),
+        ("x,y\n1,2\n3,4\r\r\n5,6\n", False),
+        ("x,y\r\n1,2\r\n3,4\r\r\n5,x\r\n", False),
+        ("x,y\r\n1,2\r\n3,4,5\r\n5,6\r\n", False),
     ], ids=["crlf", "padded", "exponents", "plus", "blank-lines", "16-digit-integer",
-            "23-decimals", "no-digit-after-point", "no-digit-before-point"])
-    def test_other_plain_bodies_take_loadtxt(self, body, loadtxt_calls):
-        text = "x,y\n" + body
+            "23-decimals", "no-digit-after-point", "no-digit-before-point", "mixed-crlf-and-lf",
+            "crlf-header-lf-body", "lone-cr", "lone-cr-error", "cr-crlf", "cr-crlf-error",
+            "crlf-error"])
+    def test_other_plain_bodies_take_loadtxt(self, text, shaped, exact_calls):
+        """The bodies numpy's ``loadtxt`` read before that route was removed,
+        and other CR line ends: CRLF reads as LF in the writer's shape; any
+        other body, with a CR anywhere else in its original bytes, goes
+        field by field."""
         assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
-        assert loadtxt_calls == [1]
+        assert exact_calls == ([] if shaped else [1])
 
     @pytest.mark.parametrize("body", [
         "1,2\n1-2,3\n4,5\n", "1,2\n3,4-\n5,6\n", "1,2\n--3,4\n5,6\n", "1,2\n-3-,4\n5,6\n",
@@ -628,7 +671,9 @@ class TestShapedRead:
         text = "x,y\n" + body
         assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
 
-    def test_one_block_out_of_shape_sends_the_body_to_loadtxt(self, loadtxt_calls, monkeypatch):
+    def test_one_block_out_of_shape_sends_the_body_to_loadtxt(self, exact_calls, monkeypatch):
+        """Named for the route it took before ``loadtxt`` was removed: the
+        body now goes field by field."""
         monkeypatch.setattr(decimals, "_BLOCK_BYTES", 64)
         rows = [f"{i}.5,{i}" for i in range(60)]
         rows[50] = "5e1,1"
@@ -637,7 +682,7 @@ class TestShapedRead:
         # and a line longer than a block
         long = "x,y\n1,2\n3,4\n" + "1" * 15 + "." + "2" * 22 + ",-" + "3" * 15 + "." + "4" * 22 + "\n"
         assert _outcome(_read_csv_arrays, long) == _outcome(_reference_read, long)
-        assert loadtxt_calls == [1, 1]
+        assert exact_calls == [1, 1]
 
     @pytest.mark.parametrize("sigma", [1.0, 5.0, 20.0])
     def test_17_decimals_round_trip(self, sigma):
