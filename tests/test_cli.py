@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,9 +11,12 @@ import numpy as np
 import pytest
 
 import implicitreg
-from implicitreg import DegenerateDataError, SimulationConfig, Term, generate, write_csv
+from implicitreg import DegenerateDataError, SimulationConfig, Term, generate, read_csv, write_csv
 from implicitreg import compare, implicit
 from implicitreg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SAMPLE = str(GOLDEN / "sample.csv")
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +39,19 @@ def scaled_csv(tmp_path, source, k):
     path.write_text("\n".join([header] + [
         ",".join(f"{float(v) * 2.0 ** k:.17g}" for v in line.split(",")) for line in lines]))
     return path
+
+
+def with_lines(text, lines):
+    """``text`` with each 1-based line number in ``lines`` passed through
+    its function."""
+    out = text.split("\n")
+    for number, edit in lines.items():
+        out[number - 1] = edit(out[number - 1])
+    return "\n".join(out)
+
+
+def x_zero(line):
+    return "0," + line.split(",", 1)[1]
 
 
 def noiseless_csv(tmp_path):
@@ -277,7 +294,7 @@ class TestCompareCommand:
     def test_sample_whose_square_sums_overflow_is_runtime_error(self, tmp_path, capsys):
         # the golden sample scaled by 2^502: every row's square sums add up
         # past the float range, so every row fails
-        path = scaled_csv(tmp_path, Path(__file__).parent / "golden" / "sample.csv", 502)
+        path = scaled_csv(tmp_path, Path(SAMPLE), 502)
         code, stdout, stderr = run_cli(capsys, "compare", "--data", str(path))
         assert code == 1
         assert stdout == ""
@@ -306,9 +323,8 @@ class TestCompareCommand:
     def test_sample_x0_at_2e503_prints_one_error_line(self, tmp_path, capsys):
         # the sums of squares of the axes overflow there, with no warning
         # before the command's single error line
-        lines = (Path(__file__).parent / "golden" / "sample.csv").read_text().splitlines()
         source = tmp_path / "sample_x0.csv"
-        source.write_text("\n".join([lines[0], "0," + lines[1].split(",", 1)[1], *lines[2:]]))
+        source.write_text(with_lines(Path(SAMPLE).read_text(), {2: x_zero}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, stderr = run_cli(capsys, "compare", "--data",
@@ -454,25 +470,38 @@ entrypoint()
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["compare", "--format", "json", "--data", "tests/golden/sample.csv"], 0),
+    (["compare", "--format", "json", "--data", SAMPLE], 0),
     (["compare", "--data", "no_such_file.csv"], 1),
     (["compare", "--no-such-option"], 2),
+    (["--help"], 0),
+    (["compare"], 2),
+    # markdown prints the labels, which an ASCII stdout cannot encode; JSON
+    # escapes them
+    (["PYTHONIOENCODING=ascii", "compare", "--data", "utf8.csv"], 1),
+    (["PYTHONIOENCODING=ascii", "compare", "--data", "utf8.csv", "--format", "json"], 0),
+    (["PYTHONIOENCODING=utf-8", "compare", "--data", "utf8.csv"], 0),
 ])
-def test_entrypoint_freezes_the_heap_and_keeps_the_exit_path(argv, code):
+def test_entrypoint_freezes_the_heap_and_keeps_the_exit_path(argv, code, tmp_path):
     """``entrypoint`` freezes the import-time heap before it runs a command,
     and still exits as ``main`` says, through atexit handlers (which an
-    ``os._exit`` would skip) and the flush of stdout."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv], env=env, cwd=root,
-                          capture_output=True, text=True, timeout=60)
+    ``os._exit`` would skip) and the flush of stdout: a failure prints one
+    error line and nothing to stdout.  A leading NAME=value sets the
+    command's environment, as in a shell."""
+    (tmp_path / "utf8.csv").write_text(
+        with_lines(Path(SAMPLE).read_text(), {1: lambda _: "température,pression"}),
+        encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(implicitreg.__file__).resolve().parents[1]))
+    env.update(arg.split("=", 1) for arg in argv if "=" in arg)
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *(a for a in argv if "=" not in a)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
-    assert proc.stderr.splitlines()[-1] == "frozen: True"
-    if code == 0:
-        assert proc.stdout == (root / "tests" / "golden" / "compare.json").read_text()
-    else:
-        assert proc.stdout == ""
+    *lines, last = proc.stderr.splitlines()
+    assert last == "frozen: True"
+    assert bool(proc.stdout) == (code == 0)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if argv[-1] == SAMPLE:
+        assert proc.stdout == (GOLDEN / "compare.json").read_text()
 
 
 _MODULE_PROBE = """
@@ -484,48 +513,148 @@ from implicitreg.cli import main
 roots = set(json.loads(sys.argv[2]))
 loaded = []
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
     loaded.append([code, sorted(m for m in sys.modules if m.split('.')[0] in roots),
-                   out.getvalue()])
+                   out.getvalue(), err.getvalue()])
 print(json.dumps(loaded))
 """
 
 
-def _probe_modules(runs, roots, block_scipy=True):
+def _probe_modules(runs, roots, block_scipy=True, cwd=None):
     """Run ``main`` on each argv in turn in one fresh interpreter, one that
-    cannot import scipy if ``block_scipy``; after each, its exit code, the
-    loaded modules under the package names ``roots`` and its stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(implicitreg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs), json.dumps(roots),
-                          json.dumps(block_scipy)],
-                         env=env, check=True, capture_output=True, text=True, timeout=60).stdout
-    return json.loads(out)
+    turns every warning into an error and cannot import scipy if
+    ``block_scipy``; after each, its exit code, the loaded modules under the
+    package names ``roots``, its stdout and its stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(implicitreg.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _MODULE_PROBE, json.dumps(runs),
+                           json.dumps(roots), json.dumps(block_scipy)],
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _models(report):
+    return {m["model"]: m for m in json.loads(report)["models"]}
+
+
+# The CLI's console cases, each run through ``main`` in one fresh interpreter
+# that cannot import scipy and turns any warning into an error: a name, the
+# argv (its files are in the case directory), the exit status and the stderr
+# lines (of a usage error, the last line; argparse prints the usage above
+# it).  A failing command prints nothing; the other stdouts and the files
+# written are checked after the run.
+CONSOLE_CASES = [
+    # a 2e5-row sample (25 row blocks): its report from the writer's LF file,
+    # its CRLF twin, a twin with one mixed-fraction row, which is read field
+    # by field, that row's decimal twin, and a twin with x = 0 on five rows
+    # in five blocks
+    ("big", ["simulate", "--n", "200000", "--sigma", "5", "--seed", "7", "--out", "big.csv"],
+     0, []),
+    ("lf", ["compare", "--data", "big.csv", "--format", "json"], 0, []),
+    ("crlf", ["compare", "--data", "big_crlf.csv", "--format", "json"], 0, []),
+    ("fraction", ["compare", "--data", "big_frac.csv", "--format", "json"], 0, []),
+    ("decimal", ["compare", "--data", "big_dec.csv", "--format", "json"], 0, []),
+    ("x0", ["compare", "--data", "big_x0.csv", "--format", "json"], 0,
+     ["warning: y ~ 1 + 1/x: 1/x is undefined at x = 0"]),
+    # every |t| there exceeds 300
+    ("reduce", ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", "big.csv",
+                "--format", "json"], 0, []),
+    # noise past 2^53 in the first and fourth of seven row blocks, which the
+    # writer's "%" template writes
+    ("wide", ["simulate", "--n", "50000", "--sigma", "2e15", "--seed", "2", "--out", "wide.csv"],
+     0, []),
+    ("boyle_csv",
+     ["compare", "--data", str(Path(implicitreg.__file__).with_name("data") / "boyle.csv"),
+      "--format", "json"], 0, []),
+    # the golden sample scaled by 2^250 and 2^510: first the sum of squares
+    # of x*y overflows, then the basis columns themselves
+    ("2e250", ["compare", "--data", "sample_2e250.csv", "--format", "json"], 0,
+     ["warning: x*y ~ 1 + x + y: the sum of squares of x*y overflows"]),
+    ("2e510", ["compare", "--data", "sample_2e510.csv"], 1,
+     ["error: a basis column of y ~ 1 + x + x*y overflows"]),
+    # simulate's n = 6, sigma = 1, seed 2 sample with x = 0 on its first five
+    # rows, scaled by 2^506
+    ("top", ["fit", "--model", "1 ~ x*y + x^2", "--data", "n6_x0_2e506.csv"], 1,
+     ["error: the estimates of 1 ~ x*y + x^2 overflow the float range"]),
+    # a parse error names the leftmost unknown token, not the intercept the
+    # non-response form may not have
+    ("parse", ["fit", "--model", "1 ~ 1 + z", "--data", SAMPLE], 2,
+     ["implicitreg fit: error: argument --model: unknown term 'z' (at position 8)"]),
+]
+
+
+def test_console_cases(tmp_path):
+    big = write_csv(generate(SimulationConfig(n=200_000, sigma=5.0, seed=7)), decimals=10)
+    (tmp_path / "big_crlf.csv").write_bytes(big.replace(b"\n", b"\r\n"))
+    for name, line in [("big_frac", "29 2/16,1 1/3"), ("big_dec", "29.125,1.3333333333333333")]:
+        (tmp_path / f"{name}.csv").write_text(with_lines(big.decode(), {1001: lambda _: line}))
+    (tmp_path / "big_x0.csv").write_text(
+        with_lines(big.decode(), dict.fromkeys((2, 40_000, 80_000, 120_000, 160_000), x_zero)))
+    for k in (250, 510):
+        scaled_csv(tmp_path, Path(SAMPLE), k)
+    n6 = tmp_path / "n6_x0.csv"
+    n6.write_text(with_lines(write_csv(generate(SimulationConfig(n=6, sigma=1.0, seed=2)),
+                                       decimals=10).decode(), dict.fromkeys(range(2, 7), x_zero)))
+    scaled_csv(tmp_path, n6, 506)
+
+    results = _probe_modules([argv for _, argv, _, _ in CONSOLE_CASES], [], cwd=tmp_path)
+    out = {}
+    for (name, _, code, stderr), (got, _, stdout, err) in zip(CONSOLE_CASES, results):
+        lines = err.splitlines()
+        assert (got, lines[-1:] if code == 2 else lines) == (code, stderr), name
+        assert code == 0 or stdout == "", name
+        out[name] = stdout
+
+    assert hashlib.sha256((tmp_path / "big.csv").read_bytes()).hexdigest() == (
+        "8142e3752bbdc806ccd6be01bba379138d7343ddafc83bec9625eca85295993a")
+    assert out["crlf"] == out["lf"] and out["fraction"] == out["decimal"]
+    lf, crlf = (read_csv(tmp_path / name) for name in ("big.csv", "big_crlf.csv"))
+    assert (crlf.x.tobytes(), crlf.y.tobytes()) == (lf.x.tobytes(), lf.y.tobytes())
+    x0 = _models(out["x0"])
+    assert x0["1 ~ x*y"]["diagnostics"]["undefined_y"] == 5
+    assert x0["y ~ 1 + 1/x"]["diagnostics"] == dict.fromkeys(
+        ("undefined_y", "undefined_x", "complex_x"))
+    assert json.loads(out["reduce"])["reduction"] == []
+    wide = generate(SimulationConfig(n=50_000, sigma=2e15, seed=2))
+    assert (tmp_path / "wide.csv").read_bytes().decode() == "x,y\n" + "".join(
+        f"{x:.10f},{y:.10f}\n" for x, y in zip(wide.x.tolist(), wide.y.tolist()))
+    scaled, want = _models(out["2e250"]), _models((GOLDEN / "compare.json").read_text())
+    assert set(scaled.pop("x*y ~ 1 + x + y")["metrics"].values()) == {None}
+    assert {k: m["reduced"] for k, m in scaled.items()} == {k: want[k]["reduced"] for k in scaled}
 
 
 def test_no_command_loads_scipy(tmp_path):
     """Every command runs where scipy cannot be imported, fit too: its
-    p-values come from the package's own t tail, and its text and JSON
-    printouts, with and without --reduce, keep their golden bytes."""
-    golden = Path(__file__).parent / "golden"
-    sample = str(golden / "sample.csv")
-    fits = {"fit_reduce": ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample],
-            "fit_quadratic": ["fit", "--model", "y ~ 1 + x + x^2", "--data", sample]}
-    runs = [
-        ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", str(tmp_path / "s.csv")],
-        *(["compare", "--data", sample, "--format", fmt] for fmt in ("markdown", "csv", "json")),
-        *(["boyle", "--format", fmt, "--plot-data-dir", str(tmp_path / "plots")]
-          for fmt in ("text", "json")),
-        ["constancy", "--data", sample],
-        *([*argv, "--format", fmt] for argv in fits.values() for fmt in ("text", "json")),
-    ]
-    results = _probe_modules(runs, [])
-    for argv, (code, _, _) in zip(runs, results):
-        assert code == 0, argv
-    assert [stdout for _, _, stdout in results[-4:]] == [
-        (golden / f"{name}.{ext}").read_text() for name in fits for ext in ("txt", "json")]
+    p-values come from the package's own t tail, and every output the golden
+    files pin keeps its bytes."""
+    (tmp_path / "sample_x0.csv").write_text(with_lines(Path(SAMPLE).read_text(), {2: x_zero}))
+    fits = [("fit_reduce", ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", SAMPLE]),
+            ("fit_quadratic", ["fit", "--model", "y ~ 1 + x + x^2", "--data", SAMPLE]),
+            ("fit_x0", ["fit", "--model", "1 ~ x*y", "--data", "sample_x0.csv"])]
+    runs = {
+        "simulate.txt": ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", "s.csv"],
+        **{f"compare{suffix}.{ext}": ["compare", "--data", data, "--format", fmt]
+           for suffix, data in (("", SAMPLE), ("_x0", "sample_x0.csv"))
+           for fmt, ext in (("markdown", "md"), ("csv", "csv"), ("json", "json"))},
+        **{f"{name}.{ext}": [*argv, "--format", fmt]
+           for name, argv in fits for fmt, ext in (("text", "txt"), ("json", "json"))},
+        "constancy.txt": ["constancy", "--data", SAMPLE],
+        "boyle.txt": ["boyle"],
+        "boyle.json": ["boyle", "--format", "json", "--plot-data-dir", "plots"],
+    }
+    results = _probe_modules(list(runs.values()), [], cwd=tmp_path)
+    assert [code for code, *_ in results] == [0] * len(runs)
+    assert {name: stdout for name, (_, _, stdout, _) in zip(runs, results)} == {
+        name: (GOLDEN / name).read_text() for name in runs}
+    assert (tmp_path / "s.csv").read_bytes() == (GOLDEN / "sample.csv").read_bytes()
+    plots = GOLDEN / "boyle_plots"
+    assert {p.name: p.read_bytes() for p in (tmp_path / "plots").iterdir()} == {
+        p.name: p.read_bytes() for p in plots.iterdir()}
 
 
 def test_only_fit_loads_scipy(tmp_path):
@@ -533,43 +662,44 @@ def test_only_fit_loads_scipy(tmp_path):
     is from when fit's p-values loaded scipy.special.  The blocked test above
     shows that no command needs scipy; this one, that none imports it when it
     can, as a fallback would, which would cost start-up time."""
-    sample = str(Path(__file__).parent / "golden" / "sample.csv")
     runs = [
         ["simulate", "--n", "50", "--sigma", "5", "--seed", "7", "--out", str(tmp_path / "s.csv")],
-        *(["compare", "--data", sample, "--format", fmt] for fmt in ("markdown", "csv", "json")),
+        *(["compare", "--data", SAMPLE, "--format", fmt] for fmt in ("markdown", "csv", "json")),
         ["boyle", "--plot-data-dir", str(tmp_path / "plots")],
-        ["constancy", "--data", sample],
-        ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample],
+        ["constancy", "--data", SAMPLE],
+        ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", SAMPLE],
     ]
-    for argv, (code, modules, _) in zip(runs, _probe_modules(runs, ["scipy"], block_scipy=False)):
+    for argv, (code, modules, *_) in zip(runs, _probe_modules(runs, ["scipy"], block_scipy=False)):
         assert (code, modules) == (0, []), argv
 
 
 def test_cli_import_loads_neither_dataclasses_nor_importlib_resources():
     """The records are plain classes, and only the Boyle loader imports
-    importlib.resources (and tempfile with it), so a cold CLI import loads
-    neither.  ``-S`` keeps out the ``.pth`` files of site-packages, which may
-    import either at start-up, so numpy's directory goes on the path."""
+    importlib.resources (and tempfile with it), so a cold compare loads
+    neither, and prints the golden JSON.  ``-S`` keeps out the ``.pth`` files
+    of site-packages, which may import either at start-up, so numpy's
+    directory goes on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         str(Path(module.__file__).resolve().parents[1]) for module in (implicitreg, np))
-    script = ("import sys, implicitreg.cli; "
-              "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "implicitreg.cli",
+                           "compare", "--data", SAMPLE, "--format", "json"],
+                          env=env, check=True, capture_output=True, text=True, timeout=60)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "implicitreg" in imported
+    assert not {"dataclasses", "importlib.resources"} & imported
+    assert proc.stdout == (GOLDEN / "compare.json").read_text()
 
 
 def test_decimal_csv_loads_neither_hashlib_nor_fractions():
     """Only the Boyle checksum needs hashlib and only a fraction field needs
     fractions (and decimal, which it imports), so compare, constancy and fit
     on a decimal CSV load none of them."""
-    sample = str(Path(__file__).parent / "golden" / "sample.csv")
-    runs = [["compare", "--data", sample, "--format", "json"],
-            ["constancy", "--data", sample],
-            ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", sample, "--format", "json"]]
+    runs = [["compare", "--data", SAMPLE, "--format", "json"],
+            ["constancy", "--data", SAMPLE],
+            ["fit", "--model", "1 ~ x + y + x*y", "--reduce", "--data", SAMPLE, "--format", "json"]]
     roots = ["hashlib", "_hashlib", "fractions", "decimal", "_decimal"]
-    for argv, (code, modules, _) in zip(runs, _probe_modules(runs, roots)):
+    for argv, (code, modules, *_) in zip(runs, _probe_modules(runs, roots)):
         assert (code, modules) == (0, []), argv
 
 

@@ -405,13 +405,6 @@ class TestBulkParse:
         monkeypatch.setattr(dataio, "_parse_field", counting)
         return calls
 
-    @pytest.fixture
-    def no_exact_reader(self, monkeypatch):
-        def refuse(lines):
-            raise AssertionError("the body went field by field")
-
-        monkeypatch.setattr(dataio, "_exact_values", refuse)
-
     def test_fraction_row_parsed_exactly(self, parse_field_calls):
         rows = [f"{i},{2 * i}" for i in range(20_000)]
         rows[12_345] = "29 2/16,1 1/3"
@@ -447,7 +440,7 @@ class TestBulkParse:
         assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text) == want
 
     @pytest.mark.parametrize("n", [3, 50, 2_000])
-    def test_written_csv_takes_numpy_reader(self, n, no_exact_reader):
+    def test_written_csv_reads_back_in_the_writers_shape(self, n, shaped_only):
         rng = np.random.default_rng(n)
         d = Dataset("a", "b", rng.normal(0, 1e3, n), rng.uniform(-1e-3, 1e9, n))
         text = write_csv(d, decimals=17).decode()
@@ -478,7 +471,7 @@ class TestBulkParse:
         text = bom + "x,y" + body.format(e=end)
         assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
 
-    def test_traced_peak_is_at_most_36_bytes_per_row(self, no_exact_reader):
+    def test_traced_peak_is_at_most_36_bytes_per_row(self, shaped_only):
         """Reading a 17-decimal file in the writer's shape (≈43 bytes per
         row) allocates the (n, 2) values and the two columns, 32 bytes per
         row (measured 33.4), beside one 128 KiB block buffer; a copy of the
@@ -671,9 +664,8 @@ class TestShapedRead:
         text = "x,y\n" + body
         assert _outcome(_read_csv_arrays, text) == _outcome(_reference_read, text)
 
-    def test_one_block_out_of_shape_sends_the_body_to_loadtxt(self, exact_calls, monkeypatch):
-        """Named for the route it took before ``loadtxt`` was removed: the
-        body now goes field by field."""
+    def test_one_block_out_of_shape_sends_the_body_field_by_field(self, exact_calls,
+                                                                  monkeypatch):
         monkeypatch.setattr(decimals, "_BLOCK_BYTES", 64)
         rows = [f"{i}.5,{i}" for i in range(60)]
         rows[50] = "5e1,1"
